@@ -4,12 +4,13 @@ Every command echoes its full semantic configuration into the result
 document so a run can be reproduced exactly. Outputs are data files (CSV
 trajectories and grids, JSON documents); plotting stays outside the tool.
 Exit codes: 0 success, 2 configuration or parse error, 3 simulation
-divergence, 4 solver non-convergence.
+divergence (including a convex solve that hits its iteration cap).
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -24,12 +25,11 @@ from .io import ResultsDocument, TrajectoryFileError, import_cube_dataset, load_
 from .metrics import dataset_loss, rollout_reports
 from .presets import PARAM_PRESETS, cube_domain, cube_geometry, cube_inertial, param_preset
 from .simulate import SimulationDivergence, simulate
-from .solvers import ContactParams, ConvexSolverError, MODELS
+from .solvers import ContactParams, MODELS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
-EXIT_NONCONVERGENCE = 4
 
 WORKERS_ENV = "CUBETOSS_WORKERS"
 
@@ -61,6 +61,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help=f"parallel rollout workers (env {WORKERS_ENV}; results do not depend on this)")
 
 
+PARAMS_FILE_KEYS = ("model", "mu", "k", "b", "d_interp")
+
+
 def _parse_params_file(path: str) -> dict:
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -75,6 +78,8 @@ def _parse_params_file(path: str) -> dict:
             raise CliError(f"{path}: line {lineno}: expected key=value")
         key = key.strip()
         val = val.strip()
+        if key not in PARAMS_FILE_KEYS:
+            raise CliError(f"{path}: line {lineno}: unknown key {key!r}, expected one of {PARAMS_FILE_KEYS}")
         values[key] = val if key == "model" else float(val)
     return values
 
@@ -166,7 +171,7 @@ def _cmd_simulate(args) -> int:
     if duration <= 0.0:
         raise CliError("x0 file has a single row; give --duration")
     geom, inertia = cube_geometry(), cube_inertial()
-    full_cfg = SimConfig(cfg.dt, 1, cfg.solver, cfg.solver_iters, cfg.slip_tolerance, cfg.activation_margin)
+    full_cfg = dataclasses.replace(cfg, downsample=1)
     try:
         full = simulate(x0, params, inertia, geom, full_cfg, duration)
     except SimulationDivergence as err:
@@ -397,9 +402,6 @@ def main(argv=None) -> int:
     except SimulationDivergence as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except ConvexSolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .body import RigidState
 NORMAL = np.array([0.0, 0.0, 1.0])
 TANGENT1 = np.array([1.0, 0.0, 0.0])
 TANGENT2 = np.array([0.0, 1.0, 0.0])
+TABLE_FRAME = np.stack([NORMAL, TANGENT1, TANGENT2])  # rows: normal, t1, t2
 
 CORNER_SIGNS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
@@ -69,15 +70,16 @@ class ContactPoint:
     corner_index: int = -1
 
 
-_NO_CONTACTS = (np.empty(0, dtype=np.intp), None, None, None, None, None)
+_NO_CONTACTS = (np.empty(0, dtype=np.intp), None, None, None, None, None, None)
 
 
 def _corner_contact_arrays(pos, R, vel, ang_vel, corners_body, margin):
-    """Active corner data as flat arrays: (indices, depth, depth_rate, vt1, vt2, rho).
+    """Active corner data as flat arrays: (indices, depth, depth_rate, vt1, vt2, rho, points).
 
-    rho is the moment arm from the COM to each witness point, shape (3, nc).
-    Shared by detect_contacts and the rollout loop; the cheap height test
-    comes first because most rollout steps are flight.
+    points are the world witness points and rho = points - pos the moment
+    arms from the COM, both shape (3, nc). Shared by detect_contacts and the
+    rollout loop; the cheap height test comes first because most rollout
+    steps are flight.
     """
     z_rel = R[2] @ corners_body
     if pos[2] + z_rel.min() >= margin:
@@ -86,8 +88,9 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, corners_body, margin):
     z = corners[2]
     idx = np.flatnonzero(z < margin)
     if idx.size == 0:
-        return idx, None, None, None, None, None
-    rho = corners[:, idx] - pos[:, None]
+        return _NO_CONTACTS
+    points = corners[:, idx]
+    rho = points - pos[:, None]
     # velocity of each witness point: v + w x rho
     wx, wy, wz = ang_vel
     vpx = vel[0] + wy * rho[2] - wz * rho[1]
@@ -95,7 +98,7 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, corners_body, margin):
     vpz = vel[2] + wx * rho[1] - wy * rho[0]
     depth = -z[idx]
     depth_rate = -vpz
-    return idx, depth, depth_rate, vpx, vpy, rho
+    return idx, depth, depth_rate, vpx, vpy, rho, points
 
 
 def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: float = 1e-3) -> list[ContactPoint]:
@@ -107,14 +110,14 @@ def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: flo
     """
     state.require_valid()
     R = quat.to_matrix(state.quat)
-    idx, depth, depth_rate, _, _, rho = _corner_contact_arrays(
+    idx, depth, depth_rate, _, _, _, points = _corner_contact_arrays(
         state.pos, R, state.vel, state.ang_vel, geom.corners_body, activation_margin
     )
     contacts = []
     for j, corner in enumerate(idx):
         contacts.append(
             ContactPoint(
-                point=state.pos + rho[:, j],
+                point=points[:, j],
                 normal=NORMAL.copy(),
                 depth=float(depth[j]),
                 depth_rate=float(depth_rate[j]),
@@ -126,15 +129,46 @@ def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: flo
     return contacts
 
 
+def _table_jacobian(rho: np.ndarray) -> np.ndarray:
+    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
+
+    rho holds the arms from the COM to the witness points, shape (3, nc).
+    Rows follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
+    normal row of J @ twist equals minus depth_rate.
+    """
+    nc = rho.shape[1]
+    J = np.zeros((3 * nc, 6))
+    rx, ry, rz = rho
+    J[0::3, 2] = 1.0
+    J[0::3, 3] = ry
+    J[0::3, 4] = -rx
+    J[1::3, 0] = 1.0
+    J[1::3, 4] = rz
+    J[1::3, 5] = -ry
+    J[2::3, 1] = 1.0
+    J[2::3, 3] = -rz
+    J[2::3, 5] = rx
+    return J
+
+
+def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Stacked 3nc x 6 contact Jacobian for per-contact frames, shape (nc, 3, 3).
+
+    Each row [e, rho x e] is linear in its direction e, so a contact's block
+    is its table-frame block rotated by frame @ TABLE_FRAME.T. For the table
+    frame that rotation is the identity and the result equals _table_jacobian.
+    """
+    nc = rho.shape[1]
+    blocks = _table_jacobian(rho).reshape(nc, 3, 6)
+    return (frames @ TABLE_FRAME.T @ blocks).reshape(3 * nc, 6)
+
+
 def contact_jacobian(state: RigidState, cp: ContactPoint) -> np.ndarray:
     """3x6 map from body twist [v, w] to contact-frame velocity [normal, t1, t2].
 
     Row e of the map is [e, rho x e] with rho the arm from the COM to the
     witness point, so the normal row of J @ twist equals minus depth_rate.
     """
-    rho = cp.point - state.pos
-    J = np.empty((3, 6))
-    for row, e in enumerate((cp.normal, cp.tangent1, cp.tangent2)):
-        J[row, :3] = e
-        J[row, 3:] = np.cross(rho, e)
-    return J
+    rho = (cp.point - state.pos)[:, None]
+    frame = np.stack([cp.normal, cp.tangent1, cp.tangent2])
+    return _frame_jacobian(rho, frame[None])

@@ -5,6 +5,15 @@ step's contact impulse, and advances the state with the shared semi-implicit
 integrator. The recorded trajectory keeps every downsample-th state
 (including the initial one), matching a capture system running slower than
 the integration rate.
+
+The loop works on the detector's corner arrays but shares every piece of the
+contact problem with the public per-step API: the corner detector and the
+table-frame Jacobian (geometry), the mass terms (solvers._mass_terms) and
+the integrator (body._integrate). Stepping detect_contacts,
+build_contact_problem, the solver with per-corner warm starts, and step
+therefore reproduces a convex or PGS rollout bit for bit. The compliant law
+builds its wrench from the corner arrays directly (same forces through
+_compliant_forces), so its public replay agrees to rounding only.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ import numpy as np
 
 from . import quat
 from .body import InertialParams, RigidState, SimConfig, _integrate
-from .geometry import BoxGeometry, _corner_contact_arrays
+from .geometry import BoxGeometry, _corner_contact_arrays, _table_jacobian
 from .solvers import (
     DEFAULT_PGS_ITERS,
     DEFAULT_QP_ITERS,
@@ -23,6 +32,7 @@ from .solvers import (
     ContactProblem,
     ConvexSolverError,
     _compliant_forces,
+    _mass_terms,
     regularized_convex_impulse,
     rigid_pgs_impulse,
 )
@@ -38,27 +48,6 @@ class SimulationDivergence(RuntimeError):
     def __init__(self, step_index: int, message: str):
         super().__init__(f"simulation diverged at step {step_index}: {message}")
         self.step_index = step_index
-
-
-def _fixed_frame_jacobian(rho: np.ndarray) -> np.ndarray:
-    """Stacked contact Jacobian for the table frame (normal +z, tangents +x, +y).
-
-    Rows follow [e, rho x e]; identical to geometry.contact_jacobian
-    specialized to the fixed frame.
-    """
-    nc = rho.shape[1]
-    J = np.zeros((3 * nc, 6))
-    rx, ry, rz = rho
-    J[0::3, 2] = 1.0
-    J[0::3, 3] = ry
-    J[0::3, 4] = -rx
-    J[1::3, 0] = 1.0
-    J[1::3, 4] = rz
-    J[1::3, 5] = -ry
-    J[2::3, 1] = 1.0
-    J[2::3, 3] = -rz
-    J[2::3, 5] = rx
-    return J
 
 
 def simulate(
@@ -101,20 +90,9 @@ def simulate(
     model = params.model
     margin = cfg.activation_margin
     corners_body = geom.corners_body
-    mass = inertia.mass
-    gravity = inertia.gravity
-    isotropic = inertia.isotropic
     max_iters = cfg.solver_iters or (DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS)
-
-    # constant pieces of the contact problem for an isotropic body
-    inv_mass_const = None
-    f_ext_const = None
-    if isotropic:
-        inv_mass_const = np.zeros((6, 6))
-        inv_mass_const[0, 0] = inv_mass_const[1, 1] = inv_mass_const[2, 2] = 1.0 / mass
-        inv_i = inertia.inertia_body_inv[0, 0]
-        inv_mass_const[3, 3] = inv_mass_const[4, 4] = inv_mass_const[5, 5] = inv_i
-        f_ext_const = np.concatenate([mass * gravity, np.zeros(3)])
+    # an isotropic body's mass terms do not depend on the state
+    const_mass_terms = _mass_terms(None, None, inertia, True, True) if inertia.isotropic else None
 
     # per-corner warm starts, owned by this rollout only
     warm_lam = np.zeros((8, 3))
@@ -122,7 +100,7 @@ def simulate(
     zero_imp = np.zeros(3)
     for step_i in range(1, n_steps + 1):
         R = quat.to_matrix(q)
-        idx, depth, depth_rate, vt1, vt2, rho = _corner_contact_arrays(p, R, v, w, corners_body, margin)
+        idx, depth, depth_rate, vt1, vt2, rho, _ = _corner_contact_arrays(p, R, v, w, corners_body, margin)
 
         if idx.size == 0:
             imp_lin = zero_imp
@@ -139,18 +117,9 @@ def simulate(
                 (rho[0] * ft2 - rho[1] * ft1).sum(),
             ])
         else:
-            J = _fixed_frame_jacobian(rho)
-            if isotropic:
-                inv_mass = inv_mass_const
-                f_ext = f_ext_const
-            else:
-                iw = R @ inertia.inertia_body @ R.T
-                inv_mass = np.zeros((6, 6))
-                inv_mass[0, 0] = inv_mass[1, 1] = inv_mass[2, 2] = 1.0 / mass
-                inv_mass[3:, 3:] = R @ inertia.inertia_body_inv @ R.T
-                f_ext = np.concatenate([mass * gravity, -np.cross(w, iw @ w)])
+            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True, True)
             problem = ContactProblem(
-                [], J, inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
+                _table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
             )
             try:
                 if model == "regularized_convex":

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import quat
 from .body import InertialParams, RigidState
-from .geometry import ContactPoint, contact_jacobian
+from .geometry import ContactPoint, _frame_jacobian
 
 MODELS = ("compliant", "regularized_convex", "rigid_pgs")
 
@@ -98,7 +98,6 @@ class ContactProblem:
     timestep.
     """
 
-    contacts: list[ContactPoint]
     jacobian: np.ndarray
     inv_mass: np.ndarray
     v: np.ndarray
@@ -120,6 +119,28 @@ class ContactProblem:
         return self.v + self.h * (self.inv_mass @ self.f_ext)
 
 
+def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool, include_gyroscopic: bool):
+    """Inverse generalized mass and external generalized force at orientation R.
+
+    For an isotropic body the world inverse inertia is exactly the body
+    diagonal and the gyroscopic torque vanishes, so neither depends on R or
+    w (which may then be None).
+    """
+    inv_mass = np.zeros((6, 6))
+    inv_mass[0, 0] = inv_mass[1, 1] = inv_mass[2, 2] = 1.0 / inertia.mass
+    f_ext = np.zeros(6)
+    if include_gravity:
+        f_ext[:3] = inertia.mass * inertia.gravity
+    if inertia.isotropic:
+        inv_mass[3, 3] = inv_mass[4, 4] = inv_mass[5, 5] = inertia.inertia_body_inv[0, 0]
+    else:
+        inv_mass[3:, 3:] = R @ inertia.inertia_body_inv @ R.T
+        if include_gyroscopic:
+            iw = R @ inertia.inertia_body @ R.T
+            f_ext[3:] = -np.cross(w, iw @ w)
+    return inv_mass, f_ext
+
+
 def build_contact_problem(
     state: RigidState,
     inertia: InertialParams,
@@ -128,26 +149,20 @@ def build_contact_problem(
     include_gravity: bool = True,
     include_gyroscopic: bool = True,
 ) -> ContactProblem:
-    """Assemble the velocity-level problem for the detected contacts."""
+    """Assemble the velocity-level problem for the detected contacts.
+
+    Uses the same Jacobian and mass terms as the rollout loop, so stepping
+    detect_contacts output through this problem reproduces simulate.
+    """
     R = quat.to_matrix(state.quat)
-    iw = R @ inertia.inertia_body @ R.T
-    iw_inv = R @ inertia.inertia_body_inv @ R.T
-    inv_mass = np.zeros((6, 6))
-    inv_mass[0, 0] = inv_mass[1, 1] = inv_mass[2, 2] = 1.0 / inertia.mass
-    inv_mass[3:, 3:] = iw_inv
-    f_ext = np.zeros(6)
-    if include_gravity:
-        f_ext[:3] = inertia.mass * inertia.gravity
-    if include_gyroscopic and not inertia.isotropic:
-        f_ext[3:] = -np.cross(state.ang_vel, iw @ state.ang_vel)
+    inv_mass, f_ext = _mass_terms(R, state.ang_vel, inertia, include_gravity, include_gyroscopic)
     nc = len(contacts)
-    J = np.zeros((3 * nc, 6))
-    for i, cp in enumerate(contacts):
-        J[3 * i : 3 * i + 3] = contact_jacobian(state, cp)
+    rho = np.array([c.point for c in contacts]).reshape(nc, 3).T - state.pos[:, None]
+    frames = np.array([(c.normal, c.tangent1, c.tangent2) for c in contacts]).reshape(nc, 3, 3)
     v = np.concatenate([state.vel, state.ang_vel])
     depth = np.array([c.depth for c in contacts])
     depth_rate = np.array([c.depth_rate for c in contacts])
-    return ContactProblem(list(contacts), J, inv_mass, v, float(dt), f_ext, depth, depth_rate)
+    return ContactProblem(_frame_jacobian(rho, frames), inv_mass, v, float(dt), f_ext, depth, depth_rate)
 
 
 @dataclass

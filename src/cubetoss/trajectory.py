@@ -78,15 +78,3 @@ class Trajectory:
             self.ang_vel[::n].copy(),
             dict(self.meta),
         )
-
-    @classmethod
-    def from_states(cls, states, rate_hz: float, meta: dict | None = None) -> "Trajectory":
-        states = list(states)
-        return cls(
-            rate_hz,
-            np.array([s.pos for s in states]),
-            np.array([s.quat for s in states]),
-            np.array([s.vel for s in states]),
-            np.array([s.ang_vel for s in states]),
-            meta or {},
-        )

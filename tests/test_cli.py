@@ -67,6 +67,21 @@ def test_simulate_divergence_exit_code(tmp_path):
     assert "step_index" in json.loads(marker.read_text())
 
 
+def test_simulate_convex_iteration_cap_exit_code(tmp_path, capsys):
+    """A convex solve that hits its iteration cap is a divergence: exit 3 and a marker."""
+    d, _ = write_dataset(tmp_path, n=1)
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--preset", "cube-mujoco-style", "--solver-iters", "1",
+               "--x0", str(d / "toss_000.csv"), "--out", str(out)])
+    assert rc == EXIT_DIVERGENCE
+    marker = json.loads(out.with_suffix(".partial.json").read_text())
+    assert "convex contact solve stopped at residual" in marker["error"]
+    assert "after 1 iterations" in marker["error"]
+    assert marker["step_index"] >= 1
+    assert "convex contact solve" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_replay_reports_zero(tmp_path):
     d, _ = write_dataset(tmp_path, n=3)
     out = tmp_path / "res.json"
@@ -178,6 +193,18 @@ def test_params_file(tmp_path):
     assert main(["simulate", "--preset", "cube-drake", "--x0", str(d / "toss_000.csv"),
                  "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_params_file_rejects_unknown_key(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1)
+    cfg = tmp_path / "convex.cfg"
+    cfg.write_text("model = regularized_convex\nmu = 0.1\nk = 3300\nb = 45\nd-interp = 0.5\n")
+    rc = main(["simulate", "--params", str(cfg), "--x0", str(d / "toss_000.csv"),
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 5" in err and "'d-interp'" in err
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_identify_train_subset_reports_holdout(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cubetoss as ct
+from cubetoss.synthetic import random_toss_states, sliding_toss_states
 
 DT = 1.0 / 1480.0
 
@@ -88,20 +89,49 @@ def test_identical_inputs_bit_identical_output(cube_geom, cube_inertia):
         assert np.array_equal(a.as_matrix(), b.as_matrix())
 
 
-def test_rollout_compliant_step_matches_public_solver(cube_geom, cube_inertia):
-    """One rollout step equals detect + solve + step through the public API."""
-    params = ct.ContactParams(0.3, 10800.0, 0.4, "compliant")
-    x0 = ct.RigidState([0.002, -0.001, 0.0493], [1, 0, 0, 0], [0.7, -0.3, -0.9], [6.0, -2.0, 3.0])
+def _public_replay(x0, params, inertia, geom, cfg, n_steps):
+    """States of detect_contacts -> build_contact_problem -> solver -> step,
+    carrying per-corner warm starts the way the rollout loop does."""
+    states = [x0]
+    warm = np.zeros((8, 3))
+    contact_steps = 0
+    for _ in range(n_steps):
+        cur = states[-1]
+        cps = ct.detect_contacts(cur, geom, cfg.activation_margin)
+        wrench = None
+        if cps:
+            contact_steps += 1
+            idx = [c.corner_index for c in cps]
+            prob = ct.build_contact_problem(cur, inertia, cps, cfg.dt)
+            imp = ct.solve_contact_impulse(prob, params, cfg.slip_tolerance,
+                                           warm_start=warm[idx].reshape(-1))
+            warm.fill(0.0)
+            warm[idx] = imp.flat().reshape(-1, 3)
+            wrench = imp.wrench
+        states.append(ct.step(cur, inertia, wrench, cfg.dt))
+    return states, contact_steps
+
+
+def test_public_api_replays_rollout(cube_geom, cube_inertia):
+    """The public per-step API reproduces simulate(): bit for bit for the convex
+    and PGS models, to rounding for the compliant law (whose rollout wrench
+    skips the J @ v and J.T @ lam products)."""
     cfg = ct.SimConfig(dt=DT, downsample=1)
-    traj = ct.simulate(x0, params, cube_inertia, cube_geom, cfg, DT)
-    cps = ct.detect_contacts(x0, cube_geom, cfg.activation_margin)
-    assert len(cps) > 0
-    prob = ct.build_contact_problem(x0, cube_inertia, cps, DT)
-    imp = ct.hunt_crossley_impulse(prob, params, cfg.slip_tolerance)
-    manual = ct.step(x0, cube_inertia, imp.wrench, DT)
-    assert np.max(np.abs(traj.pos[1] - manual.pos)) < 1e-15
-    assert np.max(np.abs(traj.vel[1] - manual.vel)) < 1e-12
-    assert np.max(np.abs(traj.ang_vel[1] - manual.ang_vel)) < 1e-11
+    n_steps = 370  # 0.25 s
+    tosses = random_toss_states(2, cube_geom, seed=3) + sliding_toss_states(2, cube_geom, seed=3)
+    for preset in ("cube-drake", "cube-mujoco-style", "cube-bullet-style"):
+        params = ct.param_preset(preset)
+        for t, x0 in enumerate(tosses):
+            rows = ct.simulate(x0, params, cube_inertia, cube_geom, cfg, n_steps * DT).as_matrix()
+            states, contact_steps = _public_replay(x0, params, cube_inertia, cube_geom, cfg, n_steps)
+            assert contact_steps > 0, (preset, t)
+            assert len(rows) == len(states)
+            for i, st in enumerate(states):
+                if params.model == "compliant":
+                    assert np.max(np.abs(rows[i, :3] - st.pos)) < 1e-12, (preset, t, i)
+                    assert np.max(np.abs(rows[i] - st.as_vector())) < 1e-10, (preset, t, i)
+                else:
+                    assert np.array_equal(rows[i], st.as_vector()), (preset, t, i)
 
 
 def test_solver_selector_mismatch_raises(cube_geom, cube_inertia):
