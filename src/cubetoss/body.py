@@ -116,7 +116,8 @@ class SimConfig:
     downsample-th sample (including the first), so the output rate is
     1 / (dt * downsample). solver, when set, must agree with the contact
     model requested through the contact parameters. solver_iters, when
-    set, overrides the iteration cap of the active contact solver.
+    set (a positive integer), overrides the iteration cap of the active
+    contact solver.
     """
 
     dt: float = 1.0 / 1480.0
@@ -132,6 +133,9 @@ class SimConfig:
         if int(self.downsample) != self.downsample or self.downsample < 1:
             raise ValueError(f"downsample must be a positive integer, got {self.downsample}")
         self.downsample = int(self.downsample)
+        it = self.solver_iters
+        if it is not None and (isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1):
+            raise ValueError(f"solver_iters must be None or a positive integer, got {it!r}")
 
     @property
     def output_rate_hz(self) -> float:

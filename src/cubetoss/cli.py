@@ -4,7 +4,8 @@ Every command echoes its full semantic configuration into the result
 document so a run can be reproduced exactly. Outputs are data files (CSV
 trajectories and grids, JSON documents); plotting stays outside the tool.
 Exit codes: 0 success, 2 configuration or parse error, 3 simulation
-divergence (including a convex solve that hits its iteration cap).
+divergence (including a convex solve that hits its iteration cap or meets a
+non-finite contact problem).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -114,6 +116,8 @@ def _resolve_params(args) -> ContactParams:
 
 
 def _sim_config(args, model: str) -> SimConfig:
+    if not (0.0 < args.rate < math.inf):
+        raise CliError(f"--rate must be a positive finite number of Hz, got {args.rate}")
     return SimConfig(
         dt=1.0 / args.rate,
         downsample=args.downsample,

@@ -90,7 +90,9 @@ def simulate(
     model = params.model
     margin = cfg.activation_margin
     corners_body = geom.corners_body
-    max_iters = cfg.solver_iters or (DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS)
+    max_iters = cfg.solver_iters
+    if max_iters is None:
+        max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
     # an isotropic body's mass terms do not depend on the state
     const_mass_terms = _mass_terms(None, None, inertia, True, True) if inertia.isotropic else None
 

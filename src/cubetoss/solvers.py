@@ -29,6 +29,7 @@ dissipation guarantee.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -265,54 +266,96 @@ def hunt_crossley_impulse(
 # --- regularized convex model ------------------------------------------------
 
 
-def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
+def _pyramid_project_floats(vals: list, mu: float) -> list:
     """Euclidean projection onto the per-contact friction pyramid cones.
 
-    The cone is {(n, t1, t2): n >= 0, |t1| <= mu n, |t2| <= mu n}. The
-    projection is found by evaluating the candidate points on every face of
-    the cone (interior, either facet, their edge, and the apex) and keeping
-    the nearest feasible one; signs of the tangential components separate
-    out by symmetry.
+    vals is the flat list [n, t1, t2, n, t1, t2, ...] of Python floats; the
+    projection comes back as a new list of the same layout. The cone is
+    {(n, t1, t2): n >= 0, |t1| <= mu n, |t2| <= mu n}. Each contact is
+    projected in closed form: with a = |t1| and b = |t2| (the signs separate
+    out by symmetry and are restored with copysign), a point already in the
+    cone is kept; otherwise the nearest feasible one of the candidates on
+    facet |t1| = mu n, facet |t2| = mu n, their edge and the apex wins, the
+    first in that order on a tie. The candidate formulas and their order of
+    operations are those of the vectorized numpy projection kept as the
+    oracle in tests/test_pyramid_projection.py, so convex rollouts stay bit
+    for bit what they were with it; scalar floats avoid the numpy call
+    overhead that dominates on arrays of 3 to 24 elements. The one
+    difference: a point with n < 0, t = 0 and mu * n underflowing to -0.0
+    goes to the apex, where the oracle passes it as feasible. NaN input
+    gives NaN output, since no candidate beats a NaN distance.
     """
-    n0 = lam[0::3]
-    t1 = lam[1::3]
-    t2 = lam[2::3]
+    out = [0.0] * len(vals)
     if mu == 0.0:
-        out = np.zeros_like(lam)
-        out[0::3] = np.maximum(0.0, n0)
+        for i in range(0, len(vals), 3):
+            n0 = vals[i]
+            out[i] = 0.0 if n0 < 0.0 else n0
         return out
-    a0 = np.abs(t1)
-    b0 = np.abs(t2)
-    big = np.inf
-    # candidate 0: already feasible
-    feas0 = (a0 <= mu * n0) & (b0 <= mu * n0)
-    # candidate 1: facet |t1| = mu n, t2 interior
-    n1 = (n0 + mu * a0) / (1.0 + mu * mu)
-    feas1 = (n1 >= 0.0) & (b0 <= mu * n1)
-    d1 = np.where(feas1, (n1 - n0) ** 2 + (mu * n1 - a0) ** 2, big)
-    # candidate 2: facet |t2| = mu n, t1 interior
-    n2 = (n0 + mu * b0) / (1.0 + mu * mu)
-    feas2 = (n2 >= 0.0) & (a0 <= mu * n2)
-    d2 = np.where(feas2, (n2 - n0) ** 2 + (mu * n2 - b0) ** 2, big)
-    # candidate 3: edge |t1| = |t2| = mu n
-    n3 = (n0 + mu * (a0 + b0)) / (1.0 + 2.0 * mu * mu)
-    feas3 = n3 >= 0.0
-    d3 = np.where(feas3, (n3 - n0) ** 2 + (mu * n3 - a0) ** 2 + (mu * n3 - b0) ** 2, big)
-    # candidate 4: apex
-    d4 = n0 * n0 + a0 * a0 + b0 * b0
-    dists = np.stack([d1, d2, d3, d4])
-    choice = np.argmin(dists, axis=0)
-    n_new = np.choose(choice, [n1, n2, n3, np.zeros_like(n0)])
-    a_new = np.choose(choice, [mu * n1, np.minimum(a0, mu * n2), mu * n3, np.zeros_like(a0)])
-    b_new = np.choose(choice, [np.minimum(b0, mu * n1), mu * n2, mu * n3, np.zeros_like(b0)])
-    n_new = np.where(feas0, n0, n_new)
-    a_new = np.where(feas0, a0, a_new)
-    b_new = np.where(feas0, b0, b_new)
-    out = np.empty_like(lam)
-    out[0::3] = n_new
-    out[1::3] = np.copysign(a_new, t1)
-    out[2::3] = np.copysign(b_new, t2)
+    den1 = 1.0 + mu * mu
+    den3 = 1.0 + 2.0 * mu * mu
+    for i in range(0, len(vals), 3):
+        n0 = vals[i]
+        t1 = vals[i + 1]
+        t2 = vals[i + 2]
+        a0 = abs(t1)
+        b0 = abs(t2)
+        # n0 >= 0 only matters when mu * n0 underflows to -0.0 (0 <= -0.0)
+        if n0 >= 0.0 and a0 <= mu * n0 and b0 <= mu * n0:
+            out[i] = n0
+            out[i + 1] = math.copysign(a0, t1)
+            out[i + 2] = math.copysign(b0, t2)
+            continue
+        # facet |t1| = mu n, t2 interior
+        n1 = (n0 + mu * a0) / den1
+        if n1 >= 0.0 and b0 <= mu * n1:
+            e = n1 - n0
+            f = mu * n1 - a0
+            best = e * e + f * f
+        else:
+            best = math.inf
+        choice = 1
+        # facet |t2| = mu n, t1 interior
+        n2 = (n0 + mu * b0) / den1
+        if n2 >= 0.0 and a0 <= mu * n2:
+            e = n2 - n0
+            f = mu * n2 - b0
+            d = e * e + f * f
+            if d < best:
+                best, choice = d, 2
+        # edge |t1| = |t2| = mu n
+        n3 = (n0 + mu * (a0 + b0)) / den3
+        if n3 >= 0.0:
+            e = n3 - n0
+            f = mu * n3 - a0
+            g = mu * n3 - b0
+            d = e * e + f * f + g * g
+            if d < best:
+                best, choice = d, 3
+        # apex
+        if n0 * n0 + a0 * a0 + b0 * b0 < best:
+            choice = 4
+        if choice == 1:
+            n_new = n1
+            a_new = mu * n1
+            b_new = min(b0, mu * n1)
+        elif choice == 2:
+            n_new = n2
+            a_new = min(a0, mu * n2)
+            b_new = mu * n2
+        elif choice == 3:
+            n_new = n3
+            a_new = b_new = mu * n3
+        else:
+            n_new = a_new = b_new = 0.0
+        out[i] = n_new
+        out[i + 1] = math.copysign(a_new, t1)
+        out[i + 2] = math.copysign(b_new, t2)
     return out
+
+
+def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
+    """Euclidean projection of the flat impulse vector onto the friction pyramids."""
+    return np.array(_pyramid_project_floats(lam.tolist(), mu))
 
 
 def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -> np.ndarray:
@@ -337,29 +380,48 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     Q is strongly convex (Delassus plus a positive diagonal regularizer) and
     the projection is exact, so momentum with uphill restarts converges
     linearly. Returns the iterate, the final projected-gradient infinity
-    norm, and the iteration count.
+    norm, and the iteration count; a non-finite norm stops the iteration at
+    once, since NaN never meets the tolerance.
+
+    The iterates live twice, as Python float lists for the elementwise work
+    (gradient steps, projections, the projected gradient and its norm, the
+    momentum update) and as arrays for the products whose rounding order
+    belongs to BLAS and LAPACK: Q @ y, Q @ lam_new, the restart test's dot
+    product and eigvalsh. Each float operation is the one numpy would apply
+    elementwise, so the iterates are bit-identical to an all-numpy loop
+    while avoiding its per-call overhead on these short vectors.
     """
     eigs = np.linalg.eigvalsh(Q)
     L = float(eigs[-1])
     if L <= 0.0:
         return np.zeros_like(lam0), 0.0, 0
-    lam = _pyramid_project(lam0.copy(), mu)
-    y = lam.copy()
+    c_f = c.tolist()
+    lam_f = _pyramid_project_floats(lam0.tolist(), mu)
+    lam = np.array(lam_f)
+    y_f, y = lam_f, lam
     t = 1.0
-    pg_norm = np.inf
+    pg_norm = math.inf
     for it in range(1, max_iters + 1):
-        grad_y = Q @ y + c
-        lam_new = _pyramid_project(y - grad_y / L, mu)
-        grad_l = Q @ lam_new + c
-        pg = L * (lam_new - _pyramid_project(lam_new - grad_l / L, mu))
-        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-        if pg_norm <= tol:
+        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c_f)]
+        new_f = _pyramid_project_floats(step, mu)
+        lam_new = np.array(new_f)
+        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c_f)]
+        pg_norm = 0.0
+        for li, pi in zip(new_f, _pyramid_project_floats(step, mu)):
+            e = abs(L * (li - pi))
+            if not e <= pg_norm:  # larger, or NaN
+                pg_norm = e
+                if e != e:
+                    break
+        if pg_norm <= tol or not math.isfinite(pg_norm):
             return lam_new, pg_norm, it
         if float((y - lam_new) @ (lam_new - lam)) > 0.0:
             t = 1.0  # momentum points uphill, restart
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = lam_new + ((t - 1.0) / t_new) * (lam_new - lam)
-        lam = lam_new
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        y_f = [li + beta * (li - lo) for li, lo in zip(new_f, lam_f)]
+        y = np.array(y_f)
+        lam, lam_f = lam_new, new_f
         t = t_new
     return lam, pg_norm, max_iters
 
@@ -376,7 +438,9 @@ def regularized_convex_impulse(
     Solves min_l 1/2 l'(A + R)l + l'(J v_free - v*) over the pyramid cone,
     where A is the Delassus operator, R = (1 - d)/d times its diagonal, and
     v* the reference normal velocities. R makes the program strictly convex,
-    so the impulse is unique regardless of the warm start.
+    so the impulse is unique regardless of the warm start. Raises
+    ConvexSolverError when the iteration cap is hit above tol or the
+    projected gradient turns non-finite (a NaN or infinite problem).
     """
     if params.model != "regularized_convex":
         raise ValueError(f"params.model must be 'regularized_convex', got {params.model!r}")
@@ -393,7 +457,7 @@ def regularized_convex_impulse(
     else:
         lam0 = np.zeros(3 * nc)
     lam, residual, iters = _pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
-    if residual > tol:
+    if not residual <= tol:
         raise ConvexSolverError(residual, iters)
     return _package(problem, lam, True, iters)
 
@@ -460,7 +524,7 @@ def rigid_pgs_impulse(
     each tangential impulse is clamped to the box [-mu n, mu n]. Sweeping
     stops when the largest impulse change falls below tol; if the cap is
     reached first the intermediate iterate is returned as a legal result
-    with converged=False.
+    with converged=False. A non-finite iterate is never reported converged.
     """
     if params.model != "rigid_pgs":
         raise ValueError(f"params.model must be 'rigid_pgs', got {params.model!r}")
@@ -477,6 +541,8 @@ def rigid_pgs_impulse(
     else:
         lam0 = np.zeros(3 * nc)
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam0, max_iters, tol)
+    # a NaN change never exceeds the sweep's largest change, so check once here
+    converged = converged and all(map(math.isfinite, lam.tolist()))
     return _package(problem, lam, converged, sweeps)
 
 
@@ -492,6 +558,8 @@ def solve_contact_impulse(
         return hunt_crossley_impulse(problem, params, slip_tolerance)
     if params.model == "regularized_convex":
         return regularized_convex_impulse(
-            problem, params, max_iters or DEFAULT_QP_ITERS, warm_start=warm_start
+            problem, params, DEFAULT_QP_ITERS if max_iters is None else max_iters, warm_start=warm_start
         )
-    return rigid_pgs_impulse(problem, params, max_iters or DEFAULT_PGS_ITERS, warm_start=warm_start)
+    return rigid_pgs_impulse(
+        problem, params, DEFAULT_PGS_ITERS if max_iters is None else max_iters, warm_start=warm_start
+    )

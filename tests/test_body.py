@@ -124,6 +124,11 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         ct.SimConfig(downsample=0)
     assert ct.SimConfig(dt=1 / 1480, downsample=10).output_rate_hz == pytest.approx(148.0)
+    assert ct.SimConfig(solver_iters=1).solver_iters == 1
+    assert ct.SimConfig(solver_iters=np.int64(7)).solver_iters == 7
+    for bad in (0, -1, 2.0, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="solver_iters"):
+            ct.SimConfig(solver_iters=bad)
 
 
 def test_quat_integrate_matches_step_orientation():

@@ -178,6 +178,31 @@ def test_config_error_exit_codes(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
 
 
+def test_solver_iters_must_be_positive(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05, sliding=True)
+    for iters in ("0", "-1"):
+        out = tmp_path / f"sim{iters}.csv"
+        rc = main(["simulate", "--preset", "cube-bullet-style", "--x0", str(d / "toss_000.csv"),
+                   "--solver-iters", iters, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "solver_iters" in capsys.readouterr().err
+        assert not out.exists()
+    rc = main(["evaluate", "--preset", "cube-mujoco-style", "--dataset", str(d),
+               "--solver-iters", "0", "--out", str(tmp_path / "r.json")])
+    assert rc == EXIT_CONFIG
+
+
+def test_rate_must_be_positive_and_finite(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    for rate in ("0", "-1480", "inf", "nan"):
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--preset", "cube-drake", "--x0", str(d / "toss_000.csv"),
+                   "--rate", rate, "--out", str(out)])
+        assert rc == EXIT_CONFIG, rate
+        assert "--rate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_params_file(tmp_path):
     d, _ = write_dataset(tmp_path, n=1)
     cfg = tmp_path / "drake_cube.cfg"

@@ -163,6 +163,18 @@ def test_convex_iteration_cap_raises(cube_geom, cube_inertia):
     assert err.value.residual > 0.0
 
 
+def test_convex_non_finite_problem_raises():
+    prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
+    params = ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex")
+    finite = ct.regularized_convex_impulse(prob, params)
+    assert finite.converged and np.all(np.isfinite(finite.flat()))
+    prob.v[0] = np.nan
+    with pytest.raises(ct.ConvexSolverError) as err:
+        ct.regularized_convex_impulse(prob, params)
+    assert np.isnan(err.value.residual)
+    assert err.value.iterations == 1  # stops at the first non-finite projected gradient
+
+
 def test_pyramid_projection_properties():
     rng = np.random.default_rng(13)
     for mu in (0.0, 0.18, 0.7, 1.0):
@@ -233,6 +245,16 @@ def test_pgs_intermediate_iterate_is_legal():
     imp = ct.rigid_pgs_impulse(prob, ct.ContactParams(0.4, 0.0, 0.0, "rigid_pgs"), max_iters=1)
     assert imp.iterations == 1
     assert np.all(imp.normal >= 0.0)
+
+
+def test_pgs_non_finite_problem_not_converged():
+    prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
+    params = ct.ContactParams(0.3, 1800.0, 27.0, "rigid_pgs")
+    assert ct.rigid_pgs_impulse(prob, params).converged
+    prob.v[0] = np.nan
+    imp = ct.rigid_pgs_impulse(prob, params)
+    assert not np.all(np.isfinite(imp.wrench))
+    assert not imp.converged
 
 
 def test_pgs_baumgarte_pushes_out_of_penetration():
@@ -335,6 +357,11 @@ def test_solve_contact_impulse_dispatch():
         params = ct.ContactParams(0.2, 3300.0, 45.0, model)
         imp = ct.solve_contact_impulse(prob, params)
         assert imp.normal[0] > 0.0, model
+    # an explicit cap is used as given, zero included
+    pgs = ct.ContactParams(0.2, 3300.0, 45.0, "rigid_pgs")
+    assert ct.solve_contact_impulse(prob, pgs, max_iters=0).iterations == 0
+    with pytest.raises(ct.ConvexSolverError):
+        ct.solve_contact_impulse(prob, ct.ContactParams(0.2, 3300.0, 45.0, "regularized_convex"), max_iters=0)
 
 
 def test_delassus_positive_semidefinite():
