@@ -117,7 +117,9 @@ class SimConfig:
     1 / (dt * downsample). solver, when set, must agree with the contact
     model requested through the contact parameters. solver_iters, when
     set (a positive integer), overrides the iteration cap of the active
-    contact solver.
+    contact solver. slip_tolerance (m/s, positive) is the compliant
+    friction's regularization velocity; activation_margin (m, nonnegative)
+    is the height below which a corner becomes a contact candidate.
     """
 
     dt: float = 1.0 / 1480.0
@@ -136,6 +138,12 @@ class SimConfig:
         it = self.solver_iters
         if it is not None and (isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1):
             raise ValueError(f"solver_iters must be None or a positive integer, got {it!r}")
+        if not (0.0 < self.slip_tolerance < math.inf):
+            raise ValueError(f"slip_tolerance must be positive and finite, got {self.slip_tolerance}")
+        if not (0.0 <= self.activation_margin < math.inf):
+            raise ValueError(
+                f"activation_margin must be finite and nonnegative, got {self.activation_margin}"
+            )
 
     @property
     def output_rate_hz(self) -> float:

@@ -130,9 +130,18 @@ def _sim_config(args, model: str) -> SimConfig:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+        n, source = args.workers, "--workers"
+    else:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return 1
+        try:
+            n, source = int(env), WORKERS_ENV
+        except ValueError:
+            raise CliError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if n < 1:
+        raise CliError(f"{source} must be at least 1, got {n}")
+    return n
 
 
 def _executor(n: int):
@@ -171,9 +180,14 @@ def _cmd_simulate(args) -> int:
     cfg = _sim_config(args, params.model)
     x0_traj = load_trajectory(args.x0)
     x0 = x0_traj.initial_state
-    duration = args.duration if args.duration else x0_traj.duration
-    if duration <= 0.0:
-        raise CliError("x0 file has a single row; give --duration")
+    if args.duration is None:
+        duration = x0_traj.duration
+        if duration <= 0.0:
+            raise CliError("x0 file has a single row; give --duration")
+    elif 0.0 < args.duration < math.inf:
+        duration = args.duration
+    else:
+        raise CliError(f"--duration must be a positive finite number of seconds, got {args.duration}")
     geom, inertia = cube_geometry(), cube_inertial()
     full_cfg = dataclasses.replace(cfg, downsample=1)
     try:
@@ -302,6 +316,8 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.grid < 1:
+        raise CliError(f"--grid must be at least 1, got {args.grid}")
     params = _resolve_params(args)
     cfg = _sim_config(args, params.model)
     trajs = _load_dataset(args.dataset)

@@ -134,21 +134,18 @@ def _table_jacobian(rho: np.ndarray) -> np.ndarray:
 
     rho holds the arms from the COM to the witness points, shape (3, nc).
     Rows follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
-    normal row of J @ twist equals minus depth_rate.
+    normal row of J @ twist equals minus depth_rate. The rows are built as
+    Python float lists and converted in one call, which on these few
+    contacts costs less than strided assignments into a zero array.
     """
-    nc = rho.shape[1]
-    J = np.zeros((3 * nc, 6))
-    rx, ry, rz = rho
-    J[0::3, 2] = 1.0
-    J[0::3, 3] = ry
-    J[0::3, 4] = -rx
-    J[1::3, 0] = 1.0
-    J[1::3, 4] = rz
-    J[1::3, 5] = -ry
-    J[2::3, 1] = 1.0
-    J[2::3, 3] = -rz
-    J[2::3, 5] = rx
-    return J
+    rows = []
+    for x, y, z in zip(*rho.tolist()):
+        rows += (
+            [0.0, 0.0, 1.0, y, -x, 0.0],
+            [1.0, 0.0, 0.0, 0.0, z, -y],
+            [0.0, 1.0, 0.0, -z, 0.0, x],
+        )
+    return np.array(rows).reshape(3 * rho.shape[1], 6)
 
 
 def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:

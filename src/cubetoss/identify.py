@@ -246,6 +246,11 @@ def sweep(
     for name in names:
         if name not in SWEEPABLE:
             raise ValueError(f"cannot sweep {name!r}, expected one of {SWEEPABLE}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"sweep axes must be distinct, got {names}")
+    unswept = sorted(set(log_axes) - set(names))
+    if unswept:
+        raise ValueError(f"log axes {unswept} are not among the swept axes {names}")
     values = tuple(np.asarray(vals, dtype=float) for _, vals in axes)
     shape = tuple(len(v) for v in values)
     losses = np.empty(shape)

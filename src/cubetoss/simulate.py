@@ -96,8 +96,9 @@ def simulate(
     # an isotropic body's mass terms do not depend on the state
     const_mass_terms = _mass_terms(None, None, inertia, True, True) if inertia.isotropic else None
 
-    # per-corner warm starts, owned by this rollout only
-    warm_lam = np.zeros((8, 3))
+    # warm start: the corners and flat impulse of this rollout's last contact solve
+    warm_corners = []
+    warm_flat = None
 
     zero_imp = np.zeros(3)
     for step_i in range(1, n_steps + 1):
@@ -123,19 +124,23 @@ def simulate(
             problem = ContactProblem(
                 _table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
             )
+            corners = idx.tolist()
+            if corners == warm_corners:
+                warm = warm_flat
+            else:
+                # a corner starts from its impulse in the last solve, or zero if it was not in it
+                per_corner = np.zeros((8, 3))
+                if warm_corners:
+                    per_corner[warm_corners] = warm_flat.reshape(-1, 3)
+                warm = per_corner[idx].reshape(-1)
             try:
                 if model == "regularized_convex":
-                    imp = regularized_convex_impulse(
-                        problem, params, max_iters, warm_start=warm_lam[idx].reshape(-1)
-                    )
+                    imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
-                    imp = rigid_pgs_impulse(
-                        problem, params, max_iters, warm_start=warm_lam[idx].reshape(-1)
-                    )
+                    imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
             except ConvexSolverError as err:
                 raise SimulationDivergence(step_i, str(err)) from err
-            warm_lam.fill(0.0)
-            warm_lam[idx] = imp.flat().reshape(-1, 3)
+            warm_corners, warm_flat = corners, imp.flat()
             imp_lin = imp.wrench[:3]
             imp_ang = imp.wrench[3:]
 

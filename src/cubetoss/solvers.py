@@ -80,8 +80,8 @@ class ContactParams:
         self.mu = float(self.mu)
         self.k = float(self.k)
         self.b = float(self.b)
-        if self.mu < 0.0 or self.k < 0.0 or self.b < 0.0:
-            raise ValueError(f"mu, k, b must be nonnegative, got {(self.mu, self.k, self.b)}")
+        if not all(0.0 <= x < math.inf for x in (self.mu, self.k, self.b)):
+            raise ValueError(f"mu, k, b must be finite and nonnegative, got {(self.mu, self.k, self.b)}")
         if self.model not in MODELS:
             raise ValueError(f"unknown contact model {self.model!r}, expected one of {MODELS}")
         if not (0.0 < self.d_interp < 1.0):
@@ -218,7 +218,7 @@ def cone_audit(problem: ContactProblem, impulse: ContactImpulse, mu: float) -> C
 def _package(problem: ContactProblem, lam: np.ndarray, converged: bool, iterations: int) -> ContactImpulse:
     nc = problem.num_contacts
     normal = lam[0::3].copy()
-    tangent = np.stack([lam[1::3], lam[2::3]], axis=1) if nc else np.zeros((0, 2))
+    tangent = lam.reshape(nc, 3)[:, 1:].copy()
     wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
     return ContactImpulse(normal, tangent, wrench, converged, iterations)
 
@@ -473,39 +473,58 @@ def erp_cfm(h: float, k: float, b: float) -> tuple[float, float]:
     return h * k / denom, 1.0 / denom
 
 
-def _pgs(A, g, bias, cfm, mu, lam0, max_iters, tol):
-    """Projected Gauss-Seidel sweeps over normal and boxed tangential rows."""
-    lam = lam0.copy()
-    nc = g.size // 3
+def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
+    """Projected Gauss-Seidel sweeps over normal and boxed tangential rows.
+
+    lam holds the starting iterate and is updated in place. Each residual
+    is the row dot product rows[r].dot(lam), taken in numpy because its
+    rounding belongs to BLAS (OpenBLAS sums short rows as one chain of
+    fused multiply-adds, which Python 3.11 floats cannot reproduce). All
+    other work runs on Python floats: g, bias, the Delassus diagonal and a
+    mirror of lam are lists, and every update is written to both the
+    mirror and the array. Each float operation is the one the former
+    all-numpy loop applied to float64 scalars, in the same order, so the
+    iterates are bit-identical to it. A non-finite iterate is reported as
+    not converged, since a NaN change never exceeds the sweep's largest.
+    """
+    rows = list(A)
+    diag = A.diagonal().tolist()
+    g_f = g.tolist()
+    bias_f = bias.tolist()
+    lam_f = lam.tolist()
+    nc = len(bias_f)
     sweeps = 0
     converged = False
     for sweeps in range(1, max_iters + 1):
         delta = 0.0
         for i in range(nc):
             ni = 3 * i
-            r = float(A[ni] @ lam) + g[ni] - bias[i] + cfm * lam[ni]
-            new = lam[ni] - r / (A[ni, ni] + cfm)
+            old = lam_f[ni]
+            r = float(rows[ni].dot(lam)) + g_f[ni] - bias_f[i] + cfm * old
+            new = old - r / (diag[ni] + cfm)
             if new < 0.0:
                 new = 0.0
-            change = abs(new - lam[ni])
-            lam[ni] = new
+            change = abs(new - old)
+            lam[ni] = lam_f[ni] = new
             bound = mu * new
             for jt in (ni + 1, ni + 2):
-                r = float(A[jt] @ lam) + g[jt]
-                newt = lam[jt] - r / A[jt, jt]
+                old = lam_f[jt]
+                r = float(rows[jt].dot(lam)) + g_f[jt]
+                newt = old - r / diag[jt]
                 if newt > bound:
                     newt = bound
                 elif newt < -bound:
                     newt = -bound
-                cj = abs(newt - lam[jt])
+                cj = abs(newt - old)
                 if cj > change:
                     change = cj
-                lam[jt] = newt
+                lam[jt] = lam_f[jt] = newt
             if change > delta:
                 delta = change
         if delta < tol:
             converged = True
             break
+    converged = converged and all(map(math.isfinite, lam_f))
     return lam, converged, sweeps
 
 
@@ -536,13 +555,12 @@ def rigid_pgs_impulse(
     erp, cfm = erp_cfm(problem.h, params.k, params.b)
     bias = (erp / problem.h) * np.maximum(0.0, problem.depth)
     if warm_start is not None and warm_start.shape == (3 * nc,):
-        lam0 = warm_start.copy()
-        lam0[0::3] = np.maximum(0.0, lam0[0::3])
+        lam = warm_start.copy()
+        normal = lam[0::3]
+        np.maximum(0.0, normal, out=normal)
     else:
-        lam0 = np.zeros(3 * nc)
-    lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam0, max_iters, tol)
-    # a NaN change never exceeds the sweep's largest change, so check once here
-    converged = converged and all(map(math.isfinite, lam.tolist()))
+        lam = np.zeros(3 * nc)
+    lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
     return _package(problem, lam, converged, sweeps)
 
 

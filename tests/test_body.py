@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,13 @@ def test_sim_config_validation():
     for bad in (0, -1, 2.0, 2.5, True, "5"):
         with pytest.raises(ValueError, match="solver_iters"):
             ct.SimConfig(solver_iters=bad)
+    assert ct.SimConfig(activation_margin=0.0).activation_margin == 0.0
+    for bad in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="slip_tolerance"):
+            ct.SimConfig(slip_tolerance=bad)
+    for bad in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="activation_margin"):
+            ct.SimConfig(activation_margin=bad)
 
 
 def test_quat_integrate_matches_step_orientation():

@@ -264,3 +264,73 @@ def test_workers_env_var_override(tmp_path, monkeypatch):
     monkeypatch.delenv("CUBETOSS_WORKERS")
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_contact_params_must_be_finite(tmp_path, capsys):
+    """A NaN or infinite mu, k or b is a configuration error, not a rollout."""
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05, sliding=True)
+    out = tmp_path / "sim.csv"
+    for preset, override in (("cube-mujoco-style", "--mu=nan"), ("cube-bullet-style", "--k=inf"),
+                             ("cube-drake", "--b=nan"), ("cube-drake", "--mu=-inf")):
+        rc = main(["simulate", "--preset", preset, override, "--x0", str(d / "toss_000.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG, (preset, override)
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_margin_and_slip_tolerance_validated(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05, sliding=True)
+    out = tmp_path / "sim.csv"
+    cases = [("--margin", v, "activation_margin") for v in ("-1", "nan", "inf")]
+    cases += [("--slip-tol", v, "slip_tolerance") for v in ("0", "-1", "nan", "inf")]
+    for flag, value, name in cases:
+        rc = main(["simulate", "--preset", "cube-drake", flag, value, "--x0", str(d / "toss_000.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG, (flag, value)
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["simulate", "--preset", "cube-drake", "--margin", "0", "--x0", str(d / "toss_000.csv"),
+                 "--out", str(out)]) == 0
+
+
+def test_simulate_duration_must_be_positive_and_finite(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    out = tmp_path / "sim.csv"
+    for duration in ("0", "-0.1", "inf", "nan"):
+        rc = main(["simulate", "--preset", "cube-drake", "--x0", str(d / "toss_000.csv"),
+                   "--duration", duration, "--out", str(out)])
+        assert rc == EXIT_CONFIG, duration
+        assert "--duration" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_workers_must_be_positive(tmp_path, monkeypatch, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    out = tmp_path / "r.json"
+    args = ["evaluate", "--preset", "cube-drake", "--dataset", str(d), "--out", str(out)]
+    for workers in ("0", "-2"):
+        assert main(args + ["--workers", workers]) == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+    for env in ("0", "two"):
+        monkeypatch.setenv("CUBETOSS_WORKERS", env)
+        assert main(args) == EXIT_CONFIG
+        assert "CUBETOSS_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--workers", "1"]) == 0  # the flag wins over the environment
+
+
+def test_sweep_rejects_bad_grid_and_axes(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    out = tmp_path / "sweep.json"
+    base = ["sweep", "--preset", "cube-drake", "--dataset", str(d), "--out", str(out)]
+    cases = [
+        (["--axes", "mu", "--grid", "0"], "--grid"),
+        (["--axes", "mu", "--grid", "-3"], "--grid"),
+        (["--axes", "mu,mu", "--grid", "2"], "distinct"),
+        (["--axes", "mu", "--log", "mu,q", "--grid", "2"], "log axes"),
+    ]
+    for extra, message in cases:
+        assert main(base + extra) == EXIT_CONFIG, extra
+        assert message in capsys.readouterr().err
+        assert not out.exists()

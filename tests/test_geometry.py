@@ -137,6 +137,31 @@ def test_jacobian_normal_row_is_minus_depth_rate(cube_geom):
             assert abs((J @ twist)[0] + cp.depth_rate) < 1e-12
 
 
+def test_table_jacobian_matches_strided_builder():
+    """The list-built Jacobian equals, bit for bit and sign of zero included, the
+    former builder that assigned strided columns of a zero array."""
+    rng = np.random.default_rng(7)
+    for nc in range(0, 9):
+        rho = rng.uniform(-0.05, 0.05, size=(3, nc))
+        rho[rng.random((3, nc)) < 0.2] = 0.0
+        rho[rng.random((3, nc)) < 0.2] = -0.0
+        want = np.zeros((3 * nc, 6))
+        rx, ry, rz = rho
+        want[0::3, 2] = 1.0
+        want[0::3, 3] = ry
+        want[0::3, 4] = -rx
+        want[1::3, 0] = 1.0
+        want[1::3, 4] = rz
+        want[1::3, 5] = -ry
+        want[2::3, 1] = 1.0
+        want[2::3, 3] = -rz
+        want[2::3, 5] = rx
+        got = ct.geometry._table_jacobian(rho)
+        assert got.shape == (3 * nc, 6) and got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_box_geometry_validation():
     with pytest.raises(ValueError):
         ct.BoxGeometry([0.0, 0.1, 0.1])

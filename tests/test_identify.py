@@ -157,6 +157,10 @@ def test_sweep_rejects_bad_axes(small_dataset, cube_geom, cube_inertia):
                  small_dataset, cube_inertia, cube_geom)
     with pytest.raises(ValueError):
         ct.sweep(baseline, [("d_interp", [0.9])], small_dataset, cube_inertia, cube_geom)
+    with pytest.raises(ValueError, match="distinct"):
+        ct.sweep(baseline, [("mu", [0.1]), ("mu", [0.2])], small_dataset, cube_inertia, cube_geom)
+    with pytest.raises(ValueError, match="log axes"):
+        ct.sweep(baseline, [("mu", [0.1])], small_dataset, cube_inertia, cube_geom, log_axes=("k",))
 
 
 def test_sweep_csv_round_trip(small_dataset, cube_geom, cube_inertia, tmp_path):

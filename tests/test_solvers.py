@@ -342,6 +342,12 @@ def test_cone_audit_bounds(cube_geom, cube_inertia):
 def test_contact_params_validation():
     with pytest.raises(ValueError):
         ct.ContactParams(-0.1, 1.0, 1.0, "compliant")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for i in range(3):
+            values = [0.1, 1.0, 1.0]
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ct.ContactParams(*values, "rigid_pgs")
     with pytest.raises(ValueError):
         ct.ContactParams(0.1, 1.0, 1.0, "bogus")
     with pytest.raises(ValueError):
