@@ -5,6 +5,9 @@ from forces and applied impulses first, then the position and orientation
 are advanced with the new velocities. Orientation is advanced through the
 quaternion exponential map and renormalized every step, so there is no
 constraint-projection drift.
+
+_integrate is that step over Python floats, shared by step() and the
+rollout loop; only the anisotropic inertia products stay in numpy.
 """
 from __future__ import annotations
 
@@ -153,27 +156,40 @@ class SimConfig:
 def _integrate(pos, q, vel, w, R, inertia: InertialParams, imp_lin, imp_ang, dt: float):
     """One semi-implicit Euler step given an impulse applied at the COM.
 
-    Shared by step() and the rollout loop so both advance the state with
-    bit-identical arithmetic. The quaternion exponential update is inlined
-    in scalar form; this is the hottest function of a rollout.
+    The float integrator shared by step() and the rollout loop, so both
+    advance the state with bit-identical arithmetic. pos, vel, w and the
+    impulses are three floats each, q four, and the new (pos, q, vel, w)
+    come back as float lists. Each operation is the one the former array
+    code applied elementwise, in the same order. R, nested row lists or an
+    array, is read only by the anisotropic branch, which keeps that code's
+    numpy products. The quaternion exponential update is inlined in scalar
+    form; this is the hottest function of a rollout.
     """
-    v1 = vel + dt * inertia.gravity + imp_lin / inertia.mass
+    m = inertia.mass
+    gx, gy, gz = inertia.gravity.tolist()
+    lx, ly, lz = imp_lin
+    vx, vy, vz = vel
+    vx, vy, vz = vx + dt * gx + lx / m, vy + dt * gy + ly / m, vz + dt * gz + lz / m
     if inertia.isotropic:
         # world inertia equals the body inertia, gyroscopic torque vanishes
-        w1 = w + inertia.inertia_body_inv[0, 0] * imp_ang
+        c = float(inertia.inertia_body_inv[0, 0])
+        ax, ay, az = imp_ang
+        wx, wy, wz = w
+        wx, wy, wz = wx + c * ax, wy + c * ay, wz + c * az
     else:
+        R = np.array(R)
+        w = np.array(w)
         iw = R @ inertia.inertia_body @ R.T
         tau_gyro = -np.cross(w, iw @ w)
-        w1 = w + R @ (inertia.inertia_body_inv @ (R.T @ (dt * tau_gyro + imp_ang)))
-    p1 = pos + dt * v1
+        w1 = w + R @ (inertia.inertia_body_inv @ (R.T @ (dt * tau_gyro + np.array(imp_ang))))
+        wx, wy, wz = w1.tolist()
     # orientation advance: normalize(exp(dt w1 / 2) * q)
-    wx, wy, wz = w1.tolist()
     hx, hy, hz = 0.5 * dt * wx, 0.5 * dt * wy, 0.5 * dt * wz
     half = math.sqrt(hx * hx + hy * hy + hz * hz)
     s = 1.0 if half == 0.0 else math.sin(half) / half
     c = math.cos(half)
     bx, by, bz = s * hx, s * hy, s * hz
-    qw, qx, qy, qz = q.tolist()
+    qw, qx, qy, qz = q
     rw = c * qw - bx * qx - by * qy - bz * qz
     rx = c * qx + bx * qw + by * qz - bz * qy
     ry = c * qy - bx * qz + by * qw + bz * qx
@@ -181,8 +197,13 @@ def _integrate(pos, q, vel, w, R, inertia: InertialParams, imp_lin, imp_ang, dt:
     n = math.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
     if not (n > 0.0 and n < math.inf):
         raise ValueError(f"cannot normalize quaternion with norm {n}")
-    q1 = np.array([rw / n, rx / n, ry / n, rz / n])
-    return p1, q1, v1, w1
+    px, py, pz = pos
+    return (
+        [px + dt * vx, py + dt * vy, pz + dt * vz],
+        [rw / n, rx / n, ry / n, rz / n],
+        [vx, vy, vz],
+        [wx, wy, wz],
+    )
 
 
 def step(state: RigidState, inertia: InertialParams, impulse=None, dt: float = 1.0 / 1480.0) -> RigidState:
@@ -197,16 +218,18 @@ def step(state: RigidState, inertia: InertialParams, impulse=None, dt: float = 1
         raise ValueError(f"dt must be positive, got {dt}")
     state.require_valid()
     if impulse is None:
-        imp = np.zeros(6)
+        imp = [0.0] * 6
     else:
-        imp = np.asarray(impulse, dtype=float).reshape(-1)
-        if imp.shape != (6,):
-            raise ValueError(f"impulse must be a 6-vector, got shape {imp.shape}")
-        if not np.all(np.isfinite(imp)):
+        arr = np.asarray(impulse, dtype=float).reshape(-1)
+        if arr.shape != (6,):
+            raise ValueError(f"impulse must be a 6-vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite impulse")
-    R = quat.to_matrix(state.quat)
+        imp = arr.tolist()
+    q = state.quat.tolist()
     p1, q1, v1, w1 = _integrate(
-        state.pos, state.quat, state.vel, state.ang_vel, R, inertia, imp[:3], imp[3:], dt
+        state.pos.tolist(), q, state.vel.tolist(), state.ang_vel.tolist(),
+        quat._matrix_rows(*q), inertia, imp[:3], imp[3:], dt,
     )
     return RigidState(p1, q1, v1, w1)
 

@@ -6,6 +6,10 @@ candidate per vertex whose height falls below the activation margin, in a
 deterministic order (lexicographic over the body-frame corner signs). Face
 contact therefore yields exactly 4 points and edge contact 2; there is no
 contact patch and no torsional friction.
+
+The detector works on Python floats and serves both detect_contacts and
+the rollout loop; only its two corner products stay in numpy, because
+their rounding belongs to BLAS (see _corner_contact_arrays).
 """
 from __future__ import annotations
 
@@ -70,35 +74,68 @@ class ContactPoint:
     corner_index: int = -1
 
 
-_NO_CONTACTS = (np.empty(0, dtype=np.intp), None, None, None, None, None, None)
+def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
+    """Active corner data as Python float lists, or None when no corner is near.
 
+    pos, vel and ang_vel are three floats each and R is the rotation as
+    nested row lists (quat._matrix_rows) or an array. Returns (indices,
+    depth, depth_rate, vt1, vt2, rho, points), one entry per active corner,
+    where points are the world witness points and rho = points - pos the
+    moment arms from the COM, both as three lists (x, y, z). Shared by
+    detect_contacts and the rollout loop.
 
-def _corner_contact_arrays(pos, R, vel, ang_vel, corners_body, margin):
-    """Active corner data as flat arrays: (indices, depth, depth_rate, vt1, vt2, rho, points).
-
-    points are the world witness points and rho = points - pos the moment
-    arms from the COM, both shape (3, nc). Shared by detect_contacts and the
-    rollout loop; the cheap height test comes first because most rollout
-    steps are flight.
+    The corner products stay in numpy: OpenBLAS evaluates R[2] @ corners
+    (gemv, the flight test) and R @ corners (gemm, the corners) with fused
+    multiply-adds, which Python 3.11 floats cannot reproduce, and the two
+    disagree with each other in the last bit about half the time. Before
+    the gemv, a float bound settles flight steps: in exact arithmetic the
+    lowest corner sits sum |R[2, i]| * half_extent[i] below the COM, and
+    both the float estimate `reach` of that sum and the gemv's minimum lie
+    within a few ulps of it. A gap beyond 1e-14 relative (about 90 ulps)
+    therefore decides the test the way the gemv would, and only a gap inside
+    that band calls the gemv. On the benchmark workloads the bound settled
+    every flight step (26-80% of all steps) without entering the band,
+    which saves an array, a gemv and a list per flight step. Everything
+    after the gemm runs on floats in the order the former array code used,
+    so all values are bit-identical to that code.
     """
-    z_rel = R[2] @ corners_body
-    if pos[2] + z_rel.min() >= margin:
-        return _NO_CONTACTS
-    corners = pos[:, None] + R @ corners_body
-    z = corners[2]
-    idx = np.flatnonzero(z < margin)
-    if idx.size == 0:
-        return _NO_CONTACTS
-    points = corners[:, idx]
-    rho = points - pos[:, None]
-    # velocity of each witness point: v + w x rho
+    p0, p1, p2 = pos
+    r2 = R[2]
+    hx, hy, hz = geom.half_extents.tolist()
+    reach = abs(r2[0]) * hx + abs(r2[1]) * hy + abs(r2[2]) * hz
+    gap = p2 - reach - margin
+    slack = 1e-14 * (abs(p2) + reach + margin)
+    if gap >= slack:
+        return None  # flight
+    corners_body = geom.corners_body
+    if gap > -slack and p2 + min((np.array(r2) @ corners_body).tolist()) >= margin:
+        return None
+    cx, cy, cz = (np.array(R) @ corners_body).tolist()
+    v0, v1, v2 = vel
     wx, wy, wz = ang_vel
-    vpx = vel[0] + wy * rho[2] - wz * rho[1]
-    vpy = vel[1] + wz * rho[0] - wx * rho[2]
-    vpz = vel[2] + wx * rho[1] - wy * rho[0]
-    depth = -z[idx]
-    depth_rate = -vpz
-    return idx, depth, depth_rate, vpx, vpy, rho, points
+    idx, depth, depth_rate, vt1, vt2 = [], [], [], [], []
+    rx, ry, rz, px, py, pz = [], [], [], [], [], []
+    for j in range(len(cz)):
+        z = p2 + cz[j]
+        if z < margin:
+            x = p0 + cx[j]
+            y = p1 + cy[j]
+            ax, ay, az = x - p0, y - p1, z - p2
+            idx.append(j)
+            depth.append(-z)
+            # velocity of the witness point: v + w x rho
+            vt1.append(v0 + wy * az - wz * ay)
+            vt2.append(v1 + wz * ax - wx * az)
+            depth_rate.append(-(v2 + wx * ay - wy * ax))
+            rx.append(ax)
+            ry.append(ay)
+            rz.append(az)
+            px.append(x)
+            py.append(y)
+            pz.append(z)
+    if not idx:
+        return None
+    return idx, depth, depth_rate, vt1, vt2, (rx, ry, rz), (px, py, pz)
 
 
 def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: float = 1e-3) -> list[ContactPoint]:
@@ -109,43 +146,49 @@ def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: flo
     step ahead.
     """
     state.require_valid()
-    R = quat.to_matrix(state.quat)
-    idx, depth, depth_rate, _, _, _, points = _corner_contact_arrays(
-        state.pos, R, state.vel, state.ang_vel, geom.corners_body, activation_margin
+    found = _corner_contact_arrays(
+        state.pos.tolist(),
+        quat._matrix_rows(*state.quat.tolist()),
+        state.vel.tolist(),
+        state.ang_vel.tolist(),
+        geom,
+        activation_margin,
     )
-    contacts = []
-    for j, corner in enumerate(idx):
-        contacts.append(
-            ContactPoint(
-                point=points[:, j],
-                normal=NORMAL.copy(),
-                depth=float(depth[j]),
-                depth_rate=float(depth_rate[j]),
-                tangent1=TANGENT1.copy(),
-                tangent2=TANGENT2.copy(),
-                corner_index=int(corner),
-            )
+    if found is None:
+        return []
+    idx, depth, depth_rate, _, _, _, points = found
+    return [
+        ContactPoint(
+            point=np.array(point),
+            normal=NORMAL.copy(),
+            depth=d,
+            depth_rate=dr,
+            tangent1=TANGENT1.copy(),
+            tangent2=TANGENT2.copy(),
+            corner_index=corner,
         )
-    return contacts
+        for corner, d, dr, point in zip(idx, depth, depth_rate, zip(*points))
+    ]
 
 
-def _table_jacobian(rho: np.ndarray) -> np.ndarray:
+def _table_jacobian(rho) -> np.ndarray:
     """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
 
-    rho holds the arms from the COM to the witness points, shape (3, nc).
-    Rows follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
+    rho holds the arms from the COM to the witness points as three rows
+    (x, y, z) of nc values: a (3, nc) array or three float lists. Rows
+    follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
     normal row of J @ twist equals minus depth_rate. The rows are built as
     Python float lists and converted in one call, which on these few
     contacts costs less than strided assignments into a zero array.
     """
     rows = []
-    for x, y, z in zip(*rho.tolist()):
+    for x, y, z in zip(*rho):
         rows += (
             [0.0, 0.0, 1.0, y, -x, 0.0],
             [1.0, 0.0, 0.0, 0.0, z, -y],
             [0.0, 1.0, 0.0, -z, 0.0, x],
         )
-    return np.array(rows).reshape(3 * rho.shape[1], 6)
+    return np.array(rows).reshape(-1, 6)
 
 
 def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -156,7 +199,7 @@ def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
     frame that rotation is the identity and the result equals _table_jacobian.
     """
     nc = rho.shape[1]
-    blocks = _table_jacobian(rho).reshape(nc, 3, 6)
+    blocks = _table_jacobian(rho.tolist()).reshape(nc, 3, 6)
     return (frames @ TABLE_FRAME.T @ blocks).reshape(3 * nc, 6)
 
 

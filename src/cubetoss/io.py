@@ -13,6 +13,7 @@ nothing except quaternion normalization (which it logs).
 from __future__ import annotations
 
 import json
+import locale
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,18 +35,40 @@ class TrajectoryFileError(ValueError):
     """A trajectory file failed to parse or violated its invariants."""
 
 
+SAVE_CHUNK_ROWS = 512
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
+    """Write a canonical trajectory file, formatting the rows in chunks.
+
+    The rows are formatted SAVE_CHUNK_ROWS at a time, each with one
+    "%.17g,...,%.17g" string, and every chunk is encoded as soon as it is
+    built, in the encoding text-mode open() uses. The file is written with
+    one call from the joined bytes, so no per-row object outlives its chunk
+    and the peak is two encoded copies of the file.
+
+    The write is deliberately one file-sized block rather than a stream of
+    chunks. Freeing that block raises glibc's mmap threshold to the file's
+    size, so a whole-file read of it right after (load_trajectory, or any
+    reader that calls read_text) takes its buffers from the heap. Streamed
+    writes leave the threshold at the largest file read so far, and such a
+    reader's peak RSS then depends on the order in which file sizes came.
+    """
     path = Path(path)
-    lines = [f"# {FORMAT_TAG}", f"# rate_hz: {traj.rate_hz!r}"]
+    header = [f"# {FORMAT_TAG}", f"# rate_hz: {traj.rate_hz!r}"]
     for key in sorted(traj.meta):
-        lines.append(f"# {key}: {traj.meta[key]!r}")
-    lines.append("# columns: " + ",".join(COLUMNS))
+        header.append(f"# {key}: {traj.meta[key]!r}")
+    header.append("# columns: " + ",".join(COLUMNS))
+    row_format = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+    encoding = locale.getpreferredencoding(False)
     times = traj.times
     mat = traj.as_matrix()
-    for i in range(len(traj)):
-        row = [times[i], *mat[i]]
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    chunks = [("\n".join(header) + "\n").encode(encoding)]
+    for i in range(0, len(mat), SAVE_CHUNK_ROWS):
+        j = i + SAVE_CHUNK_ROWS
+        rows = [row_format % (t, *row) for t, row in zip(times[i:j].tolist(), mat[i:j].tolist())]
+        chunks.append("".join(rows).encode(encoding))
+    path.write_bytes(b"".join(chunks))
 
 
 def _parse_meta(value: str):

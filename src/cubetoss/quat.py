@@ -39,16 +39,24 @@ def from_rotation_vector(phi: np.ndarray) -> np.ndarray:
     return np.array([np.cos(half), s * phi[0], s * phi[1], s * phi[2]])
 
 
-def to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
+def _matrix_rows(w: float, x: float, y: float, z: float) -> list:
+    """Rows of the rotation matrix of (w, x, y, z) as nested Python float lists.
+
+    The rollout loop calls this directly and converts to an array only for
+    the corner products that stay in numpy.
+    """
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.array([
+    return [
         [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
         [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
         [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ])
+    ]
+
+
+def to_matrix(q: np.ndarray) -> np.ndarray:
+    return np.array(_matrix_rows(*q))
 
 
 def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:

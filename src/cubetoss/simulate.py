@@ -6,18 +6,32 @@ integrator. The recorded trajectory keeps every downsample-th state
 (including the initial one), matching a capture system running slower than
 the integration rate.
 
-The loop works on the detector's corner arrays but shares every piece of the
-contact problem with the public per-step API: the corner detector and the
-table-frame Jacobian (geometry), the mass terms (solvers._mass_terms) and
-the integrator (body._integrate). Stepping detect_contacts,
-build_contact_problem, the solver with per-corner warm starts, and step
-therefore reproduces a convex or PGS rollout bit for bit. The compliant law
-builds its wrench from the corner arrays directly (same forces through
-_compliant_forces), so its public replay agrees to rounding only.
+The loop carries the state as Python floats, because numpy's per-call
+overhead dominates on these 3- and 4-vectors, and it uses the float helpers
+that the public per-step API uses too: quat._matrix_rows, the corner
+detector geometry._corner_contact_arrays, the compliant law
+solvers._compliant_force and the integrator body._integrate. Each float
+operation is the one the former array code applied elementwise, in the same
+order, so rollouts are bit-identical to that code. Numpy keeps what belongs
+to BLAS: the corner products inside the detector, and the convex and PGS
+solvers, which get a ContactProblem built from the float lists with the
+table-frame Jacobian (geometry) and the mass terms (solvers._mass_terms).
+Stepping detect_contacts, build_contact_problem, the solver with per-corner
+warm starts, and step therefore reproduces a convex or PGS rollout bit for
+bit. The compliant rollout sums its wrench per corner, while
+hunt_crossley_impulse goes through J @ v and J.T @ lam, so its public
+replay agrees to rounding only.
+
+Any arithmetic error inside a step (ZeroDivisionError, OverflowError),
+a convex solve that gives up, or a ValueError from the integrator (math.sin
+of an infinite angle, a quaternion that cannot be normalized) becomes
+SimulationDivergence at that step. A ValueError elsewhere in the step is a
+programming error and propagates as it is.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -31,7 +45,7 @@ from .solvers import (
     ContactParams,
     ContactProblem,
     ConvexSolverError,
-    _compliant_forces,
+    _compliant_force,
     _mass_terms,
     regularized_convex_impulse,
     rigid_pgs_impulse,
@@ -74,22 +88,15 @@ def simulate(
     dt = cfg.dt
     n_steps = int(round(duration / dt))
     down = cfg.downsample
-    n_samples = n_steps // down + 1
 
-    pos_out = np.empty((n_samples, 3))
-    quat_out = np.empty((n_samples, 4))
-    vel_out = np.empty((n_samples, 3))
-    angvel_out = np.empty((n_samples, 3))
-
-    p = x0.pos.copy()
-    q = x0.quat.copy()
-    v = x0.vel.copy()
-    w = x0.ang_vel.copy()
-    pos_out[0], quat_out[0], vel_out[0], angvel_out[0] = p, q, v, w
+    p, q, v, w = x0.pos.tolist(), x0.quat.tolist(), x0.vel.tolist(), x0.ang_vel.tolist()
+    # every kept sample's 13 floats [pos, quat, vel, ang_vel], row after row
+    samples = array("d", p + q + v + w)
 
     model = params.model
+    mu, k, b = params.mu, params.k, params.b
+    slip = cfg.slip_tolerance
     margin = cfg.activation_margin
-    corners_body = geom.corners_body
     max_iters = cfg.solver_iters
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
@@ -100,60 +107,84 @@ def simulate(
     warm_corners = []
     warm_flat = None
 
-    zero_imp = np.zeros(3)
+    no_impulse = [0.0, 0.0, 0.0]
     for step_i in range(1, n_steps + 1):
-        R = quat.to_matrix(q)
-        idx, depth, depth_rate, vt1, vt2, rho, _ = _corner_contact_arrays(p, R, v, w, corners_body, margin)
-
-        if idx.size == 0:
-            imp_lin = zero_imp
-            imp_ang = zero_imp
-        elif model == "compliant":
-            # explicit law: assemble the wrench straight from the corner data
-            fn, ft1, ft2 = _compliant_forces(
-                depth, depth_rate, vt1, vt2, params.mu, params.k, params.b, cfg.slip_tolerance
-            )
-            imp_lin = dt * np.array([ft1.sum(), ft2.sum(), fn.sum()])
-            imp_ang = dt * np.array([
-                (rho[1] * fn - rho[2] * ft2).sum(),
-                (rho[2] * ft1 - rho[0] * fn).sum(),
-                (rho[0] * ft2 - rho[1] * ft1).sum(),
-            ])
-        else:
-            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True, True)
-            problem = ContactProblem(
-                _table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
-            )
-            corners = idx.tolist()
-            if corners == warm_corners:
-                warm = warm_flat
+        try:
+            R = quat._matrix_rows(*q)
+            found = _corner_contact_arrays(p, R, v, w, geom, margin)
+            if found is None:
+                imp_lin = imp_ang = no_impulse
+            elif model == "compliant":
+                # explicit law: assemble the wrench straight from the corner data
+                _, depth, depth_rate, vt1, vt2, rho, _ = found
+                terms = []
+                for d, dr, t1, t2, x, y, z in zip(depth, depth_rate, vt1, vt2, *rho):
+                    fn, ft1, ft2 = _compliant_force(d, dr, t1, t2, mu, k, b, slip)
+                    terms.append((ft1, ft2, fn, y * fn - z * ft2, z * ft1 - x * fn, x * ft2 - y * ft1))
+                imp_lin, imp_ang = _wrench_impulse(terms, dt)
             else:
-                # a corner starts from its impulse in the last solve, or zero if it was not in it
-                per_corner = np.zeros((8, 3))
-                if warm_corners:
-                    per_corner[warm_corners] = warm_flat.reshape(-1, 3)
-                warm = per_corner[idx].reshape(-1)
-            try:
+                idx, depth, depth_rate, _, _, rho, _ = found
+                inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True, True)
+                problem = ContactProblem(
+                    _table_jacobian(rho), inv_mass, np.array(v + w), dt, f_ext,
+                    np.array(depth), np.array(depth_rate),
+                )
+                if idx == warm_corners:
+                    warm = warm_flat
+                else:
+                    # a corner starts from its impulse in the last solve, or zero if it was not in it
+                    per_corner = np.zeros((8, 3))
+                    if warm_corners:
+                        per_corner[warm_corners] = warm_flat.reshape(-1, 3)
+                    warm = per_corner[idx].reshape(-1)
                 if model == "regularized_convex":
                     imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
                     imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
-            except ConvexSolverError as err:
-                raise SimulationDivergence(step_i, str(err)) from err
-            warm_corners, warm_flat = corners, imp.flat()
-            imp_lin = imp.wrench[:3]
-            imp_ang = imp.wrench[3:]
-
+                warm_corners, warm_flat = idx, imp.flat()
+                wrench = imp.wrench.tolist()
+                imp_lin, imp_ang = wrench[:3], wrench[3:]
+        except (ArithmeticError, ConvexSolverError) as err:
+            raise SimulationDivergence(step_i, str(err)) from err
         try:
             p, q, v, w = _integrate(p, q, v, w, R, inertia, imp_lin, imp_ang, dt)
-        except ValueError as err:
+        except (ArithmeticError, ValueError) as err:
             raise SimulationDivergence(step_i, str(err)) from err
-        chk = p[0] + p[1] + p[2] + v[0] + v[1] + v[2]
-        if not math.isfinite(chk):
+        if not math.isfinite(p[0] + p[1] + p[2] + v[0] + v[1] + v[2]):
             raise SimulationDivergence(step_i, "non-finite position or velocity")
-
         if step_i % down == 0:
-            j = step_i // down
-            pos_out[j], quat_out[j], vel_out[j], angvel_out[j] = p, q, v, w
+            samples.fromlist(p + q + v + w)
 
-    return Trajectory(cfg.output_rate_hz, pos_out, quat_out, vel_out, angvel_out)
+    rows = np.frombuffer(samples).reshape(-1, 13)
+    return Trajectory(
+        cfg.output_rate_hz,
+        rows[:, 0:3].copy(),
+        rows[:, 3:7].copy(),
+        rows[:, 7:10].copy(),
+        rows[:, 10:13].copy(),
+    )
+
+
+def _wrench_impulse(terms, dt):
+    """Linear and angular impulse over dt from per-contact force and moment terms.
+
+    terms holds one (fx, fy, fz, mx, my, mz) tuple per contact. Each column
+    is summed in the order np.sum uses for float64 arrays: up to 7 terms
+    one by one onto +0.0, 8 terms as one round of pairwise sums. So the
+    impulses equal dt * arr.sum() over per-contact float64 arrays bit for
+    bit, signed zeros included.
+    """
+    if len(terms) == 8:
+        sx, sy, sz, tx, ty, tz = [
+            0.0 + (((a + b) + (c + d)) + ((e + f) + (g + h))) for a, b, c, d, e, f, g, h in zip(*terms)
+        ]
+    else:
+        sx = sy = sz = tx = ty = tz = 0.0
+        for fx, fy, fz, mx, my, mz in terms:
+            sx += fx
+            sy += fy
+            sz += fz
+            tx += mx
+            ty += my
+            tz += mz
+    return [dt * sx, dt * sy, dt * sz], [dt * tx, dt * ty, dt * tz]

@@ -226,14 +226,19 @@ def _package(problem: ContactProblem, lam: np.ndarray, converged: bool, iteratio
 # --- compliant model ---------------------------------------------------------
 
 
-def _compliant_forces(depth, depth_rate, vt1, vt2, mu, k, b, slip_tol):
-    """Normal and tangential force components of the compliant law."""
-    fn = k * np.maximum(0.0, 1.0 + b * depth_rate) * np.maximum(0.0, depth)
-    speed = np.sqrt(vt1 * vt1 + vt2 * vt2)
-    denom = np.maximum(speed, slip_tol)
-    ft1 = -mu * fn * vt1 / denom
-    ft2 = -mu * fn * vt2 / denom
-    return fn, ft1, ft2
+def _compliant_force(depth, depth_rate, vt1, vt2, mu, k, b, slip_tol):
+    """Normal and tangential force (fn, ft1, ft2) of the compliant law at one contact.
+
+    Python floats throughout, shared by hunt_crossley_impulse and the
+    rollout loop. The clamps keep the semantics of the former np.maximum
+    calls on this platform: NaN propagates and a clamped -0.0 stays -0.0
+    (np.maximum(0.0, t) returns t unless 0.0 > t).
+    """
+    rate = 1.0 + b * depth_rate
+    fn = k * (0.0 if rate < 0.0 else rate) * (0.0 if depth < 0.0 else depth)
+    speed = math.sqrt(vt1 * vt1 + vt2 * vt2)
+    denom = slip_tol if speed < slip_tol else speed
+    return fn, -mu * fn * vt1 / denom, -mu * fn * vt2 / denom
 
 
 def hunt_crossley_impulse(
@@ -245,22 +250,22 @@ def hunt_crossley_impulse(
 
     Forces are evaluated at the pre-step state and multiplied by h, so the
     solver is a pure function with no iteration. Contacts at or above the
-    surface contribute nothing.
+    surface contribute nothing. slip_tolerance must be positive and finite,
+    as SimConfig requires.
     """
     if params.model != "compliant":
         raise ValueError(f"params.model must be 'compliant', got {params.model!r}")
+    if not (0.0 < slip_tolerance < math.inf):
+        raise ValueError(f"slip_tolerance must be positive and finite, got {slip_tolerance}")
     if problem.num_contacts == 0:
         return ContactImpulse.empty()
-    vc = problem.jacobian @ problem.v
-    fn, ft1, ft2 = _compliant_forces(
-        problem.depth, problem.depth_rate, vc[1::3], vc[2::3],
-        params.mu, params.k, params.b, slip_tolerance,
-    )
-    lam = np.empty(3 * problem.num_contacts)
-    lam[0::3] = problem.h * fn
-    lam[1::3] = problem.h * ft1
-    lam[2::3] = problem.h * ft2
-    return _package(problem, lam, True, 0)
+    vc = (problem.jacobian @ problem.v).tolist()
+    h, mu, k, b = problem.h, params.mu, params.k, params.b
+    lam = []
+    for depth, rate, vt1, vt2 in zip(problem.depth.tolist(), problem.depth_rate.tolist(), vc[1::3], vc[2::3]):
+        fn, ft1, ft2 = _compliant_force(depth, rate, vt1, vt2, mu, k, b, slip_tolerance)
+        lam += (h * fn, h * ft1, h * ft2)
+    return _package(problem, np.array(lam), True, 0)
 
 
 # --- regularized convex model ------------------------------------------------

@@ -1,0 +1,201 @@
+"""Frozen copies of the numpy rollout code that the float helpers replaced.
+
+They are the oracles of the bit-identity tests: the corner detector, the
+vectorized compliant law, the integrator, the fused rollout loop and the
+trajectory writer exactly as they were written over numpy arrays. The loop
+still calls the live contact solvers, mass terms and Jacobian builder,
+which the float rewrite left unchanged.
+"""
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from cubetoss.body import SimConfig
+from cubetoss.geometry import _table_jacobian
+from cubetoss.io import COLUMNS, FORMAT_TAG
+from cubetoss.simulate import SimulationDivergence
+from cubetoss.solvers import (
+    DEFAULT_PGS_ITERS,
+    DEFAULT_QP_ITERS,
+    ContactProblem,
+    ConvexSolverError,
+    _mass_terms,
+    regularized_convex_impulse,
+    rigid_pgs_impulse,
+)
+from cubetoss.trajectory import Trajectory
+
+
+def to_matrix(q):
+    w, x, y, z = q
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return np.array([
+        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
+        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
+        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
+    ])
+
+
+_NO_CONTACTS = (np.empty(0, dtype=np.intp), None, None, None, None, None, None)
+
+
+def corner_contact_arrays(pos, R, vel, ang_vel, corners_body, margin):
+    z_rel = R[2] @ corners_body
+    if pos[2] + z_rel.min() >= margin:
+        return _NO_CONTACTS
+    corners = pos[:, None] + R @ corners_body
+    z = corners[2]
+    idx = np.flatnonzero(z < margin)
+    if idx.size == 0:
+        return _NO_CONTACTS
+    points = corners[:, idx]
+    rho = points - pos[:, None]
+    wx, wy, wz = ang_vel
+    vpx = vel[0] + wy * rho[2] - wz * rho[1]
+    vpy = vel[1] + wz * rho[0] - wx * rho[2]
+    vpz = vel[2] + wx * rho[1] - wy * rho[0]
+    depth = -z[idx]
+    depth_rate = -vpz
+    return idx, depth, depth_rate, vpx, vpy, rho, points
+
+
+def compliant_forces(depth, depth_rate, vt1, vt2, mu, k, b, slip_tol):
+    fn = k * np.maximum(0.0, 1.0 + b * depth_rate) * np.maximum(0.0, depth)
+    speed = np.sqrt(vt1 * vt1 + vt2 * vt2)
+    denom = np.maximum(speed, slip_tol)
+    ft1 = -mu * fn * vt1 / denom
+    ft2 = -mu * fn * vt2 / denom
+    return fn, ft1, ft2
+
+
+def integrate(pos, q, vel, w, R, inertia, imp_lin, imp_ang, dt):
+    v1 = vel + dt * inertia.gravity + imp_lin / inertia.mass
+    if inertia.isotropic:
+        w1 = w + inertia.inertia_body_inv[0, 0] * imp_ang
+    else:
+        iw = R @ inertia.inertia_body @ R.T
+        tau_gyro = -np.cross(w, iw @ w)
+        w1 = w + R @ (inertia.inertia_body_inv @ (R.T @ (dt * tau_gyro + imp_ang)))
+    p1 = pos + dt * v1
+    wx, wy, wz = w1.tolist()
+    hx, hy, hz = 0.5 * dt * wx, 0.5 * dt * wy, 0.5 * dt * wz
+    half = math.sqrt(hx * hx + hy * hy + hz * hz)
+    s = 1.0 if half == 0.0 else math.sin(half) / half
+    c = math.cos(half)
+    bx, by, bz = s * hx, s * hy, s * hz
+    qw, qx, qy, qz = q.tolist()
+    rw = c * qw - bx * qx - by * qy - bz * qz
+    rx = c * qx + bx * qw + by * qz - bz * qy
+    ry = c * qy - bx * qz + by * qw + bz * qx
+    rz = c * qz + bx * qy - by * qx + bz * qw
+    n = math.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
+    if not (n > 0.0 and n < math.inf):
+        raise ValueError(f"cannot normalize quaternion with norm {n}")
+    q1 = np.array([rw / n, rx / n, ry / n, rz / n])
+    return p1, q1, v1, w1
+
+
+def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
+    """The fused rollout loop over numpy arrays (argument checks trimmed)."""
+    cfg = cfg or SimConfig()
+    dt = cfg.dt
+    n_steps = int(round(duration / dt))
+    down = cfg.downsample
+    n_samples = n_steps // down + 1
+
+    pos_out = np.empty((n_samples, 3))
+    quat_out = np.empty((n_samples, 4))
+    vel_out = np.empty((n_samples, 3))
+    angvel_out = np.empty((n_samples, 3))
+
+    p = x0.pos.copy()
+    q = x0.quat.copy()
+    v = x0.vel.copy()
+    w = x0.ang_vel.copy()
+    pos_out[0], quat_out[0], vel_out[0], angvel_out[0] = p, q, v, w
+
+    model = params.model
+    margin = cfg.activation_margin
+    corners_body = geom.corners_body
+    max_iters = cfg.solver_iters
+    if max_iters is None:
+        max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
+    const_mass_terms = _mass_terms(None, None, inertia, True, True) if inertia.isotropic else None
+
+    warm_corners = []
+    warm_flat = None
+
+    zero_imp = np.zeros(3)
+    for step_i in range(1, n_steps + 1):
+        R = to_matrix(q)
+        idx, depth, depth_rate, vt1, vt2, rho, _ = corner_contact_arrays(p, R, v, w, corners_body, margin)
+
+        if idx.size == 0:
+            imp_lin = zero_imp
+            imp_ang = zero_imp
+        elif model == "compliant":
+            fn, ft1, ft2 = compliant_forces(
+                depth, depth_rate, vt1, vt2, params.mu, params.k, params.b, cfg.slip_tolerance
+            )
+            imp_lin = dt * np.array([ft1.sum(), ft2.sum(), fn.sum()])
+            imp_ang = dt * np.array([
+                (rho[1] * fn - rho[2] * ft2).sum(),
+                (rho[2] * ft1 - rho[0] * fn).sum(),
+                (rho[0] * ft2 - rho[1] * ft1).sum(),
+            ])
+        else:
+            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True, True)
+            problem = ContactProblem(
+                _table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
+            )
+            corners = idx.tolist()
+            if corners == warm_corners:
+                warm = warm_flat
+            else:
+                per_corner = np.zeros((8, 3))
+                if warm_corners:
+                    per_corner[warm_corners] = warm_flat.reshape(-1, 3)
+                warm = per_corner[idx].reshape(-1)
+            try:
+                if model == "regularized_convex":
+                    imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
+                else:
+                    imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
+            except ConvexSolverError as err:
+                raise SimulationDivergence(step_i, str(err)) from err
+            warm_corners, warm_flat = corners, imp.flat()
+            imp_lin = imp.wrench[:3]
+            imp_ang = imp.wrench[3:]
+
+        try:
+            p, q, v, w = integrate(p, q, v, w, R, inertia, imp_lin, imp_ang, dt)
+        except ValueError as err:
+            raise SimulationDivergence(step_i, str(err)) from err
+        chk = p[0] + p[1] + p[2] + v[0] + v[1] + v[2]
+        if not math.isfinite(chk):
+            raise SimulationDivergence(step_i, "non-finite position or velocity")
+
+        if step_i % down == 0:
+            j = step_i // down
+            pos_out[j], quat_out[j], vel_out[j], angvel_out[j] = p, q, v, w
+
+    return Trajectory(cfg.output_rate_hz, pos_out, quat_out, vel_out, angvel_out)
+
+
+def save_trajectory(traj, path):
+    path = Path(path)
+    lines = [f"# {FORMAT_TAG}", f"# rate_hz: {traj.rate_hz!r}"]
+    for key in sorted(traj.meta):
+        lines.append(f"# {key}: {traj.meta[key]!r}")
+    lines.append("# columns: " + ",".join(COLUMNS))
+    times = traj.times
+    mat = traj.as_matrix()
+    for i in range(len(traj)):
+        row = [times[i], *mat[i]]
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    path.write_text("\n".join(lines) + "\n")

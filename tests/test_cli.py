@@ -334,3 +334,18 @@ def test_sweep_rejects_bad_grid_and_axes(tmp_path, capsys):
         assert main(base + extra) == EXIT_CONFIG, extra
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_simulate_arithmetic_divergence_exit_code(tmp_path, capsys):
+    """A math domain error inside a step is a divergence at that step: exit 3 and a marker."""
+    q = np.array([0.9, 0.1, 0.3, 0.2])
+    x0 = ct.Trajectory(148.0, [[0.0, 0.0, 0.049]], [q / np.linalg.norm(q)], [[0.3, 0.0, -1.0]], [[1.0, 2.0, 3.0]])
+    ct.save_trajectory(x0, tmp_path / "x0.csv")
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", "--preset", "cube-drake", "--mu", "0", "--k", "1e150", "--b", "1e100",
+               "--x0", str(tmp_path / "x0.csv"), "--duration", "0.5", "--out", str(out)])
+    assert rc == EXIT_DIVERGENCE
+    marker = json.loads(out.with_suffix(".partial.json").read_text())
+    assert marker == {"error": "simulation diverged at step 1: math domain error", "step_index": 1}
+    assert "math domain error" in capsys.readouterr().err
+    assert not out.exists()

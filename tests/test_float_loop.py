@@ -1,0 +1,312 @@
+"""Bit identity of the float rollout helpers with the numpy code they replaced.
+
+The corner detector, the compliant law, the integrator and the fused loop
+now run on Python floats. The numpy versions are frozen in ``frozen_numpy``
+as oracles: every helper must return the same values, sign bits and NaNs
+included, and every rollout the same trajectory and the same divergence.
+"""
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cubetoss as ct
+import frozen_numpy as fz
+from cubetoss import quat
+from cubetoss.body import _integrate
+from cubetoss.geometry import _corner_contact_arrays
+from cubetoss.simulate import _wrench_impulse
+from cubetoss.solvers import _compliant_force
+from cubetoss.synthetic import random_toss_states, sliding_toss_states
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+DT = 1.0 / 1480.0
+
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308)
+
+
+def same_bits(got, want) -> bool:
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+def mixed(draw, rng, n, lo, hi, specials=(0.0, -0.0), log=False):
+    """n floats from rng, uniform in [lo, hi] (signed 10**uniform when log), some
+    replaced by drawn special values. Hypothesis picks the structure and the
+    seed; numpy's generator supplies generic values, whose roundings differ."""
+    kinds = draw(st.lists(st.sampled_from(("random",) * 3 + tuple(specials)), min_size=n, max_size=n))
+    if log:
+        vals = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    else:
+        vals = rng.uniform(lo, hi, n)
+    return np.array([v if k == "random" else k for k, v in zip(kinds, vals.tolist())])
+
+
+@st.composite
+def unit_quaternions(draw):
+    kind = draw(st.sampled_from(["random", "identity", "axis", "half-turn"]))
+    if kind == "identity":
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    if kind == "axis":  # quarter turns about a body axis: exact zeros in R
+        s = math.sqrt(0.5)
+        q = [s, 0.0, 0.0, 0.0]
+        q[draw(st.integers(1, 3))] = draw(st.sampled_from([s, -s]))
+        return np.array(q)
+    if kind == "half-turn":
+        q = [0.0, 0.0, 0.0, 0.0]
+        q[draw(st.integers(1, 3))] = 1.0
+        return np.array(q)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.standard_normal(4)
+    return q / np.linalg.norm(q)
+
+
+# --- corner detection --------------------------------------------------------
+
+
+@st.composite
+def corner_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cube = draw(st.booleans())
+    geom = ct.BoxGeometry(np.full(3, 0.05) if cube else rng.uniform(0.005, 0.2, 3))
+    q = draw(unit_quaternions())
+    lowest = float(-(fz.to_matrix(q) @ geom.corners_body)[2].min())
+    height = lowest + draw(st.sampled_from([0.0, 1e-3, rng.uniform(-0.03, 0.006)]))
+    pos = np.array([*rng.uniform(-1.0, 1.0, 2), height])
+    vel = mixed(draw, rng, 3, -3.0, 3.0)
+    ang_vel = mixed(draw, rng, 3, -20.0, 20.0)
+    margin = draw(st.sampled_from([0.0, 1e-3, rng.uniform(0.0, 0.01)]))
+    return pos, q, vel, ang_vel, geom, margin
+
+
+@PROPERTY_SETTINGS
+@given(corner_cases())
+def test_corner_detection_matches_numpy_oracle(case):
+    pos, q, vel, ang_vel, geom, margin = case
+    assert same_bits(quat._matrix_rows(*q.tolist()), fz.to_matrix(q))
+    want = fz.corner_contact_arrays(pos, fz.to_matrix(q), vel, ang_vel, geom.corners_body, margin)
+    got = _corner_contact_arrays(
+        pos.tolist(), quat._matrix_rows(*q.tolist()), vel.tolist(), ang_vel.tolist(), geom, margin
+    )
+    if want[0].size == 0:
+        assert got is None
+        return
+    idx, depth, depth_rate, vt1, vt2, rho, points = got
+    assert idx == want[0].tolist()
+    for g, w in zip((depth, depth_rate, vt1, vt2, rho, points), want[1:]):
+        assert same_bits(g, w)
+
+
+def test_flight_test_band_edges_match_numpy_oracle(cube_geom):
+    """Heights within a few ulps of the activation threshold, where the float bound defers to the gemv."""
+    rng = np.random.default_rng(11)
+    for i in range(400):
+        q = np.array([1.0, 0.0, 0.0, 0.0]) if i < 20 else rng.standard_normal(4)
+        q = q / np.linalg.norm(q)
+        margin = [0.0, 1e-3, 2.5e-3][i % 3]
+        R = fz.to_matrix(q)
+        z = margin - float((R[2] @ cube_geom.corners_body).min())
+        for height in (z, *np.nextafter(z, [0.0, 1.0]), z + 3e-17, z - 3e-17):
+            pos = np.array([0.0, 0.0, height])
+            want = fz.corner_contact_arrays(pos, R, np.zeros(3), np.zeros(3), cube_geom.corners_body, margin)
+            got = _corner_contact_arrays(pos.tolist(), quat._matrix_rows(*q.tolist()), [0.0] * 3, [0.0] * 3,
+                                         cube_geom, margin)
+            assert (got is None) == (want[0].size == 0), (i, height)
+            if got is not None:
+                assert got[0] == want[0].tolist()
+                assert same_bits(got[1], want[1])
+
+
+def test_detect_contacts_uses_float_corner_data(cube_geom):
+    """detect_contacts reports the detector's own witness points and rates."""
+    q = quat.from_axis_angle(np.array([0.3, -0.2, 1.0]), 0.4)
+    state = ct.RigidState([0.01, -0.02, 0.049], q, [0.2, -0.1, -0.5], [1.0, 2.0, -3.0])
+    want = fz.corner_contact_arrays(state.pos, fz.to_matrix(q), state.vel, state.ang_vel,
+                                    cube_geom.corners_body, 1e-3)
+    contacts = ct.detect_contacts(state, cube_geom, 1e-3)
+    assert [c.corner_index for c in contacts] == want[0].tolist()
+    assert same_bits([c.depth for c in contacts], want[1])
+    assert same_bits([c.depth_rate for c in contacts], want[2])
+    assert same_bits(np.array([c.point for c in contacts]).T, want[6])
+
+
+# --- compliant law -----------------------------------------------------------
+
+
+@st.composite
+def compliant_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = draw(st.integers(1, 8))
+    depth, depth_rate, vt1, vt2 = [mixed(draw, rng, nc, -6.0, 3.0, SPECIAL, log=True) for _ in range(4)]
+    mu = draw(st.sampled_from([0.0, rng.uniform(0.0, 2.0)]))
+    k = draw(st.sampled_from([0.0, rng.uniform(0.0, 1e6)]))
+    b = draw(st.sampled_from([0.0, rng.uniform(0.0, 50.0)]))
+    slip = draw(st.sampled_from([1e-3, 10.0 ** rng.uniform(-9.0, 0.0)]))
+    return depth, depth_rate, vt1, vt2, mu, k, b, slip
+
+
+@PROPERTY_SETTINGS
+@given(compliant_cases())
+def test_compliant_force_matches_numpy_oracle(case):
+    depth, depth_rate, vt1, vt2, mu, k, b, slip = case
+    with np.errstate(all="ignore"):
+        want = fz.compliant_forces(depth, depth_rate, vt1, vt2, mu, k, b, slip)
+    got = [
+        _compliant_force(d, dr, t1, t2, mu, k, b, slip)
+        for d, dr, t1, t2 in zip(depth.tolist(), depth_rate.tolist(), vt1.tolist(), vt2.tolist())
+    ]
+    for g, w in zip(zip(*got), want):
+        assert same_bits(g, w)
+
+
+def test_compliant_force_clamps_like_np_maximum():
+    """NaN propagates through both clamps; a clamped -0.0 keeps its sign as np.maximum does."""
+    fn, _, _ = _compliant_force(math.nan, 0.0, 0.0, 0.0, 0.1, 1e4, 0.4, 1e-3)
+    assert math.isnan(fn)
+    fn, ft1, _ = _compliant_force(1e-3, 0.0, math.nan, 0.0, 0.1, 1e4, 0.4, 1e-3)
+    assert fn == 10.0 and math.isnan(ft1)
+    fn, _, _ = _compliant_force(-0.0, 0.0, 0.0, 0.0, 0.1, 1e4, 0.4, 1e-3)
+    with np.errstate(all="ignore"):
+        want, _, _ = fz.compliant_forces(np.array([-0.0]), np.zeros(1), np.zeros(1), np.zeros(1),
+                                         0.1, 1e4, 0.4, 1e-3)
+    assert same_bits([fn], want)
+
+
+@st.composite
+def wrench_terms(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = draw(st.integers(1, 8))
+    terms = [tuple(mixed(draw, rng, 6, -6.0, 3.0, SPECIAL, log=True).tolist()) for _ in range(nc)]
+    return terms, draw(st.sampled_from([DT, rng.uniform(1e-6, 1.0)]))
+
+
+@PROPERTY_SETTINGS
+@given(wrench_terms())
+def test_wrench_impulse_matches_numpy_sums(case):
+    """Column sums in np.sum's order: one by one below 8 contacts, pairwise at 8."""
+    terms, dt = case
+    with np.errstate(all="ignore"):
+        cols = np.array(terms).T.copy()
+        want_lin = dt * np.array([cols[0].sum(), cols[1].sum(), cols[2].sum()])
+        want_ang = dt * np.array([cols[3].sum(), cols[4].sum(), cols[5].sum()])
+    imp_lin, imp_ang = _wrench_impulse(terms, dt)
+    assert same_bits(imp_lin, want_lin)
+    assert same_bits(imp_ang, want_ang)
+
+
+# --- integrator --------------------------------------------------------------
+
+
+@st.composite
+def integrator_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        inertia = ct.cube_inertial()
+    else:
+        rot = quat.to_matrix(quat.from_axis_angle(rng.standard_normal(3), rng.uniform(0.0, np.pi)))
+        body = rot @ np.diag(rng.uniform(0.002, 0.05, 3)) @ rot.T
+        inertia = ct.InertialParams(rng.uniform(0.1, 2.0), 0.5 * (body + body.T))
+    q = draw(unit_quaternions())
+    pos = rng.uniform(-1.0, 1.0, 3)
+    vel = mixed(draw, rng, 3, -5.0, 5.0)
+    ang_vel = mixed(draw, rng, 3, -30.0, 30.0)
+    if draw(st.integers(0, 9)) == 0:  # a spin whose half-angle overflows: math domain error
+        ang_vel[draw(st.integers(0, 2))] = draw(st.sampled_from([1e200, -1e200]))
+    imps = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["random", "random", "zero", "negative zero"]))
+        if kind == "zero":
+            imps.append(np.zeros(3))
+        elif kind == "negative zero":
+            imps.append(np.full(3, -0.0))
+        else:
+            imps.append(mixed(draw, rng, 3, -1.0, 1.0))
+    dt = draw(st.sampled_from([DT, rng.uniform(1e-5, 1e-2)]))
+    return pos, q, vel, ang_vel, inertia, imps[0], imps[1], dt
+
+
+@PROPERTY_SETTINGS
+@given(integrator_cases())
+def test_integrate_matches_numpy_oracle(case):
+    pos, q, vel, ang_vel, inertia, imp_lin, imp_ang, dt = case
+    try:
+        with np.errstate(all="ignore"):
+            want = fz.integrate(pos, q, vel, ang_vel, fz.to_matrix(q), inertia, imp_lin, imp_ang, dt)
+    except ValueError as err:
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as got_err:
+            _integrate(pos.tolist(), q.tolist(), vel.tolist(), ang_vel.tolist(), quat._matrix_rows(*q.tolist()),
+                       inertia, imp_lin.tolist(), imp_ang.tolist(), dt)
+        assert str(got_err.value) == str(err)
+        return
+    with np.errstate(all="ignore"):
+        got = _integrate(pos.tolist(), q.tolist(), vel.tolist(), ang_vel.tolist(), quat._matrix_rows(*q.tolist()),
+                         inertia, imp_lin.tolist(), imp_ang.tolist(), dt)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+# --- rollouts ----------------------------------------------------------------
+
+
+def _rollout_cases(cube_geom):
+    tosses = random_toss_states(2, cube_geom, seed=5) + sliding_toss_states(2, cube_geom, seed=5)
+    anisotropic = ct.InertialParams(0.37, np.diag([0.006, 0.008, 0.0105]))
+    return [(x0, ct.cube_inertial()) for x0 in tosses] + [(tosses[0], anisotropic)]
+
+
+@pytest.mark.parametrize("preset", ["cube-drake", "cube-mujoco-style", "cube-bullet-style"])
+def test_rollout_matches_frozen_numpy_loop(preset, cube_geom):
+    """simulate() reproduces the former numpy loop bit for bit, for every model."""
+    params = ct.param_preset(preset)
+    cfg = ct.SimConfig(dt=DT, downsample=1)
+    for i, (x0, inertia) in enumerate(_rollout_cases(cube_geom)):
+        got = ct.simulate(x0, params, inertia, cube_geom, cfg, 0.3).as_matrix()
+        want = fz.simulate(x0, params, inertia, cube_geom, cfg, 0.3).as_matrix()
+        assert same_bits(got, want), (preset, i)
+
+
+def _divergence(fn, params, x0, cube_geom, cube_inertia):
+    with np.errstate(all="ignore"):
+        with pytest.raises(ct.SimulationDivergence) as err:
+            fn(x0, params, cube_inertia, cube_geom, ct.SimConfig(dt=DT, downsample=1), 0.5)
+    return err.value.step_index, str(err.value)
+
+
+def overflowing_spin_case():
+    """Stiffness and damping so large that the first contact spins the cube to an infinite rate."""
+    q = np.array([0.9, 0.1, 0.3, 0.2])
+    x0 = ct.RigidState([0, 0, 0.049], q / np.linalg.norm(q), [0.3, 0, -1.0], [1.0, 2.0, 3.0])
+    return ct.ContactParams(0.0, 1e150, 1e100, "compliant"), x0
+
+
+@pytest.mark.parametrize("case", ["math domain error", "nan quaternion"])
+def test_divergence_step_and_message_match_numpy_loop(case, cube_geom, cube_inertia):
+    if case == "math domain error":
+        params, x0 = overflowing_spin_case()
+        expected = "math domain error"
+    else:  # the case of test_divergence_reports_step_index
+        params = ct.ContactParams(0.0, 1e200, 1e200, "compliant")
+        x0 = ct.RigidState([0, 0, 0.049], [1, 0, 0, 0], [0, 0, -1.0], [0, 0, 0])
+        expected = "cannot normalize quaternion with norm nan"
+    got = _divergence(ct.simulate, params, x0, cube_geom, cube_inertia)
+    assert got == _divergence(fz.simulate, params, x0, cube_geom, cube_inertia)
+    assert got == (1, f"simulation diverged at step 1: {expected}")
+
+
+def test_value_error_outside_integrator_is_not_divergence(monkeypatch, cube_geom, cube_inertia):
+    """Only the integrator's ValueError means divergence; one from a solver call propagates as it is."""
+    def broken_solver(*args, **kwargs):
+        raise ValueError("bad solver argument")
+
+    monkeypatch.setattr(sys.modules["cubetoss.simulate"], "rigid_pgs_impulse", broken_solver)
+    x0 = sliding_toss_states(1, cube_geom, seed=5)[0]
+    with pytest.raises(ValueError, match="bad solver argument"):
+        ct.simulate(x0, ct.param_preset("cube-bullet-style"), cube_inertia, cube_geom, ct.SimConfig(dt=DT), 0.3)

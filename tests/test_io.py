@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import cubetoss as ct
+import frozen_numpy as fz
 from conftest import random_unit_quat
+from cubetoss import quat as cq
 
 
 def random_trajectory(n=25, rate=148.0, seed=40):
@@ -148,3 +150,25 @@ def test_loaded_trajectory_feeds_rollouts(tmp_path, cube_geom, cube_inertia):
     # the serialized initial state reproduces the rollout bit for bit
     again = ct.simulate(back.initial_state, params, cube_inertia, cube_geom, ct.SimConfig(), 0.3)
     assert np.array_equal(again.as_matrix(), traj.as_matrix())
+
+
+def test_chunked_writer_matches_frozen_writer_bytes(tmp_path, cube_geom, cube_inertia):
+    """save_trajectory writes the bytes of the former one-string writer, chunk edges included."""
+    edge = random_trajectory(n=7, seed=41)
+    edge.pos[0] = [0.0, -0.0, 5e-324]
+    edge.vel[1] = [1e308, -1e308, 1.0 / 3.0]
+    edge.ang_vel[2] = [-5e-324, 2.0 / 3.0, -0.0]
+    edge.meta.update({"note": "tossed 'by hand'", "count": 3, "scale": 1e-300})
+    one_row = ct.Trajectory(1480.0, [[0.0, 0.0, 0.05]], [[1.0, 0.0, 0.0, 0.0]], [[0.0] * 3], [[0.0] * 3])
+    x0 = ct.RigidState([0, 0, 0.2], cq.from_axis_angle(np.array([1.0, 2.0, 0.5]), 0.7),
+                       [0.5, -0.3, -1.0], [6.0, -4.0, 2.0])
+    long = ct.simulate(x0, ct.param_preset("cube-drake"), cube_inertia, cube_geom,
+                       ct.SimConfig(downsample=1), 10.0)
+    long.meta.update({"body": "cube", "side_m": 0.1})
+    cases = [edge, one_row, long, random_trajectory(n=512, seed=42), random_trajectory(n=1025, seed=43)]
+    for i, traj in enumerate(cases):
+        got, want = tmp_path / f"got_{i}.csv", tmp_path / f"want_{i}.csv"
+        ct.save_trajectory(traj, got)
+        fz.save_trajectory(traj, want)
+        assert got.read_bytes() == want.read_bytes(), i
+    assert len(long) == 14801

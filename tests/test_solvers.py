@@ -96,6 +96,20 @@ def test_compliant_friction_regularization_below_slip_tolerance():
     assert vals[0] < 0.0
 
 
+def test_compliant_slip_tolerance_must_be_positive_and_finite():
+    """A zero tolerance would divide by zero at a sticking contact; it is a configuration error."""
+    inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3))
+    params = ct.ContactParams(0.5, 1e4, 0.0, "compliant")
+    st = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
+    cp = ct.ContactPoint(st.pos.copy(), np.array([0.0, 0, 1]), 1e-3, 0.0,
+                         np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+    prob = ct.build_contact_problem(st, inertia, [cp], DT, include_gravity=False)
+    for bad in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="slip_tolerance"):
+            ct.hunt_crossley_impulse(prob, params, slip_tolerance=bad)
+    assert ct.hunt_crossley_impulse(prob, params, slip_tolerance=1e-3).tangent[0, 0] == 0.0
+
+
 # --- regularized convex program ------------------------------------------------
 
 

@@ -1,0 +1,101 @@
+"""Print sha256 digests of simulated rollouts, to show that a change keeps them bit for bit.
+
+Each line names a parameter set, a toss pool and a toss index, then gives
+two digests: one of ``simulate(...).as_matrix().tobytes()`` and one of the
+bytes ``save_trajectory`` writes for that rollout. A rollout that diverges
+prints the digest of its ``SimulationDivergence`` message instead, in both
+places. Run the tool on two checkouts and diff the outputs:
+
+    PYTHONPATH=src python3 tools/rollout_digest.py > after.txt
+    PYTHONPATH=../parent/src python3 tools/rollout_digest.py > before.txt
+    diff before.txt after.txt
+
+The pools are the benchmark's (pool seed 2110, 48 tosses each), every
+rollout at the full 1480 Hz rate:
+
+* ``tumbling``: 0.5 s from ``random_toss_states``;
+* ``sliding``: 0.25 s from ``sliding_toss_states``;
+* ``long``: 10 s from the first 8 tumbling tosses, ``cube-drake`` only.
+
+The parameter sets are the three presets, the Bullet-style preset at
+(mu, k) = (0.05, 300) and (0.9, 3e4), and the benchmark's compliant truth
+(mu 0.18, k 10800, b 0.4). Uses only the standard library, numpy and
+cubetoss.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import cubetoss as ct
+from cubetoss.synthetic import random_toss_states, sliding_toss_states
+
+POOL_SEED = 2110
+POOL_SIZE = 48
+LONG_TOSSES = 8
+
+
+def parameter_sets() -> dict:
+    bullet = ct.param_preset("cube-bullet-style")
+    return {
+        "cube-drake": ct.param_preset("cube-drake"),
+        "cube-mujoco-style": ct.param_preset("cube-mujoco-style"),
+        "cube-bullet-style": bullet,
+        "bullet-mu0.05-k300": ct.ContactParams(0.05, 300.0, bullet.b, "rigid_pgs"),
+        "bullet-mu0.9-k3e4": ct.ContactParams(0.9, 3e4, bullet.b, "rigid_pgs"),
+        "compliant-truth": ct.ContactParams(0.18, 10800.0, 0.4, "compliant"),
+    }
+
+
+def pools() -> dict:
+    """Pool name -> (tosses, duration in seconds, parameter sets it runs, or None for all)."""
+    geom = ct.cube_geometry()
+    tumbling = random_toss_states(POOL_SIZE, geom, seed=POOL_SEED)
+    return {
+        "tumbling": (tumbling, 0.5, None),
+        "sliding": (sliding_toss_states(POOL_SIZE, geom, seed=POOL_SEED), 0.25, None),
+        "long": (tumbling[:LONG_TOSSES], 10.0, ("cube-drake",)),
+    }
+
+
+def rollout_digests(params: ct.ContactParams, x0: ct.RigidState, duration: float, tmp_dir: Path) -> tuple:
+    """(matrix digest, CSV digest) of one full-rate rollout."""
+    cfg = ct.SimConfig(downsample=1)
+    try:
+        traj = ct.simulate(x0, params, ct.cube_inertial(), ct.cube_geometry(), cfg, duration)
+    except ct.SimulationDivergence as err:
+        digest = hashlib.sha256(str(err).encode()).hexdigest()
+        return digest, digest
+    path = tmp_dir / "rollout.csv"
+    ct.save_trajectory(traj, path)
+    return (
+        hashlib.sha256(traj.as_matrix().tobytes()).hexdigest(),
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+    )
+
+
+def digest_lines(param_names, pool_names, tosses=None):
+    """Yield one output line per (parameter set, pool, toss)."""
+    sets = parameter_sets()
+    all_pools = pools()
+    with tempfile.TemporaryDirectory() as tmp:
+        for pool_name in pool_names:
+            states, duration, only = all_pools[pool_name]
+            for name in param_names:
+                if only is not None and name not in only:
+                    continue
+                for i, x0 in enumerate(states[:tosses]):
+                    mat, csv = rollout_digests(sets[name], x0, duration, Path(tmp))
+                    yield f"{name} {pool_name} {i} {mat} {csv}"
+
+
+def main() -> int:
+    for line in digest_lines(parameter_sets(), pools()):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
