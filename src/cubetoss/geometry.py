@@ -177,18 +177,18 @@ def _table_jacobian(rho) -> np.ndarray:
     rho holds the arms from the COM to the witness points as three rows
     (x, y, z) of nc values: a (3, nc) array or three float lists. Rows
     follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
-    normal row of J @ twist equals minus depth_rate. The rows are built as
-    Python float lists and converted in one call, which on these few
-    contacts costs less than strided assignments into a zero array.
+    normal row of J @ twist equals minus depth_rate. The entries go into one
+    flat Python float list, read by np.fromiter with a known count, which on
+    these few contacts costs less than nested lists or strided assignments.
     """
-    rows = []
+    flat = []
     for x, y, z in zip(*rho):
-        rows += (
-            [0.0, 0.0, 1.0, y, -x, 0.0],
-            [1.0, 0.0, 0.0, 0.0, z, -y],
-            [0.0, 1.0, 0.0, -z, 0.0, x],
+        flat += (
+            0.0, 0.0, 1.0, y, -x, 0.0,
+            1.0, 0.0, 0.0, 0.0, z, -y,
+            0.0, 1.0, 0.0, -z, 0.0, x,
         )
-    return np.array(rows).reshape(-1, 6)
+    return np.fromiter(flat, float, len(flat)).reshape(-1, 6)
 
 
 def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:

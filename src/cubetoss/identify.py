@@ -44,7 +44,10 @@ class AxisSpec:
         return math.log10(x) if self.log else x
 
     def decode(self, u: float) -> float:
-        return 10.0**u if self.log else u
+        if not self.log:
+            return u
+        # 10**log10(x) can miss x by an ulp, so a bound would decode just outside the box
+        return min(max(10.0**u, self.lower), self.upper)
 
     def grid(self, count: int) -> np.ndarray:
         if self.log:

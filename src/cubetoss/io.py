@@ -86,7 +86,8 @@ def load_trajectory(path) -> Trajectory:
     """Load a canonical trajectory file, enforcing its invariants.
 
     Rejects malformed rows, non-finite values and non-uniform timestamps,
-    naming the offending row. Quaternions off unit norm by at most 1e-3
+    naming the offending row (its line in the file). Every row is parsed
+    before the values are checked for finiteness, in one pass over the array. Quaternions off unit norm by at most 1e-3
     (measurement tolerance) are renormalized and the repair is logged; worse
     deviations are rejected.
     """
@@ -95,6 +96,7 @@ def load_trajectory(path) -> Trajectory:
         raise TrajectoryFileError(f"{path}: no such file")
     meta: dict = {}
     rows: list[list[float]] = []
+    linenos: list[int] = []  # the file line of each data row
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -112,17 +114,20 @@ def load_trajectory(path) -> Trajectory:
             vals = [float(x) for x in parts]
         except ValueError as err:
             raise TrajectoryFileError(f"{path}: row {lineno}: {err}") from None
-        if not all(np.isfinite(vals)):
-            raise TrajectoryFileError(f"{path}: row {lineno} contains a non-finite value")
         rows.append(vals)
+        linenos.append(lineno)
     if not rows:
         raise TrajectoryFileError(f"{path}: no data rows")
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = linenos[int(np.argmin(finite))]
+        raise TrajectoryFileError(f"{path}: row {row} contains a non-finite value")
     rate = meta.pop("rate_hz", None)
     if rate is None or not (isinstance(rate, float) and rate > 0.0):
         raise TrajectoryFileError(f"{path}: header is missing a positive rate_hz")
     meta.pop("columns", None)
 
-    data = np.array(rows)
     t = data[:, 0]
     dt = 1.0 / rate
     if len(t) > 1:

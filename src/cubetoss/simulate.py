@@ -13,12 +13,17 @@ detector geometry._corner_contact_arrays, the compliant law
 solvers._compliant_force and the integrator body._integrate. Each float
 operation is the one the former array code applied elementwise, in the same
 order, so rollouts are bit-identical to that code. Numpy keeps what belongs
-to BLAS: the corner products inside the detector, and the convex and PGS
-solvers, which get a ContactProblem built from the float lists with the
-table-frame Jacobian (geometry) and the mass terms (solvers._mass_terms).
-Stepping detect_contacts, build_contact_problem, the solver with per-corner
-warm starts, and step therefore reproduces a convex or PGS rollout bit for
-bit. The compliant rollout sums its wrench per corner, while
+to BLAS: the corner products inside the detector, and the matrix products
+of the convex and PGS solvers, which get a ContactProblem built from the
+float lists with the table-frame Jacobian (geometry) and the mass terms
+(solvers._mass_terms). Warm starts are remapped per corner over float
+lists when the set of active corners changes. Both iterative solvers are
+called through this module's globals rigid_pgs_impulse and
+regularized_convex_impulse, once per contact step: that seam is deliberate,
+since it is where the solver layer can be timed (the benchmark's tracer
+wraps these names) and where the per-step API meets the loop. Stepping
+detect_contacts, build_contact_problem, the solver with per-corner warm
+starts, and step therefore reproduces a convex or PGS rollout bit for bit. The compliant rollout sums its wrench per corner, while
 hunt_crossley_impulse goes through J @ v and J.T @ lam, so its public
 replay agrees to rounding only.
 
@@ -133,10 +138,13 @@ def simulate(
                     warm = warm_flat
                 else:
                     # a corner starts from its impulse in the last solve, or zero if it was not in it
-                    per_corner = np.zeros((8, 3))
-                    if warm_corners:
-                        per_corner[warm_corners] = warm_flat.reshape(-1, 3)
-                    warm = per_corner[idx].reshape(-1)
+                    last = warm_flat.tolist() if warm_corners else []
+                    at = {corner: 3 * j for j, corner in enumerate(warm_corners)}
+                    remapped = []
+                    for corner in idx:
+                        j = at.get(corner)
+                        remapped += no_impulse if j is None else last[j:j + 3]
+                    warm = np.array(remapped)
                 if model == "regularized_convex":
                     imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:

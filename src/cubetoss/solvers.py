@@ -26,11 +26,21 @@ exceed the circular cone by up to sqrt(2). ``cone_audit`` scales such
 corners back onto |t| <= mu * n for reporting; it is not applied inside the
 solvers because altering the minimizer would break their per-step energy
 dissipation guarantee.
+
+The two iterative solvers keep in numpy only the products whose rounding
+belongs to BLAS or LAPACK (J M^-1 J^T, J v_free, J^T lambda, the PGS row
+dots, the QP's matrix-vector and restart products, eigvalsh). Everything
+elementwise runs on Python floats in the order numpy applied it: the PGS
+sweeps, bias and warm-start clamp, and the convex regularizer, reference
+velocity, pyramid projection and momentum updates. So results are
+bit-identical to all-numpy code. Each solver is one public function with
+no second kernel beside it; rollouts call these functions, and every
+result keeps its flat impulse for the next step's warm start.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,7 +182,9 @@ class ContactImpulse:
 
     normal holds the nonnegative normal impulses (N*s), tangent the 2-vector
     tangential impulses in the (t1, t2) frame, wrench the generalized
-    6-vector impulse J^T lambda ready to feed the integrator.
+    6-vector impulse J^T lambda ready to feed the integrator. A solver's
+    result keeps its flat impulse [n, t1, t2, n, t1, t2, ...]; normal and
+    tangent are views into it, so flat() copies it instead of rebuilding it.
     """
 
     normal: np.ndarray
@@ -180,12 +192,15 @@ class ContactImpulse:
     wrench: np.ndarray
     converged: bool = True
     iterations: int = 0
+    _flat: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def empty(cls) -> "ContactImpulse":
         return cls(np.zeros(0), np.zeros((0, 2)), np.zeros(6))
 
     def flat(self) -> np.ndarray:
+        if self._flat is not None:
+            return self._flat.copy()
         out = np.empty(3 * len(self.normal))
         out[0::3] = self.normal
         out[1::3] = self.tangent[:, 0]
@@ -216,11 +231,10 @@ def cone_audit(problem: ContactProblem, impulse: ContactImpulse, mu: float) -> C
 
 
 def _package(problem: ContactProblem, lam: np.ndarray, converged: bool, iterations: int) -> ContactImpulse:
+    """A solver's result over its flat impulse lam, which the result keeps (not a copy)."""
     nc = problem.num_contacts
-    normal = lam[0::3].copy()
-    tangent = lam.reshape(nc, 3)[:, 1:].copy()
     wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
-    return ContactImpulse(normal, tangent, wrench, converged, iterations)
+    return ContactImpulse(lam[0::3], lam.reshape(nc, 3)[:, 1:], wrench, converged, iterations, lam)
 
 
 # --- compliant model ---------------------------------------------------------
@@ -363,20 +377,30 @@ def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
     return np.array(_pyramid_project_floats(lam.tolist(), mu))
 
 
-def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -> np.ndarray:
+def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -> list:
     """Per-contact normal velocity targets of the interpolated reference dynamics.
 
     The target blends a spring-damper response to penetration with the
     unconstrained velocity change. Damping acts only on the approaching part
     of the pre-step normal velocity and its gain is clamped at full arrest,
     so the reference never demands a rebound faster than the approach.
+
+    The two normal-velocity products stay in numpy; the blend runs on Python
+    floats, one list entry per contact, each operation the one the former
+    array expression applied elementwise. The approach clamp keeps
+    np.minimum(s, 0.0)'s semantics: NaN propagates and -0.0 becomes +0.0.
     """
     h, d, k, b = problem.h, params.d_interp, params.k, params.b
     J = problem.jacobian
-    s_minus = (J @ problem.v)[0::3]
-    dv0 = h * (J @ (problem.inv_mass @ problem.f_ext))[0::3]
-    carry = np.minimum(s_minus, 0.0) * max(0.0, 1.0 - h * d * b)
-    return carry + h * d * k * problem.depth + (1.0 - d) * dv0
+    s_minus = (J @ problem.v)[0::3].tolist()
+    accel = (J @ (problem.inv_mass @ problem.f_ext))[0::3].tolist()
+    carry = max(0.0, 1.0 - h * d * b)
+    spring = h * d * k
+    relax = 1.0 - d
+    return [
+        (0.0 if s >= 0.0 else s) * carry + spring * depth + relax * (h * a)
+        for s, depth, a in zip(s_minus, problem.depth.tolist(), accel)
+    ]
 
 
 def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
@@ -386,7 +410,8 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     the projection is exact, so momentum with uphill restarts converges
     linearly. Returns the iterate, the final projected-gradient infinity
     norm, and the iteration count; a non-finite norm stops the iteration at
-    once, since NaN never meets the tolerance.
+    once, since NaN never meets the tolerance. c and the start lam0 are
+    Python float lists.
 
     The iterates live twice, as Python float lists for the elementwise work
     (gradient steps, projections, the projected gradient and its norm, the
@@ -399,18 +424,17 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     eigs = np.linalg.eigvalsh(Q)
     L = float(eigs[-1])
     if L <= 0.0:
-        return np.zeros_like(lam0), 0.0, 0
-    c_f = c.tolist()
-    lam_f = _pyramid_project_floats(lam0.tolist(), mu)
+        return np.zeros(len(lam0)), 0.0, 0
+    lam_f = _pyramid_project_floats(lam0, mu)
     lam = np.array(lam_f)
     y_f, y = lam_f, lam
     t = 1.0
     pg_norm = math.inf
     for it in range(1, max_iters + 1):
-        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c_f)]
+        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c)]
         new_f = _pyramid_project_floats(step, mu)
         lam_new = np.array(new_f)
-        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c_f)]
+        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c)]
         pg_norm = 0.0
         for li, pi in zip(new_f, _pyramid_project_floats(step, mu)):
             e = abs(L * (li - pi))
@@ -454,13 +478,15 @@ def regularized_convex_impulse(
         return ContactImpulse.empty()
     A = problem.delassus()
     d = params.d_interp
-    Q = A + np.diag((1.0 - d) / d * np.diag(A))
-    c = problem.jacobian @ problem.v_free()
-    c[0::3] -= _convex_reference_velocity(problem, params)
+    ratio = (1.0 - d) / d
+    Q = A + np.diag([ratio * a for a in A.diagonal().tolist()])
+    c = (problem.jacobian @ problem.v_free()).tolist()
+    for i, ref in enumerate(_convex_reference_velocity(problem, params)):
+        c[3 * i] -= ref
     if warm_start is not None and warm_start.shape == (3 * nc,):
-        lam0 = warm_start
+        lam0 = warm_start.tolist()
     else:
-        lam0 = np.zeros(3 * nc)
+        lam0 = [0.0] * (3 * nc)
     lam, residual, iters = _pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
     if not residual <= tol:
         raise ConvexSolverError(residual, iters)
@@ -481,12 +507,13 @@ def erp_cfm(h: float, k: float, b: float) -> tuple[float, float]:
 def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     """Projected Gauss-Seidel sweeps over normal and boxed tangential rows.
 
-    lam holds the starting iterate and is updated in place. Each residual
-    is the row dot product rows[r].dot(lam), taken in numpy because its
-    rounding belongs to BLAS (OpenBLAS sums short rows as one chain of
-    fused multiply-adds, which Python 3.11 floats cannot reproduce). All
-    other work runs on Python floats: g, bias, the Delassus diagonal and a
-    mirror of lam are lists, and every update is written to both the
+    g and bias are sequences of floats (Python float lists from
+    rigid_pgs_impulse); lam holds the starting iterate and is updated in
+    place. Each residual is the row dot product rows[r].dot(lam), taken in
+    numpy because its rounding belongs to BLAS (OpenBLAS sums short rows as
+    one chain of fused multiply-adds, which Python 3.11 floats cannot
+    reproduce). All other work runs on Python floats: the Delassus diagonal
+    and a mirror of lam are lists, and every update is written to both the
     mirror and the array. Each float operation is the one the former
     all-numpy loop applied to float64 scalars, in the same order, so the
     iterates are bit-identical to it. A non-finite iterate is reported as
@@ -494,10 +521,8 @@ def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     """
     rows = list(A)
     diag = A.diagonal().tolist()
-    g_f = g.tolist()
-    bias_f = bias.tolist()
     lam_f = lam.tolist()
-    nc = len(bias_f)
+    nc = len(bias)
     sweeps = 0
     converged = False
     for sweeps in range(1, max_iters + 1):
@@ -505,7 +530,7 @@ def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
         for i in range(nc):
             ni = 3 * i
             old = lam_f[ni]
-            r = float(rows[ni].dot(lam)) + g_f[ni] - bias_f[i] + cfm * old
+            r = float(rows[ni].dot(lam)) + g[ni] - bias[i] + cfm * old
             new = old - r / (diag[ni] + cfm)
             if new < 0.0:
                 new = 0.0
@@ -514,7 +539,7 @@ def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
             bound = mu * new
             for jt in (ni + 1, ni + 2):
                 old = lam_f[jt]
-                r = float(rows[jt].dot(lam)) + g_f[jt]
+                r = float(rows[jt].dot(lam)) + g[jt]
                 newt = old - r / diag[jt]
                 if newt > bound:
                     newt = bound
@@ -549,6 +574,10 @@ def rigid_pgs_impulse(
     stops when the largest impulse change falls below tol; if the cap is
     reached first the intermediate iterate is returned as a legal result
     with converged=False. A non-finite iterate is never reported converged.
+
+    The Delassus matrix and J @ v_free stay numpy products; the bias and
+    the warm start's normal clamp run on Python floats. Both clamps keep
+    np.maximum(0.0, x)'s semantics: NaN propagates and -0.0 stays -0.0.
     """
     if params.model != "rigid_pgs":
         raise ValueError(f"params.model must be 'rigid_pgs', got {params.model!r}")
@@ -556,13 +585,16 @@ def rigid_pgs_impulse(
     if nc == 0:
         return ContactImpulse.empty()
     A = problem.delassus()
-    g = problem.jacobian @ problem.v_free()
+    g = (problem.jacobian @ problem.v_free()).tolist()
     erp, cfm = erp_cfm(problem.h, params.k, params.b)
-    bias = (erp / problem.h) * np.maximum(0.0, problem.depth)
+    gain = erp / problem.h
+    bias = [gain * (0.0 if d < 0.0 else d) for d in problem.depth.tolist()]
     if warm_start is not None and warm_start.shape == (3 * nc,):
-        lam = warm_start.copy()
-        normal = lam[0::3]
-        np.maximum(0.0, normal, out=normal)
+        lam_f = warm_start.tolist()
+        for i in range(0, 3 * nc, 3):
+            if lam_f[i] < 0.0:
+                lam_f[i] = 0.0
+        lam = np.array(lam_f)
     else:
         lam = np.zeros(3 * nc)
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)

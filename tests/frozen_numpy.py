@@ -3,8 +3,14 @@
 They are the oracles of the bit-identity tests: the corner detector, the
 vectorized compliant law, the integrator, the fused rollout loop and the
 trajectory writer exactly as they were written over numpy arrays. The loop
-still calls the live contact solvers, mass terms and Jacobian builder,
-which the float rewrite left unchanged.
+calls the live mass terms and the frozen Jacobian builder and solvers below.
+
+The two iterative contact solvers follow as they were before their bias,
+warm-start, regularizer and reference-velocity glue moved to Python floats:
+``rigid_pgs_impulse`` and ``regularized_convex_impulse`` with their sweep,
+QP and packaging helpers. They share the live, separately tested friction
+pyramid projection and erp/cfm mapping, and return results without a kept
+flat impulse, so ``flat()`` rebuilds it from normal and tangent.
 """
 from __future__ import annotations
 
@@ -14,17 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from cubetoss.body import SimConfig
-from cubetoss.geometry import _table_jacobian
 from cubetoss.io import COLUMNS, FORMAT_TAG
 from cubetoss.simulate import SimulationDivergence
 from cubetoss.solvers import (
     DEFAULT_PGS_ITERS,
+    DEFAULT_PGS_TOL,
     DEFAULT_QP_ITERS,
+    DEFAULT_QP_TOL,
+    ContactImpulse,
     ContactProblem,
     ConvexSolverError,
     _mass_terms,
-    regularized_convex_impulse,
-    rigid_pgs_impulse,
+    _pyramid_project_floats,
+    erp_cfm,
 )
 from cubetoss.trajectory import Trajectory
 
@@ -151,7 +159,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
         else:
             inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True, True)
             problem = ContactProblem(
-                _table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
+                table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
             )
             corners = idx.tolist()
             if corners == warm_corners:
@@ -163,9 +171,9 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
                 warm = per_corner[idx].reshape(-1)
             try:
                 if model == "regularized_convex":
-                    imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
+                    imp = convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
-                    imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
+                    imp = pgs_impulse(problem, params, max_iters, warm_start=warm)
             except ConvexSolverError as err:
                 raise SimulationDivergence(step_i, str(err)) from err
             warm_corners, warm_flat = corners, imp.flat()
@@ -199,3 +207,146 @@ def save_trajectory(traj, path):
         row = [times[i], *mat[i]]
         lines.append(",".join(f"{x:.17g}" for x in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def table_jacobian(rho):
+    rows = []
+    for x, y, z in zip(*rho):
+        rows += (
+            [0.0, 0.0, 1.0, y, -x, 0.0],
+            [1.0, 0.0, 0.0, 0.0, z, -y],
+            [0.0, 1.0, 0.0, -z, 0.0, x],
+        )
+    return np.array(rows).reshape(-1, 6)
+
+
+def package(problem, lam, converged, iterations):
+    nc = problem.num_contacts
+    normal = lam[0::3].copy()
+    tangent = lam.reshape(nc, 3)[:, 1:].copy()
+    wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
+    return ContactImpulse(normal, tangent, wrench, converged, iterations)
+
+
+def convex_reference_velocity(problem, params):
+    h, d, k, b = problem.h, params.d_interp, params.k, params.b
+    J = problem.jacobian
+    s_minus = (J @ problem.v)[0::3]
+    dv0 = h * (J @ (problem.inv_mass @ problem.f_ext))[0::3]
+    carry = np.minimum(s_minus, 0.0) * max(0.0, 1.0 - h * d * b)
+    return carry + h * d * k * problem.depth + (1.0 - d) * dv0
+
+
+def pyramid_qp(Q, c, mu, lam0, max_iters, tol):
+    eigs = np.linalg.eigvalsh(Q)
+    L = float(eigs[-1])
+    if L <= 0.0:
+        return np.zeros_like(lam0), 0.0, 0
+    c_f = c.tolist()
+    lam_f = _pyramid_project_floats(lam0.tolist(), mu)
+    lam = np.array(lam_f)
+    y_f, y = lam_f, lam
+    t = 1.0
+    pg_norm = math.inf
+    for it in range(1, max_iters + 1):
+        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c_f)]
+        new_f = _pyramid_project_floats(step, mu)
+        lam_new = np.array(new_f)
+        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c_f)]
+        pg_norm = 0.0
+        for li, pi in zip(new_f, _pyramid_project_floats(step, mu)):
+            e = abs(L * (li - pi))
+            if not e <= pg_norm:
+                pg_norm = e
+                if e != e:
+                    break
+        if pg_norm <= tol or not math.isfinite(pg_norm):
+            return lam_new, pg_norm, it
+        if float((y - lam_new) @ (lam_new - lam)) > 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        y_f = [li + beta * (li - lo) for li, lo in zip(new_f, lam_f)]
+        y = np.array(y_f)
+        lam, lam_f = lam_new, new_f
+        t = t_new
+    return lam, pg_norm, max_iters
+
+
+def convex_impulse(problem, params, max_iters=DEFAULT_QP_ITERS, tol=DEFAULT_QP_TOL, warm_start=None):
+    nc = problem.num_contacts
+    if nc == 0:
+        return ContactImpulse.empty()
+    A = problem.delassus()
+    d = params.d_interp
+    Q = A + np.diag((1.0 - d) / d * np.diag(A))
+    c = problem.jacobian @ problem.v_free()
+    c[0::3] -= convex_reference_velocity(problem, params)
+    if warm_start is not None and warm_start.shape == (3 * nc,):
+        lam0 = warm_start
+    else:
+        lam0 = np.zeros(3 * nc)
+    lam, residual, iters = pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
+    if not residual <= tol:
+        raise ConvexSolverError(residual, iters)
+    return package(problem, lam, True, iters)
+
+
+def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
+    rows = list(A)
+    diag = A.diagonal().tolist()
+    g_f = g.tolist()
+    bias_f = bias.tolist()
+    lam_f = lam.tolist()
+    nc = len(bias_f)
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_iters + 1):
+        delta = 0.0
+        for i in range(nc):
+            ni = 3 * i
+            old = lam_f[ni]
+            r = float(rows[ni].dot(lam)) + g_f[ni] - bias_f[i] + cfm * old
+            new = old - r / (diag[ni] + cfm)
+            if new < 0.0:
+                new = 0.0
+            change = abs(new - old)
+            lam[ni] = lam_f[ni] = new
+            bound = mu * new
+            for jt in (ni + 1, ni + 2):
+                old = lam_f[jt]
+                r = float(rows[jt].dot(lam)) + g_f[jt]
+                newt = old - r / diag[jt]
+                if newt > bound:
+                    newt = bound
+                elif newt < -bound:
+                    newt = -bound
+                cj = abs(newt - old)
+                if cj > change:
+                    change = cj
+                lam[jt] = lam_f[jt] = newt
+            if change > delta:
+                delta = change
+        if delta < tol:
+            converged = True
+            break
+    converged = converged and all(map(math.isfinite, lam_f))
+    return lam, converged, sweeps
+
+
+def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
+    nc = problem.num_contacts
+    if nc == 0:
+        return ContactImpulse.empty()
+    A = problem.delassus()
+    g = problem.jacobian @ problem.v_free()
+    erp, cfm = erp_cfm(problem.h, params.k, params.b)
+    bias = (erp / problem.h) * np.maximum(0.0, problem.depth)
+    if warm_start is not None and warm_start.shape == (3 * nc,):
+        lam = warm_start.copy()
+        normal = lam[0::3]
+        np.maximum(0.0, normal, out=normal)
+    else:
+        lam = np.zeros(3 * nc)
+    lam, converged, sweeps = pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
+    return package(problem, lam, converged, sweeps)

@@ -1,7 +1,7 @@
 """Bit identity of the float rollout helpers with the numpy code they replaced.
 
-The corner detector, the compliant law, the integrator and the fused loop
-now run on Python floats. The numpy versions are frozen in ``frozen_numpy``
+The corner detector, the compliant law, the integrator, the fused loop and
+the elementwise glue of the PGS and convex solvers now run on Python floats. The numpy versions are frozen in ``frozen_numpy``
 as oracles: every helper must return the same values, sign bits and NaNs
 included, and every rollout the same trajectory and the same divergence.
 """
@@ -17,9 +17,9 @@ import cubetoss as ct
 import frozen_numpy as fz
 from cubetoss import quat
 from cubetoss.body import _integrate
-from cubetoss.geometry import _corner_contact_arrays
+from cubetoss.geometry import _corner_contact_arrays, _table_jacobian
 from cubetoss.simulate import _wrench_impulse
-from cubetoss.solvers import _compliant_force
+from cubetoss.solvers import ContactProblem, _compliant_force, _convex_reference_velocity, _mass_terms
 from cubetoss.synthetic import random_toss_states, sliding_toss_states
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -251,6 +251,118 @@ def test_integrate_matches_numpy_oracle(case):
                          inertia, imp_lin.tolist(), imp_ang.tolist(), dt)
     for g, w in zip(got, want):
         assert same_bits(g, w)
+
+
+# --- contact solvers ---------------------------------------------------------
+
+
+@st.composite
+def solver_cases(draw):
+    """A table contact problem of 1-8 corners with special depths, rates and warm starts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = draw(st.integers(1, 8))
+    rho = mixed(draw, rng, 3 * nc, -0.06, 0.06).reshape(3, nc)
+    if draw(st.booleans()):
+        inertia = ct.cube_inertial()
+    else:
+        rot = quat.to_matrix(quat.from_axis_angle(rng.standard_normal(3), rng.uniform(0.0, np.pi)))
+        body = rot @ np.diag(rng.uniform(0.002, 0.05, 3)) @ rot.T
+        inertia = ct.InertialParams(rng.uniform(0.1, 2.0), 0.5 * (body + body.T))
+    R = fz.to_matrix(draw(unit_quaternions()))
+    at_rest = draw(st.integers(0, 4)) == 0  # zero velocity, no gravity, no penetration: signed zeros decide
+    if at_rest:
+        v = rng.choice([0.0, -0.0], 6)
+        depth = -rng.choice([0.0, 1e-4], nc)
+        depth_rate = np.zeros(nc)
+    else:
+        v = np.concatenate([mixed(draw, rng, 3, -3.0, 3.0), mixed(draw, rng, 3, -20.0, 20.0)])
+        depth, depth_rate = [
+            mixed(draw, rng, nc, lo, hi, draw(st.sampled_from([(), (0.0, -0.0), SPECIAL])))
+            for lo, hi in ((-1e-3, 5e-3), (-3.0, 3.0))
+        ]
+    inv_mass, f_ext = _mass_terms(R, v[3:], inertia, not at_rest and draw(st.booleans()), True)
+    h = draw(st.sampled_from([DT, rng.uniform(1e-4, 1e-2)]))
+    problem = ContactProblem(_table_jacobian(rho), inv_mass, v, h, f_ext, depth, depth_rate)
+    mu = draw(st.sampled_from([0.0, rng.uniform(0.0, 1.5)]))
+    k = draw(st.sampled_from([0.0, 10.0 ** rng.uniform(1.0, 6.0)]))
+    b = draw(st.sampled_from([0.0, rng.uniform(0.0, 100.0)]))
+    d = draw(st.sampled_from([0.9, rng.uniform(0.01, 0.99)]))
+    kind = draw(st.sampled_from(["none", "zero", "negative zero", "random", "special", "wrong shape"]))
+    if kind == "none":
+        warm = None
+    elif kind == "zero":
+        warm = np.zeros(3 * nc)
+    elif kind == "negative zero":
+        warm = np.full(3 * nc, -0.0)
+    elif kind == "wrong shape":
+        warm = rng.standard_normal(draw(st.sampled_from([(3 * nc + 3,), (nc, 3)])))
+    else:  # normals of either sign, some exact zeros of either sign
+        warm = mixed(draw, rng, 3 * nc, -0.01, 0.01, SPECIAL if kind == "special" else (0.0, -0.0))
+    return problem, mu, k, b, d, warm
+
+
+def same_impulse(got, want):
+    return (
+        same_bits(got.normal, want.normal)
+        and same_bits(got.tangent, want.tangent)
+        and same_bits(got.wrench, want.wrench)
+        and same_bits(got.flat(), want.flat())
+        and got.converged == want.converged
+        and got.iterations == want.iterations
+    )
+
+
+def test_table_jacobian_matches_nested_list_build():
+    rho = np.array([[0.0, -0.0, math.nan, 1e308], [5e-324, math.inf, -0.0, 0.02], [-math.inf, 0.0, -0.03, -0.0]])
+    assert same_bits(_table_jacobian(rho), fz.table_jacobian(rho))
+    assert same_bits(_table_jacobian(rho.tolist()), fz.table_jacobian(rho))
+    assert _table_jacobian(np.zeros((3, 0))).shape == (0, 6)
+
+
+@PROPERTY_SETTINGS
+@given(solver_cases(), st.integers(1, 50))
+def test_rigid_pgs_impulse_matches_numpy_oracle(case, max_iters):
+    problem, mu, k, b, _, warm = case
+    params = ct.ContactParams(mu, k, b, "rigid_pgs")
+    with np.errstate(all="ignore"):
+        want = fz.pgs_impulse(problem, params, max_iters, warm_start=warm)
+        got = ct.rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
+    assert same_impulse(got, want)
+
+
+@PROPERTY_SETTINGS
+@given(solver_cases(), st.sampled_from([5, 50, 500]))
+def test_regularized_convex_impulse_matches_numpy_oracle(case, max_iters):
+    problem, mu, k, b, d, warm = case
+    params = ct.ContactParams(mu, k, b, "regularized_convex", d_interp=d)
+    with np.errstate(all="ignore"):
+        try:
+            want = fz.convex_impulse(problem, params, max_iters, warm_start=warm)
+        except ct.ConvexSolverError as err:
+            with pytest.raises(ct.ConvexSolverError) as got_err:
+                ct.regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
+            assert str(got_err.value) == str(err)
+            assert got_err.value.iterations == err.iterations
+            return
+        got = ct.regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
+    assert same_impulse(got, want)
+
+
+@PROPERTY_SETTINGS
+@given(solver_cases())
+def test_convex_reference_velocity_matches_numpy_oracle(case):
+    problem, mu, k, b, d, _ = case
+    params = ct.ContactParams(mu, k, b, "regularized_convex", d_interp=d)
+    with np.errstate(all="ignore"):
+        assert same_bits(_convex_reference_velocity(problem, params), fz.convex_reference_velocity(problem, params))
+
+
+def test_solver_clamps_match_numpy_ufuncs():
+    """The float clamps keep np.maximum(0.0, x) and np.minimum(x, 0.0): NaN propagates,
+    np.maximum keeps -0.0 and np.minimum turns it into +0.0."""
+    x = np.array([-0.0, 0.0, math.nan, -1.0, 2.0, -math.inf, math.inf])
+    assert same_bits([0.0 if t < 0.0 else t for t in x.tolist()], np.maximum(0.0, x))
+    assert same_bits([0.0 if t >= 0.0 else t for t in x.tolist()], np.minimum(x, 0.0))
 
 
 # --- rollouts ----------------------------------------------------------------

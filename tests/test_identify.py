@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubetoss as ct
 from cubetoss.identify import AxisSpec, ParamDomain
@@ -48,6 +50,41 @@ def test_optimize_never_leaves_domain():
     res = ct.optimize(loss, dom, budget=600, seed=3)
     assert len(seen) == 600
     assert res.params["a"] == pytest.approx(-1.9, abs=1e-2)
+
+
+@st.composite
+def box_domains(draw):
+    """1-4 axes, linear or log-scaled, with bounds that need not survive a log10 round trip."""
+    axes = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lo = draw(st.floats(1e-6, 1e6))
+            hi = lo * draw(st.floats(1.0001, 1e6))
+            axes.append(AxisSpec(f"x{i}", lo, hi, log=True))
+        else:
+            lo = draw(st.floats(-1e6, 1e6))
+            hi = lo + draw(st.floats(1e-6, 1e6))
+            if not lo < hi:
+                hi = lo + 1.0
+            axes.append(AxisSpec(f"x{i}", lo, hi))
+    return ParamDomain(tuple(axes))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(box_domains(), st.integers(1, 120), st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_optimize_never_evaluates_outside_box(dom, budget, seed, population):
+    """Every evaluated point lies inside its box, bounds included, with no tolerance."""
+    seen = []
+
+    def loss(p):
+        seen.append(p)
+        return sum((v - a.upper) ** 2 if i % 2 else (v - a.lower) ** 2 for i, (a, v) in
+                   enumerate(zip(dom.axes, p.values())))
+
+    res = ct.optimize(loss, dom, budget=budget, seed=seed, population=population)
+    assert len(seen) == budget == res.n_evaluations
+    for p in seen:
+        assert all(a.lower <= p[a.name] <= a.upper for a in dom.axes), p
 
 
 def test_optimize_history_and_monotone_best():

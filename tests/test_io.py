@@ -1,7 +1,12 @@
 import logging
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubetoss as ct
 import frozen_numpy as fz
@@ -36,6 +41,41 @@ def test_round_trip_exact(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+ROUND_TRIP_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+
+
+@st.composite
+def special_trajectories(draw):
+    """1, 7, 512 or 1025 rows; positions and velocities mix generic values with
+    signed zeros, the smallest subnormal and +-1e308; quaternions are unit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 7, 512, 1025]))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    vals = rng.standard_normal((n, 9)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 9))
+    special = rng.random((n, 9)) < share
+    vals[special] = rng.choice(ROUND_TRIP_SPECIAL, int(special.sum()))
+    quats = rng.standard_normal((n, 4))
+    quats /= np.linalg.norm(quats, axis=1)[:, None]
+    axis_aligned = rng.random(n) < share  # exact unit quaternions with signed zeros
+    quats[axis_aligned] = rng.choice([0.0, -0.0], (int(axis_aligned.sum()), 4))
+    quats[axis_aligned, rng.integers(0, 4, int(axis_aligned.sum()))] = rng.choice([1.0, -1.0])
+    rate = draw(st.sampled_from([148.0, 1480.0, float(rng.uniform(1.0, 5000.0))]))
+    return ct.Trajectory(rate, vals[:, 0:3], quats, vals[:, 3:6], vals[:, 6:9], {"body": "cube", "side_m": 0.1})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(special_trajectories())
+def test_round_trip_exact_property(traj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, path2 = Path(tmp) / "t.csv", Path(tmp) / "t2.csv"
+        ct.save_trajectory(traj, path)
+        back = ct.load_trajectory(path)
+        assert back.rate_hz == traj.rate_hz
+        assert back.as_matrix().tobytes() == traj.as_matrix().tobytes()  # every bit, signed zeros too
+        ct.save_trajectory(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+
 def test_malformed_row_names_line(tmp_path):
     traj = random_trajectory(n=5)
     path = tmp_path / "t.csv"
@@ -57,6 +97,23 @@ def test_non_finite_value_rejected(tmp_path):
     text[6] = ",".join(parts)
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ct.TrajectoryFileError, match="row 7"):
+        ct.load_trajectory(path)
+
+
+def test_first_non_finite_row_named_by_file_line(tmp_path):
+    """Among several bad rows, the first one is named by its line in the file,
+    blank lines and comments counted."""
+    traj = random_trajectory(n=9)
+    path = tmp_path / "t.csv"
+    ct.save_trajectory(traj, path)
+    lines = path.read_text().splitlines()
+    for i, bad in ((8, "inf"), (10, "nan"), (12, "-inf")):
+        parts = lines[i].split(",")
+        parts[2] = bad
+        lines[i] = ",".join(parts)
+    lines[6:6] = ["", "# a comment"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ct.TrajectoryFileError, match="row 11 contains a non-finite value"):
         ct.load_trajectory(path)
 
 

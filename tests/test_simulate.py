@@ -89,9 +89,11 @@ def test_identical_inputs_bit_identical_output(cube_geom, cube_inertia):
         assert np.array_equal(a.as_matrix(), b.as_matrix())
 
 
-def _public_replay(x0, params, inertia, geom, cfg, n_steps):
+def _public_replay(x0, params, inertia, geom, cfg, n_steps, impulses=None):
     """States of detect_contacts -> build_contact_problem -> solver -> step,
-    carrying per-corner warm starts the way the rollout loop does."""
+    carrying per-corner warm starts the way the rollout loop does. The
+    solver gets cfg.solver_iters as its cap; each impulse goes into impulses
+    when a list is given."""
     states = [x0]
     warm = np.zeros((8, 3))
     contact_steps = 0
@@ -103,8 +105,10 @@ def _public_replay(x0, params, inertia, geom, cfg, n_steps):
             contact_steps += 1
             idx = [c.corner_index for c in cps]
             prob = ct.build_contact_problem(cur, inertia, cps, cfg.dt)
-            imp = ct.solve_contact_impulse(prob, params, cfg.slip_tolerance,
+            imp = ct.solve_contact_impulse(prob, params, cfg.slip_tolerance, cfg.solver_iters,
                                            warm_start=warm[idx].reshape(-1))
+            if impulses is not None:
+                impulses.append(imp)
             warm.fill(0.0)
             warm[idx] = imp.flat().reshape(-1, 3)
             wrench = imp.wrench
@@ -132,6 +136,36 @@ def test_public_api_replays_rollout(cube_geom, cube_inertia):
                     assert np.max(np.abs(rows[i] - st.as_vector())) < 1e-10, (preset, t, i)
                 else:
                     assert np.array_equal(rows[i], st.as_vector()), (preset, t, i)
+
+
+def anisotropic_box():
+    """A 10 x 7 x 5 cm box of 0.37 kg: its world inverse inertia changes with the pose."""
+    geom = ct.BoxGeometry([0.05, 0.035, 0.025])
+    a, b, c = geom.side_lengths ** 2
+    return geom, ct.InertialParams(0.37, 0.37 / 12.0 * np.diag([b + c, a + c, a + b]))
+
+
+@pytest.mark.parametrize("preset, solver_iters, body", [
+    ("cube-mujoco-style", None, "anisotropic box"),
+    ("cube-bullet-style", None, "anisotropic box"),
+    ("cube-bullet-style", 2, "cube"),
+])
+def test_public_api_replays_convex_and_pgs_paths(preset, solver_iters, body, cube_geom, cube_inertia):
+    """Bit for bit also where the rollout assembles per-step mass terms (an
+    anisotropic body) and where PGS stops at its cap (converged=False)."""
+    geom, inertia = anisotropic_box() if body == "anisotropic box" else (cube_geom, cube_inertia)
+    assert inertia.isotropic == (body == "cube")
+    cfg = ct.SimConfig(dt=DT, downsample=1, solver_iters=solver_iters)
+    params = ct.param_preset(preset)
+    n_steps = 370  # 0.25 s
+    impulses = []
+    for t, x0 in enumerate(random_toss_states(2, geom, seed=4) + sliding_toss_states(2, geom, seed=4)):
+        rows = ct.simulate(x0, params, inertia, geom, cfg, n_steps * DT).as_matrix()
+        states, contact_steps = _public_replay(x0, params, inertia, geom, cfg, n_steps, impulses)
+        assert contact_steps > 0, t
+        assert rows.tobytes() == np.array([st.as_vector() for st in states]).tobytes(), t
+    if solver_iters is not None:
+        assert 0 < sum(not imp.converged for imp in impulses) < len(impulses)
 
 
 def test_solver_selector_mismatch_raises(cube_geom, cube_inertia):
