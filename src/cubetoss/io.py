@@ -87,9 +87,10 @@ def load_trajectory(path) -> Trajectory:
 
     Rejects malformed rows, non-finite values and non-uniform timestamps,
     naming the offending row (its line in the file). Every row is parsed
-    before the values are checked for finiteness, in one pass over the array. Quaternions off unit norm by at most 1e-3
-    (measurement tolerance) are renormalized and the repair is logged; worse
-    deviations are rejected.
+    before the values are checked for finiteness, in one pass over the
+    array. Quaternions off unit norm by at most 1e-3 (measurement
+    tolerance) are renormalized and the repair is logged; worse deviations
+    are rejected.
     """
     path = Path(path)
     if not path.exists():

@@ -23,7 +23,8 @@ regularized_convex_impulse, once per contact step: that seam is deliberate,
 since it is where the solver layer can be timed (the benchmark's tracer
 wraps these names) and where the per-step API meets the loop. Stepping
 detect_contacts, build_contact_problem, the solver with per-corner warm
-starts, and step therefore reproduces a convex or PGS rollout bit for bit. The compliant rollout sums its wrench per corner, while
+starts, and step therefore reproduces a convex or PGS rollout bit for bit.
+The compliant rollout sums its wrench per corner, while
 hunt_crossley_impulse goes through J @ v and J.T @ lam, so its public
 replay agrees to rounding only.
 

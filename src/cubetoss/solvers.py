@@ -594,7 +594,7 @@ def rigid_pgs_impulse(
         for i in range(0, 3 * nc, 3):
             if lam_f[i] < 0.0:
                 lam_f[i] = 0.0
-        lam = np.array(lam_f)
+        lam = np.array(lam_f, dtype=float)  # an integer warm start must not truncate the iterates
     else:
         lam = np.zeros(3 * nc)
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)

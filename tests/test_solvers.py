@@ -271,6 +271,18 @@ def test_pgs_non_finite_problem_not_converged():
     assert not imp.converged
 
 
+def test_integer_warm_start_solves_like_its_float_copy():
+    """An integer warm start is read as floats: the iterates are not truncated."""
+    prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
+    for params in (ct.ContactParams(0.3, 1800.0, 27.0, "rigid_pgs"),
+                   ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex")):
+        solve = ct.rigid_pgs_impulse if params.model == "rigid_pgs" else ct.regularized_convex_impulse
+        got = solve(prob, params, warm_start=np.array([1, -1, 0]))
+        want = solve(prob, params, warm_start=np.array([1.0, -1.0, 0.0]))
+        assert got.flat().dtype == np.float64
+        assert np.array_equal(got.flat(), want.flat()) and got.iterations == want.iterations
+
+
 def test_pgs_baumgarte_pushes_out_of_penetration():
     prob, _, st = single_contact_problem(mass=0.37, s_minus=0.0, depth=2e-3)
     params = ct.ContactParams(0.0, 1800.0, 27.0, "rigid_pgs")
