@@ -59,10 +59,6 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
     return np.array(_matrix_rows(*q))
 
 
-def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return to_matrix(q) @ np.asarray(v, dtype=float)
-
-
 def integrate(q: np.ndarray, w_world: np.ndarray, dt: float) -> np.ndarray:
     """Advance q by the world-frame angular velocity over dt, renormalized."""
     dq = from_rotation_vector(dt * np.asarray(w_world, dtype=float))

@@ -106,8 +106,11 @@ def simulate(
     max_iters = cfg.solver_iters
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
-    # an isotropic body's mass terms do not depend on the state
-    const_mass_terms = _mass_terms(None, None, inertia, True, True) if inertia.isotropic else None
+    # an isotropic body's mass terms, and so its unconstrained acceleration, do not depend on the state
+    const_mass_terms = const_accel = None
+    if inertia.isotropic and model != "compliant":
+        const_mass_terms = _mass_terms(None, None, inertia, True, True)
+        const_accel = const_mass_terms[0] @ const_mass_terms[1]
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
     warm_corners = []
@@ -133,7 +136,7 @@ def simulate(
                 inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True, True)
                 problem = ContactProblem(
                     _table_jacobian(rho), inv_mass, np.array(v + w), dt, f_ext,
-                    np.array(depth), np.array(depth_rate),
+                    np.array(depth), np.array(depth_rate), const_accel,
                 )
                 if idx == warm_corners:
                     warm = warm_flat

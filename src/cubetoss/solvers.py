@@ -29,11 +29,16 @@ dissipation guarantee.
 
 The two iterative solvers keep in numpy only the products whose rounding
 belongs to BLAS or LAPACK (J M^-1 J^T, J v_free, J^T lambda, the PGS row
-dots, the QP's matrix-vector and restart products, eigvalsh). Everything
+dots, the QP's two matrix-vector products per iteration, eigvalsh, and the
+QP's restart dot when its sign is too close to call on floats). Everything
 elementwise runs on Python floats in the order numpy applied it: the PGS
 sweeps, bias and warm-start clamp, and the convex regularizer, reference
 velocity, pyramid projection and momentum updates. So results are
-bit-identical to all-numpy code. Each solver is one public function with
+bit-identical to all-numpy code. The QP also skips work whose result is
+already known: it reuses the convergence test's projection as the next
+iterate when the momentum point equals the iterate bit for bit, and it
+settles the restart sign on floats outside a proven error band (see
+_pyramid_qp and _dot_positive). Each solver is one public function with
 no second kernel beside it; rollouts call these functions, and every
 result keeps its flat impulse for the next step's warm start.
 """
@@ -106,7 +111,9 @@ class ContactProblem:
     inv_mass is the 6x6 inverse generalized mass at the current orientation,
     v the pre-step generalized velocity [v, w], f_ext the external
     generalized force (gravity and gyroscopic pseudo-force), and h the
-    timestep.
+    timestep. accel is the unconstrained generalized acceleration
+    inv_mass @ f_ext, computed on construction unless given; a rollout
+    whose mass terms do not change passes the one product it computed.
     """
 
     jacobian: np.ndarray
@@ -116,6 +123,11 @@ class ContactProblem:
     f_ext: np.ndarray
     depth: np.ndarray
     depth_rate: np.ndarray
+    accel: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.accel is None:
+            self.accel = self.inv_mass @ self.f_ext
 
     @property
     def num_contacts(self) -> int:
@@ -127,7 +139,7 @@ class ContactProblem:
 
     def v_free(self) -> np.ndarray:
         """Post-step generalized velocity if no contact impulse acted."""
-        return self.v + self.h * (self.inv_mass @ self.f_ext)
+        return self.v + self.h * self.accel
 
 
 def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool, include_gyroscopic: bool):
@@ -393,7 +405,7 @@ def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -
     h, d, k, b = problem.h, params.d_interp, params.k, params.b
     J = problem.jacobian
     s_minus = (J @ problem.v)[0::3].tolist()
-    accel = (J @ (problem.inv_mass @ problem.f_ext))[0::3].tolist()
+    accel = (J @ problem.accel)[0::3].tolist()
     carry = max(0.0, 1.0 - h * d * b)
     spring = h * d * k
     relax = 1.0 - d
@@ -403,56 +415,108 @@ def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -
     ]
 
 
+def _dot_positive(u: list, v: list) -> bool:
+    """Whether float(np.array(u) @ np.array(v)) > 0.0, settled on floats where the sign is certain.
+
+    u and v are Python float lists of one length n. The products are summed
+    in list order. In exact arithmetic the dot product S lies within
+    gamma_n * sum|u_i v_i| (gamma_n = n u / (1 - n u), u = 2**-53) of
+    any floating-point evaluation of it, in any summation order, with or
+    without fused multiply-adds; so both this float sum s and numpy's BLAS
+    dot lie within that distance of S, and within twice it of each other.
+    A sum beyond 2.25 n u times the float sum of |products| (which covers
+    2 gamma_n and the rounding of that sum) therefore has the sign the BLAS
+    dot would give. The absolute 1e-300 covers products that underflow,
+    whose error is absolute, not relative. Only a sum inside that band, a
+    non-finite one, or one whose magnitudes near overflow (sum above 1e300)
+    calls the BLAS dot, as the test did before. On the benchmark workloads
+    the band was never entered.
+    """
+    s = total = 0.0
+    for ui, vi in zip(u, v):
+        p = ui * vi
+        s += p
+        total += abs(p)
+    if 2.5e-16 * len(u) * total + 1e-300 < abs(s) and total < 1e300:
+        return s > 0.0
+    return float(np.array(u) @ np.array(v)) > 0.0
+
+
+def _same_floats(a: list, b: list) -> bool:
+    """Whether two float lists match bit for bit, signed zeros included; NaN never matches a new NaN."""
+    return a == b and (0.0 not in a or all(math.copysign(1.0, x) == math.copysign(1.0, z) for x, z in zip(a, b)))
+
+
 def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     """Accelerated projected gradient on min 1/2 l'Ql + c'l over the pyramid.
 
     Q is strongly convex (Delassus plus a positive diagonal regularizer) and
-    the projection is exact, so momentum with uphill restarts converges
-    linearly. Returns the iterate, the final projected-gradient infinity
-    norm, and the iteration count; a non-finite norm stops the iteration at
-    once, since NaN never meets the tolerance. c and the start lam0 are
-    Python float lists.
+    the projection is exact, so momentum with the gradient restart of
+    O'Donoghue and Candes (restart when (y - lam_new) . (lam_new - lam) > 0)
+    converges linearly. Returns the iterate as an array, the final
+    projected-gradient infinity norm, and the iteration count; a non-finite
+    norm stops the iteration at once, since NaN never meets the tolerance.
+    c and the start lam0 are Python float lists.
 
-    The iterates live twice, as Python float lists for the elementwise work
-    (gradient steps, projections, the projected gradient and its norm, the
-    momentum update) and as arrays for the products whose rounding order
-    belongs to BLAS and LAPACK: Q @ y, Q @ lam_new, the restart test's dot
-    product and eigvalsh. Each float operation is the one numpy would apply
-    elementwise, so the iterates are bit-identical to an all-numpy loop
-    while avoiding its per-call overhead on these short vectors.
+    The iterates are Python float lists. Each elementwise operation (gradient
+    steps, projections, the projected gradient and its norm, the momentum
+    update) is the one numpy would apply, so the iterates are bit-identical
+    to an all-numpy loop while avoiding its per-call overhead on these short
+    vectors. Numpy keeps what belongs to BLAS and LAPACK: eigvalsh for the
+    step size 1/L, the two matrix-vector products per iteration (Q.dot on
+    the list, the same dgemv as Q @ array), and the restart dot when
+    _dot_positive cannot settle its sign on floats.
+
+    Two shortcuts skip work whose result is already known, and change no
+    iterate, count or stopping decision:
+    * The convergence test projects a gradient step from lam_new. When the
+      next momentum point y equals lam_new bit for bit (beta == 0 on the
+      first momentum step and after every restart), that projection is
+      exactly the next iterate, so the next iteration skips its product
+      Q @ y, its step and a projection. Plain == would not do: -0.0 + 0.0 * d
+      gives +0.0, and a signed zero in y can reach the iterate through the
+      projection's copysign.
+    * The restart sign is settled on floats by _dot_positive, which calls
+      the BLAS dot only when the float sum lies within its error band of
+      zero (or is not finite).
     """
     eigs = np.linalg.eigvalsh(Q)
     L = float(eigs[-1])
     if L <= 0.0:
         return np.zeros(len(lam0)), 0.0, 0
-    lam_f = _pyramid_project_floats(lam0, mu)
-    lam = np.array(lam_f)
-    y_f, y = lam_f, lam
+    matvec = Q.dot
+    lam = y = _pyramid_project_floats(lam0, mu)
+    ahead = None  # the projected step from y, when y is the last iterate
     t = 1.0
     pg_norm = math.inf
     for it in range(1, max_iters + 1):
-        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c)]
-        new_f = _pyramid_project_floats(step, mu)
-        lam_new = np.array(new_f)
-        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c)]
+        if ahead is None:
+            step = [yi - (gi + ci) / L for yi, gi, ci in zip(y, matvec(y).tolist(), c)]
+            lam_new = _pyramid_project_floats(step, mu)
+        else:
+            lam_new = ahead
+        step = [li - (gi + ci) / L for li, gi, ci in zip(lam_new, matvec(lam_new).tolist(), c)]
+        ahead = _pyramid_project_floats(step, mu)
         pg_norm = 0.0
-        for li, pi in zip(new_f, _pyramid_project_floats(step, mu)):
+        for li, pi in zip(lam_new, ahead):
             e = abs(L * (li - pi))
             if not e <= pg_norm:  # larger, or NaN
                 pg_norm = e
                 if e != e:
                     break
         if pg_norm <= tol or not math.isfinite(pg_norm):
-            return lam_new, pg_norm, it
-        if float((y - lam_new) @ (lam_new - lam)) > 0.0:
+            return np.array(lam_new), pg_norm, it
+        diff = [li - lo for li, lo in zip(lam_new, lam)]
+        if _dot_positive([yi - li for yi, li in zip(y, lam_new)], diff):
             t = 1.0  # momentum points uphill, restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        y_f = [li + beta * (li - lo) for li, lo in zip(new_f, lam_f)]
-        y = np.array(y_f)
-        lam, lam_f = lam_new, new_f
+        y = [li + beta * di for li, di in zip(lam_new, diff)]
+        if not _same_floats(y, lam_new):
+            ahead = None
+        lam = lam_new
         t = t_new
-    return lam, pg_norm, max_iters
+    return np.array(lam), pg_norm, max_iters
 
 
 def regularized_convex_impulse(
@@ -476,10 +540,12 @@ def regularized_convex_impulse(
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    A = problem.delassus()
     d = params.d_interp
     ratio = (1.0 - d) / d
-    Q = A + np.diag([ratio * a for a in A.diagonal().tolist()])
+    # A + diag(ratio * diag(A)): adding 0.0 maps an off-diagonal -0.0 to +0.0 as that sum did
+    Q = problem.delassus() + 0.0
+    for i, a in enumerate(Q.diagonal().tolist()):
+        Q[i, i] = a + ratio * a
     c = (problem.jacobian @ problem.v_free()).tolist()
     for i, ref in enumerate(_convex_reference_velocity(problem, params)):
         c[3 * i] -= ref

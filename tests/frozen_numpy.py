@@ -11,6 +11,9 @@ warm-start, regularizer and reference-velocity glue moved to Python floats:
 QP and packaging helpers. They share the live, separately tested friction
 pyramid projection and erp/cfm mapping, and return results without a kept
 flat impulse, so ``flat()`` rebuilds it from normal and tangent.
+``pyramid_qp`` is also the oracle of the QP's shortcuts (the reused
+look-ahead projection, the float restart sign, ``Q.dot`` on lists): it runs
+the loop as it was before them, with arrays only at its boundary.
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """Bit identity of the float rollout helpers with the numpy code they replaced.
 
 The corner detector, the compliant law, the integrator, the fused loop and
-the elementwise glue of the PGS and convex solvers now run on Python floats. The numpy versions are frozen in ``frozen_numpy``
-as oracles: every helper must return the same values, sign bits and NaNs
+the elementwise glue of the PGS and convex solvers now run on Python floats,
+and the convex QP skips work whose result it already knows. The numpy
+versions are frozen in ``frozen_numpy`` as oracles: every helper must return the same values, sign bits and NaNs
 included, and every rollout the same trajectory and the same divergence.
 """
 import math
@@ -19,7 +20,16 @@ from cubetoss import quat
 from cubetoss.body import _integrate
 from cubetoss.geometry import _corner_contact_arrays, _table_jacobian
 from cubetoss.simulate import _wrench_impulse
-from cubetoss.solvers import ContactProblem, _compliant_force, _convex_reference_velocity, _mass_terms
+from cubetoss.solvers import (
+    DEFAULT_QP_TOL,
+    ContactProblem,
+    _compliant_force,
+    _convex_reference_velocity,
+    _dot_positive,
+    _mass_terms,
+    _pyramid_qp,
+    _same_floats,
+)
 from cubetoss.synthetic import random_toss_states, sliding_toss_states
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -363,6 +373,145 @@ def test_solver_clamps_match_numpy_ufuncs():
     x = np.array([-0.0, 0.0, math.nan, -1.0, 2.0, -math.inf, math.inf])
     assert same_bits([0.0 if t < 0.0 else t for t in x.tolist()], np.maximum(0.0, x))
     assert same_bits([0.0 if t >= 0.0 else t for t in x.tolist()], np.minimum(x, 0.0))
+
+
+# --- convex QP shortcuts ----------------------------------------------------
+# _pyramid_qp reuses the look-ahead projection when y equals the iterate bit
+# for bit, settles the restart sign on floats outside an error band, and takes
+# its matrix-vector products as Q.dot(list). fz.pyramid_qp is the loop before
+# those shortcuts (over arrays at its boundary, float lists inside).
+
+
+def run_qp(fn, Q, c, mu, lam0, max_iters, tol):
+    with np.errstate(all="ignore"):
+        try:
+            lam, residual, iters = fn(Q, c, mu, lam0, max_iters, tol)
+        except np.linalg.LinAlgError as err:
+            return "LinAlgError", str(err)
+    return np.asarray(lam, dtype=float), residual, iters
+
+
+def assert_qp_matches_oracle(Q, c, mu, lam0, max_iters, tol):
+    got = run_qp(_pyramid_qp, Q, list(c), mu, list(lam0), max_iters, tol)
+    want = run_qp(fz.pyramid_qp, Q, np.array(c, dtype=float), mu, np.array(lam0, dtype=float), max_iters, tol)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    assert same_bits(got[0], want[0])
+    assert same_bits([got[1]], [want[1]])
+    assert got[2] == want[2]
+
+
+@st.composite
+def qp_cases(draw):
+    """A pyramid QP of 1-8 contacts, scaled so that restart dots can underflow or overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = draw(st.integers(1, 8))
+    n = 3 * nc
+    kind = draw(st.sampled_from(["delassus", "random", "diagonal", "not positive"]))
+    if kind == "delassus":  # a table contact problem with the convex regularizer
+        rho = mixed(draw, rng, n, -0.06, 0.06).reshape(3, nc)
+        A = _table_jacobian(rho) @ _mass_terms(None, None, ct.cube_inertial(), True, True)[0] @ _table_jacobian(rho).T
+        Q = A + np.diag(rng.uniform(0.01, 1.0) * A.diagonal())
+    elif kind == "random":
+        M = rng.standard_normal((n, n))
+        Q = M @ M.T + rng.uniform(1e-3, 1.0) * np.eye(n)
+    elif kind == "diagonal":  # exact small integers: gradients that vanish exactly keep signed zeros alive
+        Q = np.diag(rng.integers(1, 6, n).astype(float))
+    else:
+        Q = draw(st.sampled_from([np.zeros((n, n)), -np.eye(n)]))
+    scale = 10.0 ** draw(st.sampled_from([0, -170, 160]))
+    c = (scale * mixed(draw, rng, n, -3.0, 1.0, (0.0, -0.0), log=True)).tolist()
+    lam0 = (scale * mixed(draw, rng, n, -3.0, 1.0, (0.0, -0.0, math.nan, math.inf), log=True)).tolist()
+    mu = draw(st.sampled_from([0.0, 0.5, rng.uniform(0.0, 1.5)]))
+    max_iters = draw(st.sampled_from([1, 2, 3, rng.integers(4, 40)]))
+    tol = draw(st.sampled_from([DEFAULT_QP_TOL, 0.0, -1.0]))  # 0 and -1 run past the point of convergence
+    return Q, c, mu, lam0, int(max_iters), tol
+
+
+@PROPERTY_SETTINGS
+@given(qp_cases())
+def test_pyramid_qp_matches_frozen_oracle(case):
+    assert_qp_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_pyramid_qp_refuses_reuse_across_a_signed_zero(mu, max_iters):
+    """With mu > 0, after the first momentum step the iterate's tangents are
+    -0.0 and y's are +0.0 (-0.0 + 0.0 * 0.0). Their gradients vanish exactly,
+    so the next iterate takes y's signs; reusing the look-ahead projection
+    would keep -0.0. With mu = 0 the projection zeroes the tangents to +0.0."""
+    Q = np.diag([1.0, 5.0, 1.0])  # L = 5: the normal converges over several iterations
+    c, lam0 = [-1.0, 0.0, 0.0], [0.0, -0.0, -0.0]
+    assert_qp_matches_oracle(Q, c, mu, lam0, max_iters, DEFAULT_QP_TOL)
+    lam, _, _ = _pyramid_qp(Q, c, mu, lam0, max_iters, DEFAULT_QP_TOL)
+    assert np.signbit(lam[1:]).tolist() == [max_iters == 1 and mu > 0.0] * 2
+
+
+def test_pyramid_qp_without_positive_curvature_returns_zeros():
+    for Q in (np.zeros((3, 3)), -np.eye(6)):
+        n = len(Q)
+        assert_qp_matches_oracle(Q, [1.0] * n, 0.5, [0.1] * n, 10, DEFAULT_QP_TOL)
+        lam, residual, iters = _pyramid_qp(Q, [1.0] * n, 0.5, [0.1] * n, 10, DEFAULT_QP_TOL)
+        assert lam.tolist() == [0.0] * n and residual == 0.0 and iters == 0
+
+
+def blas_dot_positive(u, v):
+    return float(np.array(u) @ np.array(v)) > 0.0
+
+
+def test_restart_sign_matches_blas_dot():
+    """Dots that are exactly 0, tiny, subnormal, NaN or infinite, or cancel to
+    within a few ulps, get the decision of the BLAS dot."""
+    tiny = 5e-324
+    cases = [
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+        ([-0.0, 1.0, 0.0], [1.0, 0.0, -0.0]),
+        ([1.0, -1.0, 0.0], [1.0, 1.0, 0.0]),
+        ([1e-170, 1e-170, 0.0], [1e-170, -1e-171, 1.0]),
+        ([tiny, tiny, tiny], [1.0, 1.0, -1.0]),
+        ([3e-162, 0.0, 0.0], [2e-162, 0.0, 0.0]),
+        ([1e-300, 2e-300, 0.0], [1e-10, -1e-10, 0.0]),
+        ([math.nan, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ([math.inf, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        ([math.inf, -math.inf, 1.0], [1.0, 1.0, 1.0]),
+        ([1e200, 1e200, 0.0], [1e200, -1e200, 0.0]),
+        ([1e300, -1e300, 1.0], [1e10, 1e10, 1.0]),
+        ([1.0 + 2.0**-30, -(1.0 + 2.0**-29), 0.0], [1.0 + 2.0**-30, 1.0, 0.0]),
+    ]
+    rng = np.random.default_rng(7)
+    for n in (3, 6, 12, 24):
+        for _ in range(2000):
+            u = rng.standard_normal(n)
+            v = rng.standard_normal(n)
+            v[-1] = -(u[:-1] @ v[:-1]) / u[-1]  # cancels to within rounding
+            cases.append((u.tolist(), v.tolist()))
+    with np.errstate(all="ignore"):
+        for u, v in cases:
+            assert _dot_positive(u, v) == blas_dot_positive(u, v), (u, v)
+
+
+def test_same_floats_tells_signed_zeros_and_nan_apart():
+    assert _same_floats([0.0, 1.0, -2.0], [0.0, 1.0, -2.0])
+    assert not _same_floats([0.0, 1.0], [-0.0, 1.0])
+    assert not _same_floats([-0.0, 1.0], [0.0, 1.0])
+    assert _same_floats([-0.0, 1.0], [-0.0, 1.0])
+    assert not _same_floats([math.nan], [float("nan")])
+    assert not _same_floats([1.0, 2.0], [1.0, 3.0])
+
+
+@pytest.mark.parametrize("nc", range(1, 9))
+def test_matvec_on_list_matches_matmul_on_array(nc):
+    """The QP's Q.dot(list) runs the dgemv of Q @ np.array(list), bit for bit."""
+    rng = np.random.default_rng(nc)
+    for _ in range(200):
+        rho = rng.uniform(-0.06, 0.06, (3, nc))
+        J = _table_jacobian(rho)
+        Q = J @ _mass_terms(None, None, ct.cube_inertial(), True, True)[0] @ J.T
+        Q = Q + np.diag(0.1 * Q.diagonal())
+        y = (rng.standard_normal(3 * nc) * 10.0 ** rng.uniform(-6, 2)).tolist()
+        assert same_bits(Q.dot(y), Q @ np.array(y))
 
 
 # --- rollouts ----------------------------------------------------------------

@@ -15,9 +15,14 @@ rollout at the full 1480 Hz rate:
 
 * ``tumbling``: 0.5 s from ``random_toss_states``;
 * ``sliding``: 0.25 s from ``sliding_toss_states``;
-* ``long``: 10 s from the first 8 tumbling tosses, ``cube-drake`` only.
+* ``long``: 10 s from the first 8 tumbling tosses, ``cube-drake`` only;
+* ``box-tumbling`` and ``box-sliding``: the same two kinds of toss of the
+  10 x 7 x 5 cm anisotropic box of the replay tests, whose mass terms the
+  rollout assembles at every contact step, under the convex and PGS
+  presets only.
 
-The parameter sets are the three presets, the Bullet-style preset at
+The cube pools print first, so adding a pool leaves the earlier lines as
+they were. The parameter sets are the three presets, the Bullet-style preset at
 (mu, k) = (0.05, 300) and (0.9, 3e4), and the benchmark's compliant truth
 (mu 0.18, k 10800, b 0.4). Uses only the standard library, numpy and
 cubetoss.
@@ -29,12 +34,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import cubetoss as ct
 from cubetoss.synthetic import random_toss_states, sliding_toss_states
 
 POOL_SEED = 2110
 POOL_SIZE = 48
 LONG_TOSSES = 8
+ITERATIVE_PRESETS = ("cube-mujoco-style", "cube-bullet-style")
 
 
 def parameter_sets() -> dict:
@@ -49,22 +57,34 @@ def parameter_sets() -> dict:
     }
 
 
+def anisotropic_box() -> tuple:
+    """(geometry, inertia) of a 10 x 7 x 5 cm box of 0.37 kg."""
+    geom = ct.BoxGeometry([0.05, 0.035, 0.025])
+    a, b, c = geom.side_lengths ** 2
+    return geom, ct.InertialParams(0.37, 0.37 / 12.0 * np.diag([b + c, a + c, a + b]))
+
+
 def pools() -> dict:
-    """Pool name -> (tosses, duration in seconds, parameter sets it runs, or None for all)."""
-    geom = ct.cube_geometry()
-    tumbling = random_toss_states(POOL_SIZE, geom, seed=POOL_SEED)
+    """Pool name -> (tosses, duration in seconds, parameter sets it runs or None for all, (geometry, inertia))."""
+    cube = (ct.cube_geometry(), ct.cube_inertial())
+    tumbling = random_toss_states(POOL_SIZE, cube[0], seed=POOL_SEED)
+    box = anisotropic_box()
     return {
-        "tumbling": (tumbling, 0.5, None),
-        "sliding": (sliding_toss_states(POOL_SIZE, geom, seed=POOL_SEED), 0.25, None),
-        "long": (tumbling[:LONG_TOSSES], 10.0, ("cube-drake",)),
+        "tumbling": (tumbling, 0.5, None, cube),
+        "sliding": (sliding_toss_states(POOL_SIZE, cube[0], seed=POOL_SEED), 0.25, None, cube),
+        "long": (tumbling[:LONG_TOSSES], 10.0, ("cube-drake",), cube),
+        "box-tumbling": (random_toss_states(POOL_SIZE, box[0], seed=POOL_SEED), 0.5, ITERATIVE_PRESETS, box),
+        "box-sliding": (sliding_toss_states(POOL_SIZE, box[0], seed=POOL_SEED), 0.25, ITERATIVE_PRESETS, box),
     }
 
 
-def rollout_digests(params: ct.ContactParams, x0: ct.RigidState, duration: float, tmp_dir: Path) -> tuple:
-    """(matrix digest, CSV digest) of one full-rate rollout."""
+def rollout_digests(params: ct.ContactParams, x0: ct.RigidState, duration: float, body: tuple,
+                    tmp_dir: Path) -> tuple:
+    """(matrix digest, CSV digest) of one full-rate rollout of body, a (geometry, inertia) pair."""
+    geom, inertia = body
     cfg = ct.SimConfig(downsample=1)
     try:
-        traj = ct.simulate(x0, params, ct.cube_inertial(), ct.cube_geometry(), cfg, duration)
+        traj = ct.simulate(x0, params, inertia, geom, cfg, duration)
     except ct.SimulationDivergence as err:
         digest = hashlib.sha256(str(err).encode()).hexdigest()
         return digest, digest
@@ -82,12 +102,12 @@ def digest_lines(param_names, pool_names, tosses=None):
     all_pools = pools()
     with tempfile.TemporaryDirectory() as tmp:
         for pool_name in pool_names:
-            states, duration, only = all_pools[pool_name]
+            states, duration, only, body = all_pools[pool_name]
             for name in param_names:
                 if only is not None and name not in only:
                     continue
                 for i, x0 in enumerate(states[:tosses]):
-                    mat, csv = rollout_digests(sets[name], x0, duration, Path(tmp))
+                    mat, csv = rollout_digests(sets[name], x0, duration, body, Path(tmp))
                     yield f"{name} {pool_name} {i} {mat} {csv}"
 
 
