@@ -38,7 +38,7 @@ bit-identical to all-numpy code. The QP also skips work whose result is
 already known: it reuses the convergence test's projection as the next
 iterate when the momentum point equals the iterate bit for bit, and it
 settles the restart sign on floats outside a proven error band (see
-_pyramid_qp and _dot_positive). Each solver is one public function with
+_pyramid_qp and _uphill). Each solver is one public function with
 no second kernel beside it; rollouts call these functions, and every
 result keeps its flat impulse for the next step's warm start.
 """
@@ -415,31 +415,33 @@ def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -
     ]
 
 
-def _dot_positive(u: list, v: list) -> bool:
-    """Whether float(np.array(u) @ np.array(v)) > 0.0, settled on floats where the sign is certain.
+def _uphill(y: list, lam_new: list, diff: list) -> bool:
+    """The APG restart test float((np.array(y) - np.array(lam_new)) @ np.array(diff)) > 0.0.
 
-    u and v are Python float lists of one length n. The products are summed
-    in list order. In exact arithmetic the dot product S lies within
-    gamma_n * sum|u_i v_i| (gamma_n = n u / (1 - n u), u = 2**-53) of
-    any floating-point evaluation of it, in any summation order, with or
-    without fused multiply-adds; so both this float sum s and numpy's BLAS
-    dot lie within that distance of S, and within twice it of each other.
-    A sum beyond 2.25 n u times the float sum of |products| (which covers
-    2 gamma_n and the rounding of that sum) therefore has the sign the BLAS
-    dot would give. The absolute 1e-300 covers products that underflow,
-    whose error is absolute, not relative. Only a sum inside that band, a
-    non-finite one, or one whose magnitudes near overflow (sum above 1e300)
-    calls the BLAS dot, as the test did before. On evaluate-convex (seeds
-    41-43) none of 107,095 restart tests entered the band.
+    y, lam_new and diff are Python float lists of one length n, and the
+    elementwise differences u_i = y_i - lam_new_i are the ones numpy would
+    form. The products u_i * diff_i are summed in list order. In exact
+    arithmetic the dot product S lies within gamma_n * sum|u_i diff_i|
+    (gamma_n = n u / (1 - n u), u = 2**-53) of any floating-point evaluation
+    of it, in any summation order, with or without fused multiply-adds; so
+    both this float sum s and numpy's BLAS dot lie within that distance of
+    S, and within twice it of each other. A sum beyond 2.25 n u times the
+    float sum of |products| (which covers 2 gamma_n and the rounding of that
+    sum) therefore has the sign the BLAS dot would give. The absolute 1e-300
+    covers products that underflow, whose error is absolute, not relative.
+    Only a sum inside that band, a non-finite one, or one whose magnitudes
+    near overflow (sum above 1e300) calls the BLAS dot, as the test did
+    before. On evaluate-convex (seeds 41-43) none of 107,095 restart tests
+    entered the band.
     """
     s = total = 0.0
-    for ui, vi in zip(u, v):
-        p = ui * vi
+    for yi, li, di in zip(y, lam_new, diff):
+        p = (yi - li) * di
         s += p
         total += abs(p)
-    if 2.5e-16 * len(u) * total + 1e-300 < abs(s) and total < 1e300:
+    if 2.5e-16 * len(diff) * total + 1e-300 < abs(s) and total < 1e300:
         return s > 0.0
-    return float(np.array(u) @ np.array(v)) > 0.0
+    return float(np.array([yi - li for yi, li in zip(y, lam_new)]) @ np.array(diff)) > 0.0
 
 
 def _same_floats(a: list, b: list) -> bool:
@@ -465,7 +467,7 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     vectors. Numpy keeps what belongs to BLAS and LAPACK: eigvalsh for the
     step size 1/L, the two matrix-vector products per iteration (Q.dot on
     the list, the same dgemv as Q @ array), and the restart dot when
-    _dot_positive cannot settle its sign on floats.
+    _uphill cannot settle its sign on floats.
 
     Two shortcuts skip work whose result is already known, and change no
     iterate, count or stopping decision:
@@ -476,9 +478,9 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
       Q @ y, its step and a projection. Plain == would not do: -0.0 + 0.0 * d
       gives +0.0, and a signed zero in y can reach the iterate through the
       projection's copysign.
-    * The restart sign is settled on floats by _dot_positive, which calls
-      the BLAS dot only when the float sum lies within its error band of
-      zero (or is not finite).
+    * The restart sign is settled on floats by _uphill, which calls the BLAS
+      dot only when the float sum lies within its error band of zero (or is
+      not finite).
     """
     eigs = np.linalg.eigvalsh(Q)
     L = float(eigs[-1])
@@ -507,12 +509,12 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
         if pg_norm <= tol or not math.isfinite(pg_norm):
             return np.array(lam_new), pg_norm, it
         diff = [li - lo for li, lo in zip(lam_new, lam)]
-        if _dot_positive([yi - li for yi, li in zip(y, lam_new)], diff):
+        if _uphill(y, lam_new, diff):
             t = 1.0  # momentum points uphill, restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         y = [li + beta * di for li, di in zip(lam_new, diff)]
-        if not _same_floats(y, lam_new):
+        if y != lam_new or not _same_floats(y, lam_new):  # != first spares the call on most iterations
             ahead = None
         lam = lam_new
         t = t_new

@@ -25,10 +25,10 @@ from cubetoss.solvers import (
     ContactProblem,
     _compliant_force,
     _convex_reference_velocity,
-    _dot_positive,
     _mass_terms,
     _pyramid_qp,
     _same_floats,
+    _uphill,
 )
 from cubetoss.synthetic import random_toss_states, sliding_toss_states
 
@@ -457,15 +457,15 @@ def test_pyramid_qp_without_positive_curvature_returns_zeros():
         assert lam.tolist() == [0.0] * n and residual == 0.0 and iters == 0
 
 
-def blas_dot_positive(u, v):
-    return float(np.array(u) @ np.array(v)) > 0.0
+def blas_uphill(y, lam_new, diff):
+    return float((np.array(y) - np.array(lam_new)) @ np.array(diff)) > 0.0
 
 
 def test_restart_sign_matches_blas_dot():
-    """Dots that are exactly 0, tiny, subnormal, NaN or infinite, or cancel to
-    within a few ulps, get the decision of the BLAS dot."""
+    """Restart dots that are exactly 0, tiny, subnormal, NaN or infinite, or
+    cancel to within a few ulps, get the decision of the BLAS dot."""
     tiny = 5e-324
-    cases = [
+    cases = [  # (y - lam_new, diff), with lam_new = 0
         ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
         ([-0.0, 1.0, 0.0], [1.0, 0.0, -0.0]),
         ([1.0, -1.0, 0.0], [1.0, 1.0, 0.0]),
@@ -480,16 +480,20 @@ def test_restart_sign_matches_blas_dot():
         ([1e300, -1e300, 1.0], [1e10, 1e10, 1.0]),
         ([1.0 + 2.0**-30, -(1.0 + 2.0**-29), 0.0], [1.0 + 2.0**-30, 1.0, 0.0]),
     ]
+    cases = [(y, [0.0] * len(y), diff) for y, diff in cases]
+    cases.append(([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, -1.0, 2.0]))  # y == lam_new: a zero dot
     rng = np.random.default_rng(7)
     for n in (3, 6, 12, 24):
         for _ in range(2000):
-            u = rng.standard_normal(n)
-            v = rng.standard_normal(n)
-            v[-1] = -(u[:-1] @ v[:-1]) / u[-1]  # cancels to within rounding
-            cases.append((u.tolist(), v.tolist()))
+            y = rng.standard_normal(n)
+            lam_new = rng.standard_normal(n) * rng.choice([0.0, 1e-3, 1.0])
+            u = y - lam_new
+            diff = rng.standard_normal(n)
+            diff[-1] = -(u[:-1] @ diff[:-1]) / u[-1]  # cancels to within rounding
+            cases.append((y.tolist(), lam_new.tolist(), diff.tolist()))
     with np.errstate(all="ignore"):
-        for u, v in cases:
-            assert _dot_positive(u, v) == blas_dot_positive(u, v), (u, v)
+        for y, lam_new, diff in cases:
+            assert _uphill(y, lam_new, diff) == blas_uphill(y, lam_new, diff), (y, lam_new, diff)
 
 
 def test_same_floats_tells_signed_zeros_and_nan_apart():
