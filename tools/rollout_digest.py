@@ -21,8 +21,8 @@ rollout at the full 1480 Hz rate:
   rollout assembles at every contact step, under the convex and PGS
   presets only.
 
-The cube pools print first, so adding a pool leaves the earlier lines as
-they were. The parameter sets are the three presets, the Bullet-style preset at
+The cube pools print first, so the box pools left the earlier lines as they
+were. The parameter sets are the three presets, the Bullet-style preset at
 (mu, k) = (0.05, 300) and (0.9, 3e4), and the benchmark's compliant truth
 (mu 0.18, k 10800, b 0.4). Uses only the standard library, numpy and
 cubetoss.
@@ -73,7 +73,7 @@ def pools() -> dict:
         "tumbling": (tumbling, 0.5, None, cube),
         "sliding": (sliding_toss_states(POOL_SIZE, cube[0], seed=POOL_SEED), 0.25, None, cube),
         "long": (tumbling[:LONG_TOSSES], 10.0, ("cube-drake",), cube),
-        "box-tumbling": (random_toss_states(POOL_SIZE, box[0], seed=POOL_SEED), 0.5, ITERATIVE_PRESETS, box),
+        "box-tumbling": (tumbling, 0.5, ITERATIVE_PRESETS, box),  # random_toss_states ignores the geometry
         "box-sliding": (sliding_toss_states(POOL_SIZE, box[0], seed=POOL_SEED), 0.25, ITERATIVE_PRESETS, box),
     }
 
