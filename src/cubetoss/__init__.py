@@ -7,7 +7,7 @@ search with sensitivity sweeps.
 """
 from ._version import __version__
 from .body import InertialParams, RigidState, SimConfig, kinetic_energy, step
-from .geometry import BoxGeometry, ContactPoint, contact_jacobian, detect_contacts
+from .geometry import BoxGeometry, ContactPoint, detect_contacts
 from .identify import AxisSpec, OptimizeResult, ParamDomain, SweepGrid, optimize, sweep
 from .io import ResultsDocument, TrajectoryFileError, import_cube_dataset, load_trajectory, save_trajectory
 from .metrics import (
@@ -38,7 +38,6 @@ from .solvers import (
     ContactProblem,
     ConvexSolverError,
     build_contact_problem,
-    cone_audit,
     hunt_crossley_impulse,
     regularized_convex_impulse,
     rigid_pgs_impulse,
@@ -73,8 +72,6 @@ __all__ = [
     "TrajectoryFileError",
     "build_contact_problem",
     "cassie_state_weights",
-    "cone_audit",
-    "contact_jacobian",
     "cube_config_error",
     "cube_domain",
     "cube_geometry",

@@ -52,13 +52,13 @@ class RigidState:
             raise ValueError(f"quat must have 4 components, got shape {q.shape}")
         self.quat = q
 
-    def require_valid(self, quat_tol: float = 1e-9) -> None:
+    def require_valid(self) -> None:
         for name in ("pos", "quat", "vel", "ang_vel"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite component in state field '{name}'")
         n = float(np.sqrt(self.quat @ self.quat))
-        if abs(n - 1.0) > quat_tol:
-            raise ValueError(f"quaternion norm {n} deviates from 1 by more than {quat_tol}")
+        if abs(n - 1.0) > 1e-9:
+            raise ValueError(f"quaternion norm {n} deviates from 1 by more than 1e-9")
 
     def copy(self) -> "RigidState":
         return RigidState(self.pos.copy(), self.quat.copy(), self.vel.copy(), self.ang_vel.copy())
@@ -66,18 +66,6 @@ class RigidState:
     def as_vector(self) -> np.ndarray:
         """13-vector [pos, quat, vel, ang_vel]."""
         return np.concatenate([self.pos, self.quat, self.vel, self.ang_vel])
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "RigidState":
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (13,):
-            raise ValueError(f"state vector must have 13 components, got {x.shape}")
-        return cls(x[0:3], x[3:7], x[7:10], x[10:13])
-
-    @classmethod
-    def at_rest(cls, pos, orientation=None) -> "RigidState":
-        q = quat.IDENTITY.copy() if orientation is None else np.asarray(orientation, dtype=float)
-        return cls(pos, q, np.zeros(3), np.zeros(3))
 
 
 @dataclass

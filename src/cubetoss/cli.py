@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import math
@@ -82,7 +83,12 @@ def _parse_params_file(path: str) -> dict:
         val = val.strip()
         if key not in PARAMS_FILE_KEYS:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}, expected one of {PARAMS_FILE_KEYS}")
-        values[key] = val if key == "model" else float(val)
+        if key != "model":
+            try:
+                val = float(val)
+            except ValueError:
+                raise CliError(f"{path}: line {lineno}: {key} must be a number, got {val!r}") from None
+        values[key] = val
     return values
 
 
@@ -144,10 +150,15 @@ def _workers(args) -> int:
     return n
 
 
-def _executor(n: int):
+@contextlib.contextmanager
+def _executor(args):
+    """The rollout process pool for --workers or CUBETOSS_WORKERS, or None for one worker; shut down on exit."""
+    n = _workers(args)
     if n <= 1:
-        return None
-    return concurrent.futures.ProcessPoolExecutor(max_workers=n)
+        yield None
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n) as ex:
+        yield ex
 
 
 def _params_dict(params: ContactParams) -> dict:
@@ -211,12 +222,8 @@ def _cmd_evaluate(args) -> int:
     params = _resolve_params(args)
     cfg = _sim_config(args, params.model)
     trajs = _load_dataset(args.dataset)
-    ex = _executor(_workers(args))
-    try:
+    with _executor(args) as ex:
         reports = rollout_reports(trajs, params, cube_inertial(), cube_geometry(), cfg, executor=ex)
-    finally:
-        if ex:
-            ex.shutdown()
     per_traj = []
     scored = []
     for i, (rep, div) in enumerate(reports):
@@ -268,21 +275,16 @@ def _cmd_identify(args) -> int:
         train = [trajs[i] for i in order[: args.train]]
         holdout = [trajs[i] for i in order[args.train :]]
 
-    ex = _executor(_workers(args))
+    with _executor(args) as ex:
+        def loss_fn(values: dict) -> float:
+            params = ContactParams(values["mu"], values["k"], values["b"], args.model)
+            return dataset_loss(train, params, inertia, geom, cfg, executor=ex)
 
-    def loss_fn(values: dict) -> float:
-        params = ContactParams(values["mu"], values["k"], values["b"], args.model)
-        return dataset_loss(train, params, inertia, geom, cfg, executor=ex)
-
-    try:
         result = optimize(loss_fn, domain, budget=args.budget, seed=args.seed)
         best = ContactParams(result.params["mu"], result.params["k"], result.params["b"], args.model)
         holdout_loss = (
             dataset_loss(holdout, best, inertia, geom, cfg, executor=ex) if holdout else None
         )
-    finally:
-        if ex:
-            ex.shutdown()
 
     results = {
         "params": _params_dict(best),
@@ -336,13 +338,9 @@ def _cmd_sweep(args) -> int:
         else:
             values = spec.grid(args.grid)
         axes.append((name, values))
-    ex = _executor(_workers(args))
-    try:
+    with _executor(args) as ex:
         grid = sweep(params, axes, trajs, cube_inertial(), cube_geometry(), cfg,
                      log_axes=log_axes, executor=ex)
-    finally:
-        if ex:
-            ex.shutdown()
     csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
     grid.to_csv(csv_path)
     doc = ResultsDocument(

@@ -201,14 +201,3 @@ def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
     nc = rho.shape[1]
     blocks = _table_jacobian(rho.tolist()).reshape(nc, 3, 6)
     return (frames @ TABLE_FRAME.T @ blocks).reshape(3 * nc, 6)
-
-
-def contact_jacobian(state: RigidState, cp: ContactPoint) -> np.ndarray:
-    """3x6 map from body twist [v, w] to contact-frame velocity [normal, t1, t2].
-
-    Row e of the map is [e, rho x e] with rho the arm from the COM to the
-    witness point, so the normal row of J @ twist equals minus depth_rate.
-    """
-    rho = (cp.point - state.pos)[:, None]
-    frame = np.stack([cp.normal, cp.tangent1, cp.tangent2])
-    return _frame_jacobian(rho, frame[None])

@@ -18,9 +18,13 @@ import numpy as np
 
 from .body import InertialParams, SimConfig
 from .geometry import BoxGeometry
-from .metrics import DIVERGENCE_PENALTY, rollout_reports
+from .metrics import _penalized_mean, rollout_reports
 from .solvers import ContactParams
 from .trajectory import Trajectory
+
+# rand/1/bin: the differential weight F and the binomial recombination rate CR
+MUTATION = 0.7
+CROSSOVER = 0.9
 
 
 @dataclass
@@ -109,11 +113,10 @@ def optimize(
     budget: int = 2000,
     seed: int = 0,
     population: int = 16,
-    mutation: float = 0.7,
-    crossover: float = 0.9,
 ) -> OptimizeResult:
     """Minimize loss_fn over the domain with rand/1/bin differential evolution.
 
+    The differential weight is MUTATION and the recombination rate CROSSOVER.
     Proposals outside the box are clipped to the bounds before evaluation.
     Ties on the best loss go to the earliest evaluation, so results do not
     depend on how candidate evaluations are scheduled. A budget below the
@@ -146,11 +149,11 @@ def optimize(
             if pop_n >= 4:
                 choices = [j for j in range(pop_n) if j != i]
                 r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-                trial = pop[r1] + mutation * (pop[r2] - pop[r3])
+                trial = pop[r1] + MUTATION * (pop[r2] - pop[r3])
             else:
                 # too few members for rand/1, fall back to uniform resampling
                 trial = rng.uniform(lo, hi, size=dim)
-            cross = rng.random(dim) <= crossover
+            cross = rng.random(dim) <= CROSSOVER
             cross[rng.integers(dim)] = True
             trial = np.where(cross, trial, pop[i])
             trial = np.clip(trial, lo, hi)
@@ -178,7 +181,7 @@ class SweepGrid:
 
     losses is shaped (len(values[0]), ...) following the axis order;
     diverged flags grid points where at least one rollout was replaced by
-    the penalty value.
+    DIVERGENCE_PENALTY.
     """
 
     axis_names: tuple[str, ...]
@@ -232,8 +235,6 @@ def sweep(
     inertia: InertialParams,
     geom: BoxGeometry,
     cfg: Optional[SimConfig] = None,
-    side: Optional[float] = None,
-    penalty: float = DIVERGENCE_PENALTY,
     log_axes: Sequence[str] = (),
     executor: Optional[concurrent.futures.Executor] = None,
 ) -> SweepGrid:
@@ -261,9 +262,8 @@ def sweep(
     for idx in itertools.product(*(range(n) for n in shape)):
         point = {names[d]: float(values[d][i]) for d, i in enumerate(idx)}
         params = replace(baseline, **point)
-        reports = rollout_reports(truths, params, inertia, geom, cfg, side=side, executor=executor)
-        vals = [penalty if rep is None else rep.config_error for rep, _ in reports]
-        losses[idx] = float(np.mean(vals))
+        reports = rollout_reports(truths, params, inertia, geom, cfg, executor)
+        losses[idx] = _penalized_mean(reports)
         diverged[idx] = any(div for _, div in reports)
     return SweepGrid(
         axis_names=names,

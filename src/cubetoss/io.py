@@ -12,6 +12,7 @@ nothing except quaternion normalization (which it logs).
 """
 from __future__ import annotations
 
+import ast
 import json
 import locale
 import logging
@@ -72,13 +73,15 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def _parse_meta(value: str):
+    """A header value written as repr(): a float if it reads as one, else a Python literal, else the raw text."""
     value = value.strip()
-    if value.startswith("'") and value.endswith("'") and len(value) >= 2:
-        return value[1:-1]
     try:
-        f = float(value)
-        return f
+        return float(value)
     except ValueError:
+        pass
+    try:
+        return ast.literal_eval(value)
+    except (ValueError, SyntaxError):
         return value
 
 

@@ -64,8 +64,6 @@ class ErrorReport:
     config_error: float
     position_error_frac: float
     rotation_error_deg: float
-    position_error_series: np.ndarray
-    rotation_error_series: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -98,8 +96,6 @@ def cube_config_error(truth: Trajectory, sim: Trajectory, side: Optional[float] 
         config_error=e,
         position_error_frac=float(np.mean(dists)) / side,
         rotation_error_deg=float(np.degrees(np.mean(angles))),
-        position_error_series=dists,
-        rotation_error_series=angles,
     )
 
 
@@ -171,17 +167,15 @@ def weighted_dataset_loss(refs: Sequence, tests: Sequence, weights) -> float:
 
 
 def _rollout_report(args):
-    truth, x0, params, inertia, geom, cfg, side = args
+    truth, params, inertia, geom, cfg, side = args
     try:
-        sim = simulate(x0, params, inertia, geom, cfg, truth.duration)
+        sim = simulate(truth.initial_state, params, inertia, geom, cfg, truth.duration)
         return cube_config_error(truth, sim, side), False
     except SimulationDivergence:
         return None, True
 
 
-def _resolve_side(truths: Sequence[Trajectory], geom: BoxGeometry, side: Optional[float]) -> float:
-    if side is not None:
-        return float(side)
+def _resolve_side(truths: Sequence[Trajectory], geom: BoxGeometry) -> float:
     for t in truths:
         if "side_m" in t.meta:
             return float(t.meta["side_m"])
@@ -194,8 +188,6 @@ def rollout_reports(
     inertia: InertialParams,
     geom: BoxGeometry,
     cfg: Optional[SimConfig] = None,
-    x0s: Optional[Sequence] = None,
-    side: Optional[float] = None,
     executor: Optional[concurrent.futures.Executor] = None,
 ) -> list[tuple[Optional[ErrorReport], bool]]:
     """Simulate every trajectory from its initial state and score it.
@@ -203,23 +195,27 @@ def rollout_reports(
     Rollouts are independent; when an executor is supplied they run
     concurrently, but results are always reduced in dataset order so the
     outcome does not depend on the worker count. Diverged rollouts yield
-    (None, True) instead of aborting the whole dataset.
+    (None, True) instead of aborting the whole dataset. The cube side comes
+    from the first trajectory whose meta carries side_m, else from geom.
     """
     if len(truths) == 0:
         raise ValueError("dataset is empty")
     cfg = cfg or SimConfig()
-    side = _resolve_side(truths, geom, side)
+    side = _resolve_side(truths, geom)
     for t in truths:
         if abs(t.rate_hz - cfg.output_rate_hz) > 1e-6 * t.rate_hz:
             raise ValueError(
                 f"trajectory rate {t.rate_hz} Hz does not match simulator output rate {cfg.output_rate_hz} Hz"
             )
-    if x0s is None:
-        x0s = [t.initial_state for t in truths]
-    jobs = [(t, x0, params, inertia, geom, cfg, side) for t, x0 in zip(truths, x0s)]
+    jobs = [(t, params, inertia, geom, cfg, side) for t in truths]
     if executor is None:
         return [_rollout_report(j) for j in jobs]
     return list(executor.map(_rollout_report, jobs))
+
+
+def _penalized_mean(reports: Sequence[tuple[Optional[ErrorReport], bool]]) -> float:
+    """Mean configuration error of rollout_reports results, DIVERGENCE_PENALTY per diverged rollout."""
+    return float(np.mean([DIVERGENCE_PENALTY if rep is None else rep.config_error for rep, _ in reports]))
 
 
 def dataset_loss(
@@ -228,16 +224,12 @@ def dataset_loss(
     inertia: InertialParams,
     geom: BoxGeometry,
     cfg: Optional[SimConfig] = None,
-    x0s: Optional[Sequence] = None,
-    side: Optional[float] = None,
-    penalty: float = DIVERGENCE_PENALTY,
     executor: Optional[concurrent.futures.Executor] = None,
 ) -> float:
     """Mean configuration error of simulated rollouts over a dataset.
 
-    Divergent rollouts contribute the penalty value (well above any physical
-    loss) so derivative-free search remains defined on unstable corners of
-    the parameter space.
+    Divergent rollouts contribute DIVERGENCE_PENALTY (well above any
+    physical loss) so derivative-free search remains defined on unstable
+    corners of the parameter space.
     """
-    reports = rollout_reports(truths, params, inertia, geom, cfg, x0s, side, executor)
-    return float(np.mean([penalty if rep is None else rep.config_error for rep, _ in reports]))
+    return _penalized_mean(rollout_reports(truths, params, inertia, geom, cfg, executor))

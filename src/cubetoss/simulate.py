@@ -109,7 +109,7 @@ def simulate(
     # an isotropic body's mass terms, and so its unconstrained acceleration, do not depend on the state
     const_mass_terms = const_accel = None
     if inertia.isotropic and model != "compliant":
-        const_mass_terms = _mass_terms(None, None, inertia, True, True)
+        const_mass_terms = _mass_terms(None, None, inertia, True)
         const_accel = const_mass_terms[0] @ const_mass_terms[1]
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
@@ -133,7 +133,7 @@ def simulate(
                 imp_lin, imp_ang = _wrench_impulse(terms, dt)
             else:
                 idx, depth, depth_rate, _, _, rho, _ = found
-                inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True, True)
+                inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True)
                 problem = ContactProblem(
                     _table_jacobian(rho), inv_mass, np.array(v + w), dt, f_ext,
                     np.array(depth), np.array(depth_rate), const_accel,

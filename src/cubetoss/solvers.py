@@ -22,10 +22,7 @@ All three are inelastic by construction; any rebound emerges from compliance
 dynamics alone. Friction for the two optimization-based solvers uses a
 4-sided pyramid aligned with the tangent frame, so their per-direction
 tangential impulses respect |t_i| <= mu * n while a pyramid corner may
-exceed the circular cone by up to sqrt(2). ``cone_audit`` scales such
-corners back onto |t| <= mu * n for reporting; it is not applied inside the
-solvers because altering the minimizer would break their per-step energy
-dissipation guarantee.
+exceed the circular cone by up to sqrt(2).
 
 The two iterative solvers keep in numpy only the products whose rounding
 belongs to BLAS or LAPACK (J M^-1 J^T, J v_free, J^T lambda, the PGS row
@@ -40,12 +37,13 @@ iterate when the momentum point equals the iterate bit for bit, and it
 settles the restart sign on floats outside a proven error band (see
 _pyramid_qp and _uphill). Each solver is one public function with
 no second kernel beside it; rollouts call these functions, and every
-result keeps its flat impulse for the next step's warm start.
+result holds one flat impulse, a copy of which is the next step's warm
+start.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -142,7 +140,7 @@ class ContactProblem:
         return self.v + self.h * self.accel
 
 
-def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool, include_gyroscopic: bool):
+def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool):
     """Inverse generalized mass and external generalized force at orientation R.
 
     For an isotropic body the world inverse inertia is exactly the body
@@ -158,9 +156,8 @@ def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool, include_gy
         inv_mass[3, 3] = inv_mass[4, 4] = inv_mass[5, 5] = inertia.inertia_body_inv[0, 0]
     else:
         inv_mass[3:, 3:] = R @ inertia.inertia_body_inv @ R.T
-        if include_gyroscopic:
-            iw = R @ inertia.inertia_body @ R.T
-            f_ext[3:] = -np.cross(w, iw @ w)
+        iw = R @ inertia.inertia_body @ R.T
+        f_ext[3:] = -np.cross(w, iw @ w)
     return inv_mass, f_ext
 
 
@@ -170,7 +167,6 @@ def build_contact_problem(
     contacts: Sequence[ContactPoint],
     dt: float,
     include_gravity: bool = True,
-    include_gyroscopic: bool = True,
 ) -> ContactProblem:
     """Assemble the velocity-level problem for the detected contacts.
 
@@ -178,7 +174,7 @@ def build_contact_problem(
     detect_contacts output through this problem reproduces simulate.
     """
     R = quat.to_matrix(state.quat)
-    inv_mass, f_ext = _mass_terms(R, state.ang_vel, inertia, include_gravity, include_gyroscopic)
+    inv_mass, f_ext = _mass_terms(R, state.ang_vel, inertia, include_gravity)
     nc = len(contacts)
     rho = np.array([c.point for c in contacts]).reshape(nc, 3).T - state.pos[:, None]
     frames = np.array([(c.normal, c.tangent1, c.tangent2) for c in contacts]).reshape(nc, 3, 3)
@@ -192,61 +188,38 @@ def build_contact_problem(
 class ContactImpulse:
     """Per-contact impulses plus their aggregated effect on the body.
 
-    normal holds the nonnegative normal impulses (N*s), tangent the 2-vector
-    tangential impulses in the (t1, t2) frame, wrench the generalized
-    6-vector impulse J^T lambda ready to feed the integrator. A solver's
-    result keeps its flat impulse [n, t1, t2, n, t1, t2, ...]; normal and
-    tangent are views into it, so flat() copies it instead of rebuilding it.
+    impulse is the flat impulse [n, t1, t2, n, t1, t2, ...] of the contacts
+    in order, and wrench the generalized 6-vector impulse J^T impulse ready
+    to feed the integrator. normal (the nonnegative normal impulses, N*s) and
+    tangent (the (t1, t2) tangential impulses, one row per contact) are views
+    into impulse; flat() returns a copy of it.
     """
 
-    normal: np.ndarray
-    tangent: np.ndarray
+    impulse: np.ndarray
     wrench: np.ndarray
-    converged: bool = True
-    iterations: int = 0
-    _flat: Optional[np.ndarray] = field(default=None, repr=False)
+    converged: bool
+    iterations: int
 
     @classmethod
     def empty(cls) -> "ContactImpulse":
-        return cls(np.zeros(0), np.zeros((0, 2)), np.zeros(6))
+        return cls(np.zeros(0), np.zeros(6), True, 0)
+
+    @property
+    def normal(self) -> np.ndarray:
+        return self.impulse[0::3]
+
+    @property
+    def tangent(self) -> np.ndarray:
+        return self.impulse.reshape(-1, 3)[:, 1:]
 
     def flat(self) -> np.ndarray:
-        if self._flat is not None:
-            return self._flat.copy()
-        out = np.empty(3 * len(self.normal))
-        out[0::3] = self.normal
-        out[1::3] = self.tangent[:, 0]
-        out[2::3] = self.tangent[:, 1]
-        return out
-
-
-def cone_audit(problem: ContactProblem, impulse: ContactImpulse, mu: float) -> ContactImpulse:
-    """Pyramid-to-cone audit: scale tangential impulses onto |t| <= mu * n.
-
-    Returns a new impulse whose per-contact tangential vectors never exceed
-    the circular Coulomb bound, with the generalized wrench rebuilt to
-    match. Meant for reporting pipelines that require the cone bound; the
-    scaled impulse is no longer the solver's minimizer.
-    """
-    normal = impulse.normal.copy()
-    tangent = impulse.tangent.copy()
-    tn = np.linalg.norm(tangent, axis=1)
-    safe_tn = np.where(tn > 0.0, tn, 1.0)
-    scale = np.where(tn > 0.0, np.minimum(1.0, mu * np.maximum(0.0, normal) / safe_tn), 1.0)
-    tangent *= scale[:, None]
-    lam = np.empty(3 * len(normal))
-    lam[0::3] = normal
-    lam[1::3] = tangent[:, 0]
-    lam[2::3] = tangent[:, 1]
-    wrench = problem.jacobian.T @ lam if len(normal) else np.zeros(6)
-    return ContactImpulse(normal, tangent, wrench, impulse.converged, impulse.iterations)
+        return self.impulse.copy()
 
 
 def _package(problem: ContactProblem, lam: np.ndarray, converged: bool, iterations: int) -> ContactImpulse:
     """A solver's result over its flat impulse lam, which the result keeps (not a copy)."""
-    nc = problem.num_contacts
-    wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
-    return ContactImpulse(lam[0::3], lam.reshape(nc, 3)[:, 1:], wrench, converged, iterations, lam)
+    wrench = problem.jacobian.T @ lam if problem.num_contacts else np.zeros(6)
+    return ContactImpulse(lam, wrench, converged, iterations)
 
 
 # --- compliant model ---------------------------------------------------------

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -41,10 +40,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.pos.shape[0]
-
-    def __iter__(self) -> Iterator[RigidState]:
-        for i in range(len(self)):
-            yield self.state_at(i)
 
     @property
     def times(self) -> np.ndarray:

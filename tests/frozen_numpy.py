@@ -9,8 +9,8 @@ The two iterative contact solvers follow as they were before their bias,
 warm-start, regularizer and reference-velocity glue moved to Python floats:
 ``rigid_pgs_impulse`` and ``regularized_convex_impulse`` with their sweep,
 QP and packaging helpers. They share the live, separately tested friction
-pyramid projection and erp/cfm mapping, and return results without a kept
-flat impulse, so ``flat()`` rebuilds it from normal and tangent.
+pyramid projection and erp/cfm mapping, and return results over a copy of
+their flat impulse.
 ``pyramid_qp`` is also the oracle of the QP's shortcuts (the reused
 look-ahead projection, the float restart sign, ``Q.dot`` on lists): it runs
 the loop as it was before them, with arrays only at its boundary.
@@ -136,7 +136,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
     max_iters = cfg.solver_iters
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
-    const_mass_terms = _mass_terms(None, None, inertia, True, True) if inertia.isotropic else None
+    const_mass_terms = _mass_terms(None, None, inertia, True) if inertia.isotropic else None
 
     warm_corners = []
     warm_flat = None
@@ -160,7 +160,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
                 (rho[0] * ft2 - rho[1] * ft1).sum(),
             ])
         else:
-            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True, True)
+            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True)
             problem = ContactProblem(
                 table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
             )
@@ -225,10 +225,8 @@ def table_jacobian(rho):
 
 def package(problem, lam, converged, iterations):
     nc = problem.num_contacts
-    normal = lam[0::3].copy()
-    tangent = lam.reshape(nc, 3)[:, 1:].copy()
     wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
-    return ContactImpulse(normal, tangent, wrench, converged, iterations)
+    return ContactImpulse(lam.copy(), wrench, converged, iterations)
 
 
 def convex_reference_velocity(problem, params):

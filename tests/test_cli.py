@@ -232,6 +232,18 @@ def test_params_file_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_params_file_rejects_non_numeric_value(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1)
+    cfg = tmp_path / "convex.cfg"
+    cfg.write_text("model = regularized_convex\nmu = 0.1\nk = abc\nb = 45\n")
+    rc = main(["simulate", "--params", str(cfg), "--x0", str(d / "toss_000.csv"),
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 3" in err and "'abc'" in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def test_identify_train_subset_reports_holdout(tmp_path):
     d, _ = write_dataset(tmp_path, n=4, seed=75, duration=0.2)
     out = tmp_path / "res.json"

@@ -279,8 +279,8 @@ def solver_cases(draw):
         body = rot @ np.diag(rng.uniform(0.002, 0.05, 3)) @ rot.T
         inertia = ct.InertialParams(rng.uniform(0.1, 2.0), 0.5 * (body + body.T))
     R = fz.to_matrix(draw(unit_quaternions()))
-    at_rest = draw(st.integers(0, 4)) == 0  # zero velocity, no gravity, no penetration: signed zeros decide
-    if at_rest:
+    resting = draw(st.integers(0, 4)) == 0  # zero velocity, no gravity, no penetration: signed zeros decide
+    if resting:
         v = rng.choice([0.0, -0.0], 6)
         depth = -rng.choice([0.0, 1e-4], nc)
         depth_rate = np.zeros(nc)
@@ -290,7 +290,7 @@ def solver_cases(draw):
             mixed(draw, rng, nc, lo, hi, draw(st.sampled_from([(), (0.0, -0.0), SPECIAL])))
             for lo, hi in ((-1e-3, 5e-3), (-3.0, 3.0))
         ]
-    inv_mass, f_ext = _mass_terms(R, v[3:], inertia, not at_rest and draw(st.booleans()), True)
+    inv_mass, f_ext = _mass_terms(R, v[3:], inertia, not resting and draw(st.booleans()))
     h = draw(st.sampled_from([DT, rng.uniform(1e-4, 1e-2)]))
     problem = ContactProblem(_table_jacobian(rho), inv_mass, v, h, f_ext, depth, depth_rate)
     mu = draw(st.sampled_from([0.0, rng.uniform(0.0, 1.5)]))
@@ -397,16 +397,21 @@ def qp_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nc = draw(st.integers(1, 8))
     n = 3 * nc
-    kind = draw(st.sampled_from(["delassus", "random", "diagonal", "not positive"]))
+    kind = draw(st.sampled_from(["delassus", "random", "diagonal", "signed zero", "not positive"]))
     if kind == "delassus":  # a table contact problem with the convex regularizer
         rho = mixed(draw, rng, n, -0.06, 0.06).reshape(3, nc)
-        A = _table_jacobian(rho) @ _mass_terms(None, None, ct.cube_inertial(), True, True)[0] @ _table_jacobian(rho).T
+        A = _table_jacobian(rho) @ _mass_terms(None, None, ct.cube_inertial(), True)[0] @ _table_jacobian(rho).T
         Q = A + np.diag(rng.uniform(0.01, 1.0) * A.diagonal())
     elif kind == "random":
         M = rng.standard_normal((n, n))
         Q = M @ M.T + rng.uniform(1e-3, 1.0) * np.eye(n)
     elif kind == "diagonal":  # exact small integers: gradients that vanish exactly keep signed zeros alive
         Q = np.diag(rng.integers(1, 6, n).astype(float))
+    elif kind == "signed zero":  # as diagonal, with every normal curvature below L = 5
+        d = rng.integers(1, 6, n).astype(float)
+        d[0::3] = rng.integers(1, 5, nc)
+        d[1] = 5.0
+        Q = np.diag(d)
     else:
         Q = draw(st.sampled_from([np.zeros((n, n)), -np.eye(n)]))
     scale = 10.0 ** draw(st.sampled_from([0, -170, 160]))
@@ -415,6 +420,14 @@ def qp_cases(draw):
     mu = draw(st.sampled_from([0.0, 0.5, rng.uniform(0.0, 1.5)]))
     max_iters = draw(st.sampled_from([1, 2, 3, rng.integers(4, 40)]))
     tol = draw(st.sampled_from([DEFAULT_QP_TOL, 0.0, -1.0]))  # 0 and -1 run past the point of convergence
+    if kind == "signed zero":
+        # pushing normals and -0.0 tangents on rows whose gradient is exactly zero: after a beta == 0
+        # momentum step y holds +0.0 there, and a solve stopped within a few iterations shows which
+        # sign the iterate kept (only a bit-exact test of y against the iterate keeps the right one)
+        c = [x for v in (-scale * 10.0 ** rng.uniform(-3.0, 1.0, nc)).tolist() for x in (v, 0.0, 0.0)]
+        lam0 = [0.0, -0.0, -0.0] * nc
+        mu = draw(st.sampled_from([0.5, rng.uniform(0.01, 1.5)]))  # mu = 0 projects tangents to +0.0
+        max_iters = draw(st.sampled_from([2, 3, 4, 1]))  # one iteration never reuses
     return Q, c, mu, lam0, int(max_iters), tol
 
 
@@ -501,7 +514,7 @@ def test_matvec_on_list_matches_matmul_on_array(nc):
     for _ in range(200):
         rho = rng.uniform(-0.06, 0.06, (3, nc))
         J = _table_jacobian(rho)
-        Q = J @ _mass_terms(None, None, ct.cube_inertial(), True, True)[0] @ J.T
+        Q = J @ _mass_terms(None, None, ct.cube_inertial(), True)[0] @ J.T
         Q = Q + np.diag(0.1 * Q.diagonal())
         y = (rng.standard_normal(3 * nc) * 10.0 ** rng.uniform(-6, 2)).tolist()
         assert same_bits(Q.dot(y), Q @ np.array(y))

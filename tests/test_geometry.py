@@ -102,21 +102,21 @@ def test_z_rotation_equivariance(cube_geom):
             assert abs(ca.depth_rate - cb.depth_rate) < 1e-12
 
 
-def test_jacobian_com_witness(cube_geom):
+def test_jacobian_com_witness(cube_inertia):
     s = ct.RigidState([0, 0, 0.02], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
     cp = ct.ContactPoint(s.pos.copy(), np.array([0.0, 0, 1]), 0.0, 0.0,
                          np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    J = ct.contact_jacobian(s, cp)
+    J = ct.build_contact_problem(s, cube_inertia, [cp], DT).jacobian
     assert np.allclose(J[:, :3], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     assert np.allclose(J[:, 3:], 0.0)
 
 
-def test_jacobian_pure_rotation_tangential(cube_geom):
+def test_jacobian_pure_rotation_tangential(cube_inertia):
     s = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, 0], [0, 0, 1.0])
     r = np.array([0.05, 0.05, -0.05])
     cp = ct.ContactPoint(s.pos + r, np.array([0.0, 0, 1]), 0.0, 0.0,
                          np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    J = ct.contact_jacobian(s, cp)
+    J = ct.build_contact_problem(s, cube_inertia, [cp], DT).jacobian
     twist = np.concatenate([s.vel, s.ang_vel])
     v_contact = J @ twist
     expect = np.cross(s.ang_vel, r)
@@ -124,7 +124,7 @@ def test_jacobian_pure_rotation_tangential(cube_geom):
     assert v_contact[2] == pytest.approx(expect[1], abs=1e-15)
 
 
-def test_jacobian_normal_row_is_minus_depth_rate(cube_geom):
+def test_jacobian_normal_row_is_minus_depth_rate(cube_geom, cube_inertia):
     rng = np.random.default_rng(6)
     for _ in range(100):
         s = ct.RigidState(
@@ -133,7 +133,7 @@ def test_jacobian_normal_row_is_minus_depth_rate(cube_geom):
         )
         twist = np.concatenate([s.vel, s.ang_vel])
         for cp in ct.detect_contacts(s, cube_geom):
-            J = ct.contact_jacobian(s, cp)
+            J = ct.build_contact_problem(s, cube_inertia, [cp], DT).jacobian
             assert abs((J @ twist)[0] + cp.depth_rate) < 1e-12
 
 

@@ -41,6 +41,26 @@ def test_round_trip_exact(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def test_meta_round_trip(tmp_path):
+    """Header values load back as saved; hand-written unquoted numbers and words still load."""
+    traj = random_trajectory(n=3)
+    saved = {"quote": "it's", "backslash": "a\\b", "flag": True, "note": "tossed 'by hand'",
+             "count": 3.0, "scale": 1e-300, "side_m": 0.1}
+    traj.meta = dict(saved, gap=math.nan)
+    ct.save_trajectory(traj, tmp_path / "t.csv")
+    back = ct.load_trajectory(tmp_path / "t.csv")
+    assert math.isnan(back.meta.pop("gap"))
+    assert back.meta == saved
+    assert back.meta["flag"] is True
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    header = ["# cubetoss-trajectory-v1", "# rate_hz: 148", "# body: cube", "# offset: nan"]
+    (tmp_path / "hand.csv").write_text("\n".join(header + [ln for ln in lines if not ln.startswith("#")]) + "\n")
+    hand = ct.load_trajectory(tmp_path / "hand.csv")
+    assert hand.rate_hz == 148.0
+    assert hand.meta["body"] == "cube"
+    assert math.isnan(hand.meta["offset"])
+
+
 ROUND_TRIP_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
 
 

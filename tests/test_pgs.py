@@ -66,9 +66,9 @@ def pgs_problems(draw):
     inv_mass = np.diag([1.0 / mass] * 3 + [1.0 / (mass * 1e-3)] * 3)
     A = J @ inv_mass @ J.T
     scale = 10.0 ** draw(st.floats(-4.0, 1.0))
-    at_rest = draw(st.integers(0, 4)) == 0  # exact zero residuals, where signed zeros decide
-    g = np.zeros(3 * nc) if at_rest else scale * rng.standard_normal(3 * nc)
-    bias = np.zeros(nc) if at_rest else np.maximum(0.0, scale * rng.standard_normal(nc))
+    resting = draw(st.integers(0, 4)) == 0  # exact zero residuals, where signed zeros decide
+    g = np.zeros(3 * nc) if resting else scale * rng.standard_normal(3 * nc)
+    bias = np.zeros(nc) if resting else np.maximum(0.0, scale * rng.standard_normal(nc))
     mu = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
     cfm = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
     start = draw(st.sampled_from(["zero", "negative zero", "random", "clamped"]))

@@ -5,7 +5,6 @@ import cubetoss as ct
 from cubetoss.solvers import (
     _convex_reference_velocity,
     _pyramid_project,
-    cone_audit,
     erp_cfm,
 )
 from conftest import lcp_enumerate, post_impulse_state, random_contact_problem, random_onset_state
@@ -347,22 +346,6 @@ def test_randomized_dissipation(cube_geom, cube_inertia):
                                        "regularized_convex")),
         ):
             assert ct.kinetic_energy(post_impulse_state(prob, st, imp), cube_inertia) <= ke0 + 1e-12
-
-
-def test_cone_audit_bounds(cube_geom, cube_inertia):
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        st = random_onset_state(rng, cube_geom)
-        cps = ct.detect_contacts(st, cube_geom, 1e-3)
-        if not cps:
-            continue
-        prob = ct.build_contact_problem(st, cube_inertia, cps, DT)
-        mu = float(rng.uniform(0.1, 1))
-        imp = ct.rigid_pgs_impulse(prob, ct.ContactParams(mu, 0.0, 0.0, "rigid_pgs"))
-        audited = cone_audit(prob, imp, mu)
-        tn = np.linalg.norm(audited.tangent, axis=1)
-        assert np.all(tn <= mu * audited.normal + 1e-9)
-        assert np.array_equal(audited.normal, imp.normal)
 
 
 def test_contact_params_validation():
