@@ -82,13 +82,6 @@ class ParamDomain:
     def decode(self, u: np.ndarray) -> dict:
         return {a.name: a.decode(float(u[i])) for i, a in enumerate(self.axes)}
 
-    def contains(self, values: dict, tol: float = 1e-12) -> bool:
-        for a in self.axes:
-            x = values[a.name]
-            if x < a.lower - tol or x > a.upper + tol:
-                return False
-        return True
-
     def to_dict(self) -> dict:
         return {a.name: {"lower": a.lower, "upper": a.upper, "log": a.log} for a in self.axes}
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+from .presets import CUBE_MASS_KG, CUBE_SIDE_M
 from .trajectory import Trajectory
 
 log = logging.getLogger(__name__)
@@ -156,12 +157,12 @@ def load_trajectory(path) -> Trajectory:
     return Trajectory(rate, data[:, 1:4], quats, data[:, 8:11], data[:, 11:14], meta)
 
 
-def import_cube_dataset(directory, side_m: float = 0.1, mass_kg: float = 0.37) -> list[Trajectory]:
+def import_cube_dataset(directory) -> list[Trajectory]:
     """Load every converted cube-toss file under a directory, sorted by name.
 
-    Each trajectory gets the cube metadata (side length, mass) attached;
-    files already carrying a side_m header must agree with it. An empty
-    directory produces an empty list with a warning rather than an error.
+    Each trajectory gets the cube metadata (CUBE_SIDE_M, CUBE_MASS_KG)
+    attached; files already carrying a side_m header must agree with it. An
+    empty directory produces an empty list with a warning rather than an error.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -174,11 +175,11 @@ def import_cube_dataset(directory, side_m: float = 0.1, mass_kg: float = 0.37) -
     for p in paths:
         traj = load_trajectory(p)
         have = traj.meta.get("side_m")
-        if have is not None and abs(float(have) - side_m) > 1e-9:
-            raise TrajectoryFileError(f"{p}: side_m {have} conflicts with expected {side_m}")
+        if have is not None and abs(float(have) - CUBE_SIDE_M) > 1e-9:
+            raise TrajectoryFileError(f"{p}: side_m {have} conflicts with expected {CUBE_SIDE_M}")
         traj.meta.setdefault("body", "cube")
-        traj.meta["side_m"] = side_m
-        traj.meta["mass_kg"] = mass_kg
+        traj.meta["side_m"] = CUBE_SIDE_M
+        traj.meta["mass_kg"] = CUBE_MASS_KG
         out.append(traj)
     return out
 

@@ -31,14 +31,17 @@ QP's restart dot when its sign is too close to call on floats). Everything
 elementwise runs on Python floats in the order numpy applied it: the PGS
 sweeps, bias and warm-start clamp, and the convex regularizer, reference
 velocity, pyramid projection and momentum updates. So results are
-bit-identical to all-numpy code. The QP also skips work whose result is
-already known: it reuses the convergence test's projection as the next
-iterate when the momentum point equals the iterate bit for bit, and it
-settles the restart sign on floats outside a proven error band (see
-_pyramid_qp and _uphill). Each solver is one public function with
-no second kernel beside it; rollouts call these functions, and every
-result holds one flat impulse, a copy of which is the next step's warm
-start.
+bit-identical to all-numpy code. The QP fuses its elementwise passes: one
+loop per contact takes the gradient step, projects it onto the pyramid and
+measures the projected gradient (_projected_step), and one loop forms the
+momentum difference and the restart sums (_uphill). It also skips work
+whose result is already known: it reuses the convergence test's
+projection as the next iterate when the momentum point equals the iterate
+bit for bit, and it settles the restart sign on floats outside a proven
+error band (see _pyramid_qp and _uphill). Each solver is one public
+function with no second kernel beside it; rollouts call these functions,
+and every result holds one flat impulse, a copy of which is the next
+step's warm start.
 """
 from __future__ import annotations
 
@@ -270,91 +273,133 @@ def hunt_crossley_impulse(
 # --- regularized convex model ------------------------------------------------
 
 
-def _pyramid_project_floats(vals: list, mu: float) -> list:
-    """Euclidean projection onto the per-contact friction pyramid cones.
+def _projected_step(x: list, g: list, c: list, L: float, mu: float) -> tuple:
+    """One projected gradient step P(x - (g + c) / L) and its projected-gradient norm.
 
-    vals is the flat list [n, t1, t2, n, t1, t2, ...] of Python floats; the
-    projection comes back as a new list of the same layout. The cone is
-    {(n, t1, t2): n >= 0, |t1| <= mu n, |t2| <= mu n}. Each contact is
-    projected in closed form: with a = |t1| and b = |t2| (the signs separate
-    out by symmetry and are restored with copysign), a point already in the
-    cone is kept; otherwise the nearest feasible one of the candidates on
-    facet |t1| = mu n, facet |t2| = mu n, their edge and the apex wins, the
-    first in that order on a tie. The candidate formulas and their order of
-    operations are those of the vectorized numpy projection kept as the
-    oracle in tests/test_pyramid_projection.py, so convex rollouts stay bit
-    for bit what they were with it; scalar floats avoid the numpy call
-    overhead that dominates on arrays of 3 to 24 elements. The one
-    difference: a point with n < 0, t = 0 and mu * n underflowing to -0.0
-    goes to the apex, where the oracle passes it as feasible. NaN input
-    gives NaN output, since no candidate beats a NaN distance.
+    x, g and c are flat lists [n, t1, t2, n, t1, t2, ...] of Python floats
+    (the point, the product Q x and the linear term). Returns the step as a
+    new list of the same layout and L * max_i |x_i - P_i|, the first NaN
+    among those terms if any. Each contact is stepped, projected and measured
+    in one pass, each float operation the one numpy applied to the step's
+    arrays, so the results are bit for bit those of the former separate
+    passes: the step list, the projection and the norm loop, whose break at
+    the first NaN the norm keeps by never replacing a NaN.
+
+    P is the Euclidean projection onto the per-contact friction pyramid cones
+    {(n, t1, t2): n >= 0, |t1| <= mu n, |t2| <= mu n}, in closed form: with
+    a = |t1| and b = |t2| (the signs separate out by symmetry and are
+    restored with copysign), a point already in the cone is kept; otherwise
+    the nearest feasible one of the candidates on facet |t1| = mu n, facet
+    |t2| = mu n, their edge and the apex wins, the first in that order on a
+    tie. The candidate formulas and their order of operations are those of
+    the vectorized numpy projection kept as the oracle in
+    tests/test_pyramid_projection.py, so convex rollouts stay bit for bit
+    what they were with it; scalar floats avoid the numpy call overhead that
+    dominates on arrays of 3 to 24 elements. Where the two differ: a point
+    with n < 0, t = 0 and mu * n underflowing to -0.0 goes to the apex, where
+    the oracle passes it as feasible; and on an infinite step a NaN distance
+    (inf - inf) beats no candidate here, where the oracle's argmin picks the
+    first NaN. NaN input gives NaN output, since no candidate beats a NaN
+    distance.
     """
-    out = [0.0] * len(vals)
+    out = [0.0] * len(x)
+    norm = 0.0
     if mu == 0.0:
-        for i in range(0, len(vals), 3):
-            n0 = vals[i]
-            out[i] = 0.0 if n0 < 0.0 else n0
-        return out
+        for i in range(0, len(x), 3):
+            x0 = x[i]
+            n0 = x0 - (g[i] + c[i]) / L
+            n_new = out[i] = 0.0 if n0 < 0.0 else n0
+            for e in (L * (x0 - n_new), L * x[i + 1], L * x[i + 2]):
+                if not -norm <= e <= norm and norm == norm:  # larger, or the first NaN
+                    norm = abs(e)
+        return out, norm
     den1 = 1.0 + mu * mu
     den3 = 1.0 + 2.0 * mu * mu
-    for i in range(0, len(vals), 3):
-        n0 = vals[i]
-        t1 = vals[i + 1]
-        t2 = vals[i + 2]
-        a0 = abs(t1)
-        b0 = abs(t2)
-        # n0 >= 0 only matters when mu * n0 underflows to -0.0 (0 <= -0.0)
-        if n0 >= 0.0 and a0 <= mu * n0 and b0 <= mu * n0:
-            out[i] = n0
-            out[i + 1] = math.copysign(a0, t1)
-            out[i + 2] = math.copysign(b0, t2)
-            continue
-        # facet |t1| = mu n, t2 interior
-        n1 = (n0 + mu * a0) / den1
-        if n1 >= 0.0 and b0 <= mu * n1:
-            e = n1 - n0
-            f = mu * n1 - a0
-            best = e * e + f * f
+    for i in range(0, len(x), 3):
+        j = i + 1
+        k = i + 2
+        x0 = x[i]
+        x1 = x[j]
+        x2 = x[k]
+        n0 = x0 - (g[i] + c[i]) / L
+        t1 = x1 - (g[j] + c[j]) / L
+        t2 = x2 - (g[k] + c[k]) / L
+        m0 = mu * n0
+        # -m <= t <= m is |t| <= m, NaN false; n0 >= 0 only matters when m0 underflows to -0.0
+        if n0 >= 0.0 and -m0 <= t1 <= m0 and -m0 <= t2 <= m0:
+            n_new = n0
+            t1_new = t1  # copysign(|t|, t) is t for every t that is not NaN
+            t2_new = t2
         else:
-            best = math.inf
-        choice = 1
-        # facet |t2| = mu n, t1 interior
-        n2 = (n0 + mu * b0) / den1
-        if n2 >= 0.0 and a0 <= mu * n2:
-            e = n2 - n0
-            f = mu * n2 - b0
-            d = e * e + f * f
-            if d < best:
-                best, choice = d, 2
-        # edge |t1| = |t2| = mu n
-        n3 = (n0 + mu * (a0 + b0)) / den3
-        if n3 >= 0.0:
-            e = n3 - n0
-            f = mu * n3 - a0
-            g = mu * n3 - b0
-            d = e * e + f * f + g * g
-            if d < best:
-                best, choice = d, 3
-        # apex
-        if n0 * n0 + a0 * a0 + b0 * b0 < best:
-            choice = 4
-        if choice == 1:
-            n_new = n1
-            a_new = mu * n1
-            b_new = min(b0, mu * n1)
-        elif choice == 2:
-            n_new = n2
-            a_new = min(a0, mu * n2)
-            b_new = mu * n2
-        elif choice == 3:
-            n_new = n3
-            a_new = b_new = mu * n3
-        else:
-            n_new = a_new = b_new = 0.0
+            a0 = abs(t1)
+            b0 = abs(t2)
+            # facet |t1| = mu n, t2 interior
+            n1 = (n0 + mu * a0) / den1
+            if n1 >= 0.0 and b0 <= mu * n1:
+                e = n1 - n0
+                f = mu * n1 - a0
+                best = e * e + f * f
+            else:
+                best = math.inf
+            choice = 1
+            # facet |t2| = mu n, t1 interior
+            n2 = (n0 + mu * b0) / den1
+            if n2 >= 0.0 and a0 <= mu * n2:
+                e = n2 - n0
+                f = mu * n2 - b0
+                d = e * e + f * f
+                if d < best:
+                    best, choice = d, 2
+            # edge |t1| = |t2| = mu n
+            n3 = (n0 + mu * (a0 + b0)) / den3
+            if n3 >= 0.0:
+                e = n3 - n0
+                f = mu * n3 - a0
+                h = mu * n3 - b0
+                d = e * e + f * f + h * h
+                if d < best:
+                    best, choice = d, 3
+            # apex
+            if n0 * n0 + a0 * a0 + b0 * b0 < best:
+                choice = 4
+            if choice == 1:
+                n_new = n1
+                a_new = mu * n1
+                b_new = min(b0, mu * n1)
+            elif choice == 2:
+                n_new = n2
+                a_new = min(a0, mu * n2)
+                b_new = mu * n2
+            elif choice == 3:
+                n_new = n3
+                a_new = b_new = mu * n3
+            else:
+                n_new = a_new = b_new = 0.0
+            t1_new = math.copysign(a_new, t1)
+            t2_new = math.copysign(b_new, t2)
         out[i] = n_new
-        out[i + 1] = math.copysign(a_new, t1)
-        out[i + 2] = math.copysign(b_new, t2)
-    return out
+        out[j] = t1_new
+        out[k] = t2_new
+        e = L * (x0 - n_new)
+        if not -norm <= e <= norm and norm == norm:
+            norm = abs(e)
+        e = L * (x1 - t1_new)
+        if not -norm <= e <= norm and norm == norm:
+            norm = abs(e)
+        e = L * (x2 - t2_new)
+        if not -norm <= e <= norm and norm == norm:
+            norm = abs(e)
+    return out, norm
+
+
+def _pyramid_project_floats(vals: list, mu: float) -> list:
+    """Projection of the flat float list vals onto the friction pyramids (see _projected_step).
+
+    The zero-gradient step: vals - (0.0 + 0.0) / 1.0 is vals bit for bit,
+    signed zeros, infinities and NaN included.
+    """
+    zeros = [0.0] * len(vals)
+    return _projected_step(vals, zeros, zeros, 1.0, mu)[0]
 
 
 def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -388,33 +433,38 @@ def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -
     ]
 
 
-def _uphill(y: list, lam_new: list, diff: list) -> bool:
-    """The APG restart test float((np.array(y) - np.array(lam_new)) @ np.array(diff)) > 0.0.
+def _uphill(y: list, lam_new: list, lam: list) -> tuple:
+    """The APG restart test and the step it tests: (uphill, diff) with diff = lam_new - lam.
 
-    y, lam_new and diff are Python float lists of one length n, and the
-    elementwise differences u_i = y_i - lam_new_i are the ones numpy would
-    form. The products u_i * diff_i are summed in list order. In exact
-    arithmetic the dot product S lies within gamma_n * sum|u_i diff_i|
-    (gamma_n = n u / (1 - n u), u = 2**-53) of any floating-point evaluation
-    of it, in any summation order, with or without fused multiply-adds; so
-    both this float sum s and numpy's BLAS dot lie within that distance of
-    S, and within twice it of each other. A sum beyond 2.25 n u times the
-    float sum of |products| (which covers 2 gamma_n and the rounding of that
-    sum) therefore has the sign the BLAS dot would give. The absolute 1e-300
-    covers products that underflow, whose error is absolute, not relative.
-    Only a sum inside that band, a non-finite one, or one whose magnitudes
-    near overflow (sum above 1e300) calls the BLAS dot, as the test did
-    before. On evaluate-convex (seeds 41-43) none of 107,095 restart tests
-    entered the band.
+    y, lam_new and lam are Python float lists of one length n. One pass
+    forms diff_i = lam_new_i - lam_i and u_i = y_i - lam_new_i, the
+    differences numpy would form, and sums the products u_i * diff_i in list
+    order. uphill is float((np.array(y) - np.array(lam_new)) @ np.array(diff))
+    > 0.0. In exact arithmetic the dot product S lies within
+    gamma_n * sum|u_i diff_i| (gamma_n = n u / (1 - n u), u = 2**-53) of any
+    floating-point evaluation of it, in any summation order, with or without
+    fused multiply-adds; so both this float sum s and numpy's BLAS dot lie
+    within that distance of S, and within twice it of each other. A sum
+    beyond 2.25 n u times the float sum of |products| (which covers
+    2 gamma_n and the rounding of that sum) therefore has the sign the BLAS
+    dot would give. The absolute 1e-300 covers products that underflow,
+    whose error is absolute, not relative. Only a sum inside that band, a
+    non-finite one, or one whose magnitudes near overflow (sum above 1e300)
+    calls the BLAS dot, as the test did before. On evaluate-convex (seeds
+    41-43) none of 107,095 restart tests entered the band.
     """
+    n = len(y)
+    diff = [0.0] * n
     s = total = 0.0
-    for yi, li, di in zip(y, lam_new, diff):
-        p = (yi - li) * di
+    for i in range(n):
+        li = lam_new[i]
+        d = diff[i] = li - lam[i]
+        p = (y[i] - li) * d
         s += p
         total += abs(p)
-    if 2.5e-16 * len(diff) * total + 1e-300 < abs(s) and total < 1e300:
-        return s > 0.0
-    return float(np.array([yi - li for yi, li in zip(y, lam_new)]) @ np.array(diff)) > 0.0
+    if 2.5e-16 * n * total + 1e-300 < abs(s) and total < 1e300:
+        return s > 0.0, diff
+    return float(np.array([yi - li for yi, li in zip(y, lam_new)]) @ np.array(diff)) > 0.0, diff
 
 
 def _same_floats(a: list, b: list) -> bool:
@@ -431,7 +481,9 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     converges linearly. Returns the iterate as an array, the final
     projected-gradient infinity norm, and the iteration count; a non-finite
     norm stops the iteration at once, since NaN never meets the tolerance.
-    c and the start lam0 are Python float lists.
+    When eigvalsh does not converge (an infinite Q), the solve ends at once
+    with norm inf, which the caller reports as not converged. c and the
+    start lam0 are Python float lists.
 
     The iterates are Python float lists. Each elementwise operation (gradient
     steps, projections, the projected gradient and its norm, the momentum
@@ -441,6 +493,14 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     step size 1/L, the two matrix-vector products per iteration (Q.dot on
     the list, the same dgemv as Q @ array), and the restart dot when
     _uphill cannot settle its sign on floats.
+
+    Each iteration makes few passes over its lists, since on 3 to 24 floats
+    the interpreter's per-element cost outweighs the arithmetic.
+    _projected_step takes a gradient step, projects it and measures the
+    projected gradient in one pass per contact; _uphill forms the
+    difference lam_new - lam and sums the restart products in one pass.
+    What is left is the momentum update, which needs the restart decision
+    first, and the bit-exact test of y against lam_new.
 
     Two shortcuts skip work whose result is already known, and change no
     iterate, count or stopping decision:
@@ -455,8 +515,10 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
       dot only when the float sum lies within its error band of zero (or is
       not finite).
     """
-    eigs = np.linalg.eigvalsh(Q)
-    L = float(eigs[-1])
+    try:
+        L = float(np.linalg.eigvalsh(Q)[-1])
+    except np.linalg.LinAlgError:  # the eigen solve did not converge, as for an infinite Q
+        return np.zeros(len(lam0)), math.inf, 0
     if L <= 0.0:
         return np.zeros(len(lam0)), 0.0, 0
     matvec = Q.dot
@@ -466,23 +528,14 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     pg_norm = math.inf
     for it in range(1, max_iters + 1):
         if ahead is None:
-            step = [yi - (gi + ci) / L for yi, gi, ci in zip(y, matvec(y).tolist(), c)]
-            lam_new = _pyramid_project_floats(step, mu)
+            lam_new = _projected_step(y, matvec(y).tolist(), c, L, mu)[0]
         else:
             lam_new = ahead
-        step = [li - (gi + ci) / L for li, gi, ci in zip(lam_new, matvec(lam_new).tolist(), c)]
-        ahead = _pyramid_project_floats(step, mu)
-        pg_norm = 0.0
-        for li, pi in zip(lam_new, ahead):
-            e = abs(L * (li - pi))
-            if not e <= pg_norm:  # larger, or NaN
-                pg_norm = e
-                if e != e:
-                    break
+        ahead, pg_norm = _projected_step(lam_new, matvec(lam_new).tolist(), c, L, mu)
         if pg_norm <= tol or not math.isfinite(pg_norm):
             return np.array(lam_new), pg_norm, it
-        diff = [li - lo for li, lo in zip(lam_new, lam)]
-        if _uphill(y, lam_new, diff):
+        uphill, diff = _uphill(y, lam_new, lam)
+        if uphill:
             t = 1.0  # momentum points uphill, restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new

@@ -495,7 +495,10 @@ def test_restart_sign_matches_blas_dot():
             cases.append((y.tolist(), lam_new.tolist(), diff.tolist()))
     with np.errstate(all="ignore"):
         for y, lam_new, diff in cases:
-            assert _uphill(y, lam_new, diff) == blas_uphill(y, lam_new, diff), (y, lam_new, diff)
+            lam = (np.array(lam_new) - np.array(diff)).tolist()  # the last iterate; _uphill forms the diff
+            uphill, diff = _uphill(y, lam_new, lam)
+            assert diff == (np.array(lam_new) - np.array(lam)).tolist()
+            assert uphill == blas_uphill(y, lam_new, diff), (y, lam_new, diff)
 
 
 def test_same_floats_tells_signed_zeros_and_nan_apart():

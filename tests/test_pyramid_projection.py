@@ -2,7 +2,8 @@
 
 The scalar closed form in ``cubetoss.solvers`` must reproduce, bit for bit,
 the vectorized numpy projection it replaced; that version is frozen below as
-the oracle. The KKT tests check the projection on its own terms.
+the oracle. The fused gradient step must reproduce the numpy step followed by
+that projection. The KKT tests check the projection on its own terms.
 """
 import math
 
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubetoss.solvers import _pyramid_project
+from cubetoss.solvers import _projected_step, _pyramid_project
 
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -138,3 +139,52 @@ def test_projection_propagates_nan():
             p = _pyramid_project(x, mu)
             assert np.isnan(p[:3]).any(), (mu, k)
             assert np.array_equal(p[3:], vectorized_pyramid_project(x[3:].copy(), mu))
+
+
+# --- fused gradient step -------------------------------------------------------
+# _projected_step(x, g, c, L, mu) does in one pass what the convex solver did in
+# two: the step x - (g + c) / L on arrays, then the projection. Its second
+# result is L * max|x - P|, the first NaN if there is one.
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def step_contact(draw):
+    """(x, g, c) of one contact: finite entries, or entries that may be NaN or infinite."""
+    entries = components if draw(st.booleans()) else st.one_of(components, st.sampled_from(NON_FINITE))
+    return [draw(entries) for _ in range(9)]
+
+
+@st.composite
+def step_inputs(draw):
+    mu = draw(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 2.0)))
+    L = draw(st.one_of(st.sampled_from([1.0, 1e-300, 1e300]), st.floats(1e-3, 1e3)))
+    contacts = draw(st.lists(step_contact(), min_size=1, max_size=8))
+    x, g, c = ([v for k in contacts for v in k[3 * j:3 * j + 3]] for j in range(3))
+    return x, g, c, L, mu
+
+
+def float_bits(values) -> list:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(step_inputs())
+def test_projected_step_matches_numpy_step_and_oracle(inp):
+    x, g, c, L, mu = inp
+    with np.errstate(all="ignore"):
+        step = np.array(x) - (np.array(g) + np.array(c)) / L
+        expected = vectorized_pyramid_project(step.copy(), mu)
+        # the closed form sends n < 0 with t = 0 and mu * n underflowing to -0.0 to the apex
+        n, t1, t2 = step[0::3], step[1::3], step[2::3]
+        expected[0::3][(n < 0.0) & (mu * n == 0.0) & (t1 == 0.0) & (t2 == 0.0)] = 0.0
+        # on a step holding NaN or inf the oracle's argmin can pick a NaN distance, which the
+        # closed form never does: there the expectation is the closed form on numpy's step
+        non_finite = np.repeat(~np.isfinite(step.reshape(-1, 3)).all(axis=1), 3)
+        expected[non_finite] = _pyramid_project(step.copy(), mu)[non_finite]
+        terms = np.abs(L * (np.array(x) - expected))
+    got, norm = _projected_step(x, g, c, L, mu)
+    assert float_bits(got) == float_bits(expected)
+    first_nan = terms[np.isnan(terms)][:1]
+    assert float_bits([norm]) == float_bits(first_nan if first_nan.size else [terms.max()])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import cubetoss as ct
 from cubetoss.solvers import (
     _convex_reference_velocity,
     _pyramid_project,
+    _pyramid_qp,
     erp_cfm,
 )
 from conftest import lcp_enumerate, post_impulse_state, random_contact_problem, random_onset_state
@@ -187,6 +190,19 @@ def test_convex_non_finite_problem_raises():
     assert np.isnan(err.value.residual)
     assert err.value.iterations == 1  # stops at the first non-finite projected gradient
 
+
+
+def test_convex_eigen_failure_raises():
+    """An infinite Q (inf * eye puts NaN off the diagonal) makes eigvalsh fail to converge;
+    the solve ends as not converged, so the solver raises ConvexSolverError, not LinAlgError."""
+    with np.errstate(invalid="ignore"):
+        lam, residual, iters = _pyramid_qp(np.inf * np.eye(3), [0.0] * 3, 0.5, [0.0] * 3, 10, 1e-10)
+    assert lam.tolist() == [0.0] * 3 and residual == math.inf and iters == 0
+    prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
+    prob.inv_mass[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ct.ConvexSolverError) as err:
+        ct.regularized_convex_impulse(prob, ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex"))
+    assert err.value.residual == math.inf and err.value.iterations == 0
 
 def test_pyramid_projection_properties():
     rng = np.random.default_rng(13)
