@@ -27,7 +27,6 @@ def test_digest_is_repeatable(digest_tool):
     assert len(mat) == len(csv) == 64 and mat != csv
 
 
-
 def test_filtered_digest_is_a_subset_of_the_full_one(digest_tool):
     """--presets and --pools keep the full run's lines of those names, in its order."""
     assert digest_tool.selection([]) == (list(digest_tool.parameter_sets()), list(digest_tool.pools()))

@@ -128,10 +128,11 @@ def selection(argv=None) -> tuple:
     for flag, wanted, names in (("--presets", args.presets, list(parameter_sets())),
                                 ("--pools", args.pools, list(pools()))):
         if wanted is not None:
-            unknown = sorted(set(wanted.split(",")) - set(names))
+            wanted = wanted.split(",")
+            unknown = sorted(set(wanted) - set(names))
             if unknown:
                 parser.error(f"{flag}: unknown {', '.join(unknown)}; choose from {', '.join(names)}")
-            names = [n for n in names if n in wanted.split(",")]
+            names = [n for n in names if n in wanted]
         chosen.append(names)
     return tuple(chosen)
 
