@@ -297,10 +297,11 @@ def _projected_step(x: list, g: list, c: list, L: float, mu: float) -> tuple:
     what they were with it; scalar floats avoid the numpy call overhead that
     dominates on arrays of 3 to 24 elements. Where the two differ: a point
     with n < 0, t = 0 and mu * n underflowing to -0.0 goes to the apex, where
-    the oracle passes it as feasible; and on an infinite step a NaN distance
-    (inf - inf) beats no candidate here, where the oracle's argmin picks the
-    first NaN. NaN input gives NaN output, since no candidate beats a NaN
-    distance.
+    the oracle passes it as feasible; and on a step holding NaN or inf, a
+    NaN distance (inf - inf) of a later candidate beats no other here, where
+    the oracle's argmin picks the first NaN, and min(b, m) is b when m is
+    NaN, where np.minimum gives NaN. NaN input gives NaN output, since no
+    candidate beats a NaN distance.
     """
     out = [0.0] * len(x)
     norm = 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import cubetoss as ct
-from cubetoss import cli
 from cubetoss.cli import EXIT_CONFIG, EXIT_DIVERGENCE, main
 from cubetoss.synthetic import make_dataset, random_toss_states, sliding_toss_states
 
@@ -169,20 +168,6 @@ def test_sweep_grid_rows(tmp_path):
     assert axes["k"]["values"][0] == pytest.approx(1e2)
     assert axes["k"]["values"][-1] == pytest.approx(1e5)
 
-
-
-def test_simulate_convex_eigen_failure_exit_code(tmp_path, monkeypatch):
-    """A body whose inverse mass overflows gives an infinite Delassus matrix, on which
-    eigvalsh does not converge: a convex rollout diverges (exit 3), not a configuration error."""
-    d, _ = write_dataset(tmp_path, n=1)
-    out = tmp_path / "sim.csv"
-    monkeypatch.setattr(cli, "cube_inertial", lambda: ct.InertialParams(1e-320, 1e-3 * np.eye(3)))
-    with np.errstate(invalid="ignore"):
-        rc = main(["simulate", "--preset", "cube-mujoco-style", "--x0", str(d / "toss_000.csv"),
-                   "--out", str(out)])
-    assert rc == EXIT_DIVERGENCE
-    marker = json.loads(out.with_suffix(".partial.json").read_text())
-    assert "convex contact solve stopped at residual inf after 0 iterations" in marker["error"]
 
 def test_config_error_exit_codes(tmp_path):
     d, _ = write_dataset(tmp_path, n=1)

@@ -482,22 +482,24 @@ def test_restart_sign_matches_blas_dot():
         ([1e300, -1e300, 1.0], [1e10, 1e10, 1.0]),
         ([1.0 + 2.0**-30, -(1.0 + 2.0**-29), 0.0], [1.0 + 2.0**-30, 1.0, 0.0]),
     ]
-    cases = [(y, [0.0] * len(y), diff) for y, diff in cases]
-    cases.append(([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, -1.0, 2.0]))  # y == lam_new: a zero dot
+    # (y, lam_new, lam, diff): lam_new - lam is diff bit for bit; a -0.0 diff needs lam_new -0.0
+    cases = [(y, [math.copysign(0.0, d) if d == 0.0 else 0.0 for d in diff], [-d for d in diff], diff)
+             for y, diff in cases]
+    cases.append(([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 3.0, 1.0], [1.0, -1.0, 2.0]))  # y == lam_new: a zero dot
     rng = np.random.default_rng(7)
     for n in (3, 6, 12, 24):
         for _ in range(2000):
             y = rng.standard_normal(n)
             lam_new = rng.standard_normal(n) * rng.choice([0.0, 1e-3, 1.0])
+            lam = lam_new - rng.standard_normal(n)
+            diff = lam_new - lam
             u = y - lam_new
-            diff = rng.standard_normal(n)
-            diff[-1] = -(u[:-1] @ diff[:-1]) / u[-1]  # cancels to within rounding
-            cases.append((y.tolist(), lam_new.tolist(), diff.tolist()))
+            y[-1] = lam_new[-1] - (u[:-1] @ diff[:-1]) / diff[-1]  # cancels to within rounding
+            cases.append((y.tolist(), lam_new.tolist(), lam.tolist(), diff.tolist()))
     with np.errstate(all="ignore"):
-        for y, lam_new, diff in cases:
-            lam = (np.array(lam_new) - np.array(diff)).tolist()  # the last iterate; _uphill forms the diff
-            uphill, diff = _uphill(y, lam_new, lam)
-            assert diff == (np.array(lam_new) - np.array(lam)).tolist()
+        for y, lam_new, lam, diff in cases:
+            uphill, got_diff = _uphill(y, lam_new, lam)
+            assert np.array_equal(np.array(got_diff).view(np.int64), np.array(diff).view(np.int64))
             assert uphill == blas_uphill(y, lam_new, diff), (y, lam_new, diff)
 
 

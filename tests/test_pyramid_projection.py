@@ -16,8 +16,16 @@ from cubetoss.solvers import _projected_step, _pyramid_project
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 
-def vectorized_pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
-    """The former numpy projection: every candidate for every contact, then argmin."""
+def vectorized_pyramid_project(lam: np.ndarray, mu: float, scalar_nan_rules: bool = False) -> np.ndarray:
+    """The former numpy projection: every candidate for every contact, then argmin.
+
+    Its NaN comparisons are numpy's: argmin picks the first NaN distance and
+    np.minimum returns NaN. scalar_nan_rules applies those of the scalar
+    closed form instead: a NaN distance of the second to fourth candidate
+    loses to every other (no distance compares below the first candidate's,
+    so a NaN there wins), and min(a, m) is a unless m < a. The two agree
+    wherever no distance is NaN and no tangent bound meets a NaN.
+    """
     n0 = lam[0::3]
     t1 = lam[1::3]
     t2 = lam[2::3]
@@ -40,10 +48,14 @@ def vectorized_pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
     d3 = np.where(feas3, (n3 - n0) ** 2 + (mu * n3 - a0) ** 2 + (mu * n3 - b0) ** 2, big)
     d4 = n0 * n0 + a0 * a0 + b0 * b0
     dists = np.stack([d1, d2, d3, d4])
+    minimum = np.minimum
+    if scalar_nan_rules:
+        dists[1:][np.isnan(dists[1:])] = big
+        minimum = scalar_min
     choice = np.argmin(dists, axis=0)
     n_new = np.choose(choice, [n1, n2, n3, np.zeros_like(n0)])
-    a_new = np.choose(choice, [mu * n1, np.minimum(a0, mu * n2), mu * n3, np.zeros_like(a0)])
-    b_new = np.choose(choice, [np.minimum(b0, mu * n1), mu * n2, mu * n3, np.zeros_like(b0)])
+    a_new = np.choose(choice, [mu * n1, minimum(a0, mu * n2), mu * n3, np.zeros_like(a0)])
+    b_new = np.choose(choice, [minimum(b0, mu * n1), mu * n2, mu * n3, np.zeros_like(b0)])
     n_new = np.where(feas0, n0, n_new)
     a_new = np.where(feas0, a0, a_new)
     b_new = np.where(feas0, b0, b_new)
@@ -52,6 +64,11 @@ def vectorized_pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
     out[1::3] = np.copysign(a_new, t1)
     out[2::3] = np.copysign(b_new, t2)
     return out
+
+
+def scalar_min(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Elementwise min(a, m) as Python's min compares: a unless m < a."""
+    return np.where(m < a, m, a)
 
 
 mus = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
@@ -175,14 +192,12 @@ def test_projected_step_matches_numpy_step_and_oracle(inp):
     x, g, c, L, mu = inp
     with np.errstate(all="ignore"):
         step = np.array(x) - (np.array(g) + np.array(c)) / L
-        expected = vectorized_pyramid_project(step.copy(), mu)
+        # on a step holding NaN or inf a distance or a tangent bound can be NaN; there the
+        # oracle compares as the closed form does, not as numpy does
+        expected = vectorized_pyramid_project(step.copy(), mu, scalar_nan_rules=True)
         # the closed form sends n < 0 with t = 0 and mu * n underflowing to -0.0 to the apex
         n, t1, t2 = step[0::3], step[1::3], step[2::3]
         expected[0::3][(n < 0.0) & (mu * n == 0.0) & (t1 == 0.0) & (t2 == 0.0)] = 0.0
-        # on a step holding NaN or inf the oracle's argmin can pick a NaN distance, which the
-        # closed form never does: there the expectation is the closed form on numpy's step
-        non_finite = np.repeat(~np.isfinite(step.reshape(-1, 3)).all(axis=1), 3)
-        expected[non_finite] = _pyramid_project(step.copy(), mu)[non_finite]
         terms = np.abs(L * (np.array(x) - expected))
     got, norm = _projected_step(x, g, c, L, mu)
     assert float_bits(got) == float_bits(expected)

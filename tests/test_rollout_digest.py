@@ -26,16 +26,3 @@ def test_digest_is_repeatable(digest_tool):
     assert (name, pool, toss) == ("cube-drake", "sliding", "0")
     assert len(mat) == len(csv) == 64 and mat != csv
 
-
-def test_filtered_digest_is_a_subset_of_the_full_one(digest_tool):
-    """--presets and --pools keep the full run's lines of those names, in its order."""
-    assert digest_tool.selection([]) == (list(digest_tool.parameter_sets()), list(digest_tool.pools()))
-    names, pools = digest_tool.selection(["--presets", "cube-mujoco-style,cube-drake",
-                                          "--pools", "long,box-tumbling,sliding"])
-    assert (names, pools) == (["cube-drake", "cube-mujoco-style"], ["sliding", "long", "box-tumbling"])
-    full = list(digest_tool.digest_lines(*digest_tool.selection([]), tosses=1))
-    wanted = [line for line in full if line.split()[0] in names and line.split()[1] in pools]
-    assert list(digest_tool.digest_lines(names, pools, tosses=1)) == wanted
-    assert len(wanted) == 4  # no box pool runs cube-drake
-    with pytest.raises(SystemExit):
-        digest_tool.selection(["--pools", "tumbling,bogus"])

@@ -191,7 +191,6 @@ def test_convex_non_finite_problem_raises():
     assert err.value.iterations == 1  # stops at the first non-finite projected gradient
 
 
-
 def test_convex_eigen_failure_raises():
     """An infinite Q (inf * eye puts NaN off the diagonal) makes eigvalsh fail to converge;
     the solve ends as not converged, so the solver raises ConvexSolverError, not LinAlgError."""
@@ -203,6 +202,7 @@ def test_convex_eigen_failure_raises():
     with np.errstate(invalid="ignore"), pytest.raises(ct.ConvexSolverError) as err:
         ct.regularized_convex_impulse(prob, ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex"))
     assert err.value.residual == math.inf and err.value.iterations == 0
+
 
 def test_pyramid_projection_properties():
     rng = np.random.default_rng(13)

@@ -21,11 +21,11 @@ rollout at the full 1480 Hz rate:
   rollout assembles at every contact step, under the convex and PGS
   presets only.
 
-``--presets`` and ``--pools`` take comma-separated names and print only the
-lines of those parameter sets and pools, in the order of the full output, so
-a change to one model can be checked on its own lines while it is worked on:
+To check one model's lines while working on it, call ``digest_lines`` with
+the parameter sets and pools wanted; given in the order above, they yield the
+matching lines of the full output, in its order:
 
-    PYTHONPATH=src python3 tools/rollout_digest.py --presets cube-mujoco-style --pools tumbling,box-tumbling
+    PYTHONPATH=src python3 -c "import sys; sys.path.insert(0, 'tools'); import rollout_digest as r; print(*r.digest_lines(['cube-mujoco-style'], ['tumbling', 'box-tumbling']), sep='\\n')"
 
 The cube pools print first, so the box pools left the earlier lines as they
 were. The parameter sets are the three presets, the Bullet-style preset at
@@ -35,7 +35,6 @@ cubetoss.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 import tempfile
@@ -118,27 +117,8 @@ def digest_lines(param_names, pool_names, tosses=None):
                     yield f"{name} {pool_name} {i} {mat} {csv}"
 
 
-def selection(argv=None) -> tuple:
-    """(parameter set names, pool names) to digest: all of them, or those named by --presets and --pools."""
-    parser = argparse.ArgumentParser(description="Print sha256 digests of simulated rollouts.")
-    parser.add_argument("--presets", help="comma-separated parameter sets (default: all)")
-    parser.add_argument("--pools", help="comma-separated toss pools (default: all)")
-    args = parser.parse_args(argv)
-    chosen = []
-    for flag, wanted, names in (("--presets", args.presets, list(parameter_sets())),
-                                ("--pools", args.pools, list(pools()))):
-        if wanted is not None:
-            wanted = wanted.split(",")
-            unknown = sorted(set(wanted) - set(names))
-            if unknown:
-                parser.error(f"{flag}: unknown {', '.join(unknown)}; choose from {', '.join(names)}")
-            names = [n for n in names if n in wanted]
-        chosen.append(names)
-    return tuple(chosen)
-
-
-def main(argv=None) -> int:
-    for line in digest_lines(*selection(argv)):
+def main() -> int:
+    for line in digest_lines(parameter_sets(), pools()):
         print(line, flush=True)
     return 0
 
