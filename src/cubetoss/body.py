@@ -80,13 +80,16 @@ class InertialParams:
 
     def __post_init__(self):
         self.mass = float(self.mass)
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        # the contact solvers read 1 / mass and inertia_body_inv as floats
+        if not (0.0 < self.mass < math.inf and 1.0 / self.mass < math.inf):
+            raise ValueError(f"mass must be positive and finite with a finite inverse, got {self.mass}")
         inertia = np.array(self.inertia_body, dtype=float)
         if inertia.shape == ():
             inertia = float(inertia) * np.eye(3)
         if inertia.shape != (3, 3):
             raise ValueError(f"inertia_body must be 3x3, got shape {inertia.shape}")
+        if not np.all(np.isfinite(inertia)):
+            raise ValueError("inertia_body must be finite")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12 * max(1.0, np.max(np.abs(inertia))):
             raise ValueError("inertia_body must be symmetric")
         eig = np.linalg.eigvalsh(inertia)
@@ -95,6 +98,8 @@ class InertialParams:
         self.inertia_body = inertia
         self.gravity = _as_vec3(self.gravity, "gravity")
         self.inertia_body_inv = np.linalg.inv(inertia)
+        if not np.all(np.isfinite(self.inertia_body_inv)):
+            raise ValueError("inertia_body must have a finite inverse")
         off = inertia - inertia[0, 0] * np.eye(3)
         self.isotropic = bool(np.max(np.abs(off)) == 0.0)
 

@@ -171,15 +171,14 @@ def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: flo
     ]
 
 
-def _table_jacobian(rho) -> np.ndarray:
-    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
+def _table_rows(rho) -> list:
+    """The entries of the table-frame contact Jacobian as one flat list of Python floats.
 
     rho holds the arms from the COM to the witness points as three rows
-    (x, y, z) of nc values: a (3, nc) array or three float lists. Rows
-    follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
-    normal row of J @ twist equals minus depth_rate. The entries go into one
-    flat Python float list, read by np.fromiter with a known count, which on
-    these few contacts costs less than nested lists or strided assignments.
+    (x, y, z) of nc values: a (3, nc) array or three float lists. The list
+    holds 3nc rows of 6 entries, one after another. Rows follow
+    [e, rho x e] for e = normal (+z), t1 (+x), t2 (+y) of each contact, so
+    the normal row of J @ twist equals minus depth_rate.
     """
     flat = []
     for x, y, z in zip(*rho):
@@ -188,6 +187,17 @@ def _table_jacobian(rho) -> np.ndarray:
             1.0, 0.0, 0.0, 0.0, z, -y,
             0.0, 1.0, 0.0, -z, 0.0, x,
         )
+    return flat
+
+
+def _table_jacobian(rho) -> np.ndarray:
+    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
+
+    The entries of _table_rows(rho), read by np.fromiter with a known count,
+    which on these few contacts costs less than nested lists or strided
+    assignments.
+    """
+    flat = _table_rows(rho)
     return np.fromiter(flat, float, len(flat)).reshape(-1, 6)
 
 

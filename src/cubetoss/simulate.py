@@ -14,10 +14,15 @@ solvers._compliant_force and the integrator body._integrate. Each float
 operation is the one the former array code applied elementwise, in the same
 order, so rollouts are bit-identical to that code. Numpy keeps what belongs
 to BLAS: the corner products inside the detector, and the matrix products
-of the convex and PGS solvers, which get a ContactProblem built from the
+of the convex solver, which gets a ContactProblem of arrays built from the
 float lists with the table-frame Jacobian (geometry) and the mass terms
-(solvers._mass_terms). Warm starts are remapped per corner over float
-lists when the set of active corners changes. Both iterative solvers are
+(solvers._mass_terms). The PGS solver runs on floats alone, so its
+ContactProblem is built from the float lists themselves
+(ContactProblem._from_floats: the Jacobian rows of geometry._table_rows and
+the block mass floats of solvers._block_mass) and its result is read back
+as float lists (ContactImpulse._float_lists); a PGS step makes no numpy
+array. Warm starts are remapped per corner over float lists when the set
+of active corners changes. Both iterative solvers are
 called through this module's globals rigid_pgs_impulse and
 regularized_convex_impulse, once per contact step: that seam is deliberate,
 since it is where the solver layer can be timed (the benchmark's tracer
@@ -44,13 +49,14 @@ import numpy as np
 
 from . import quat
 from .body import InertialParams, RigidState, SimConfig, _integrate
-from .geometry import BoxGeometry, _corner_contact_arrays, _table_jacobian
+from .geometry import BoxGeometry, _corner_contact_arrays, _table_jacobian, _table_rows
 from .solvers import (
     DEFAULT_PGS_ITERS,
     DEFAULT_QP_ITERS,
     ContactParams,
     ContactProblem,
     ConvexSolverError,
+    _block_mass,
     _compliant_force,
     _mass_terms,
     regularized_convex_impulse,
@@ -107,10 +113,13 @@ def simulate(
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
     # an isotropic body's mass terms, and so its unconstrained acceleration, do not depend on the state
-    const_mass_terms = const_accel = None
+    const_mass_terms = const_accel = const_block = None
     if inertia.isotropic and model != "compliant":
         const_mass_terms = _mass_terms(None, None, inertia, True)
-        const_accel = const_mass_terms[0] @ const_mass_terms[1]
+        if model == "regularized_convex":
+            const_accel = const_mass_terms[0] @ const_mass_terms[1]
+        else:
+            const_block = _block_mass(*const_mass_terms)
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
     warm_corners = []
@@ -134,27 +143,31 @@ def simulate(
             else:
                 idx, depth, depth_rate, _, _, rho, _ = found
                 inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True)
-                problem = ContactProblem(
-                    _table_jacobian(rho), inv_mass, np.array(v + w), dt, f_ext,
-                    np.array(depth), np.array(depth_rate), const_accel,
-                )
+                if model == "rigid_pgs":
+                    problem = ContactProblem._from_floats(
+                        _table_rows(rho), inv_mass, f_ext, const_block or _block_mass(inv_mass, f_ext),
+                        v + w, dt, depth, depth_rate,
+                    )
+                else:
+                    problem = ContactProblem(
+                        _table_jacobian(rho), inv_mass, np.array(v + w), dt, f_ext,
+                        np.array(depth), np.array(depth_rate), const_accel,
+                    )
                 if idx == warm_corners:
                     warm = warm_flat
                 else:
                     # a corner starts from its impulse in the last solve, or zero if it was not in it
-                    last = warm_flat.tolist() if warm_corners else []
                     at = {corner: 3 * j for j, corner in enumerate(warm_corners)}
-                    remapped = []
+                    warm = []
                     for corner in idx:
                         j = at.get(corner)
-                        remapped += no_impulse if j is None else last[j:j + 3]
-                    warm = np.array(remapped)
+                        warm += no_impulse if j is None else warm_flat[j:j + 3]
                 if model == "regularized_convex":
                     imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
                     imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
-                warm_corners, warm_flat = idx, imp.flat()
-                wrench = imp.wrench.tolist()
+                warm_flat, wrench = imp._float_lists()
+                warm_corners = idx
                 imp_lin, imp_ang = wrench[:3], wrench[3:]
         except (ArithmeticError, ConvexSolverError) as err:
             raise SimulationDivergence(step_i, str(err)) from err

@@ -24,14 +24,18 @@ dynamics alone. Friction for the two optimization-based solvers uses a
 tangential impulses respect |t_i| <= mu * n while a pyramid corner may
 exceed the circular cone by up to sqrt(2).
 
-The two iterative solvers keep in numpy only the products whose rounding
-belongs to BLAS or LAPACK (J M^-1 J^T, J v_free, J^T lambda, the PGS row
-dots, the QP's two matrix-vector products per iteration, eigvalsh, and the
-QP's restart dot when its sign is too close to call on floats). Everything
-elementwise runs on Python floats in the order numpy applied it: the PGS
-sweeps, bias and warm-start clamp, and the convex regularizer, reference
-velocity, pyramid projection and momentum updates. So results are
-bit-identical to all-numpy code. The QP fuses its elementwise passes: one
+The PGS solve runs on Python floats alone, with no BLAS or LAPACK call and
+no numpy array until a caller reads its result's arrays: the Delassus
+entries J M^-1 J^T, J v_free, the sweeps and J^T lambda are sums of
+products in an order the code fixes (see rigid_pgs_impulse), so a PGS
+result does not depend on the BLAS build. The convex solver keeps in numpy
+only the products whose rounding belongs to BLAS or LAPACK (J M^-1 J^T,
+J v_free, J^T lambda, the QP's two matrix-vector products per iteration,
+eigvalsh, and the QP's restart dot when its sign is too close to call on
+floats). Everything elementwise runs on Python floats in the order numpy
+applied it: the convex regularizer, reference velocity, pyramid projection
+and momentum updates. So convex results are bit-identical to all-numpy
+code. The QP fuses its elementwise passes: one
 loop per contact takes the gradient step, projects it onto the pyramid and
 measures the projected gradient (_projected_step), and one loop forms the
 momentum difference and the restart sums (_uphill). It also skips work
@@ -40,13 +44,14 @@ projection as the next iterate when the momentum point equals the iterate
 bit for bit, and it settles the restart sign on floats outside a proven
 error band (see _pyramid_qp and _uphill). Each solver is one public
 function with no second kernel beside it; rollouts call these functions,
-and every result holds one flat impulse, a copy of which is the next
-step's warm start.
+and every result holds one flat impulse, which the loop hands the next
+step as its warm start (each solver copies its warm start).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,7 +109,6 @@ class ContactParams:
             raise ValueError(f"d_interp must lie strictly between 0 and 1, got {self.d_interp}")
 
 
-@dataclass
 class ContactProblem:
     """One-step contact problem in velocity-impulse form.
 
@@ -115,24 +119,78 @@ class ContactProblem:
     timestep. accel is the unconstrained generalized acceleration
     inv_mass @ f_ext, computed on construction unless given; a rollout
     whose mass terms do not change passes the one product it computed.
+
+    The rollout loop builds its PGS problems with _from_floats instead,
+    from the Python float lists it already holds, because the PGS solver
+    reads only floats (_pgs_terms). Such a problem builds its jacobian, v,
+    depth, depth_rate and accel arrays when they are first read, each equal
+    bit for bit to the array the constructor would have been given, so
+    every other reader sees the problem it saw before.
     """
 
-    jacobian: np.ndarray
-    inv_mass: np.ndarray
-    v: np.ndarray
-    h: float
-    f_ext: np.ndarray
-    depth: np.ndarray
-    depth_rate: np.ndarray
-    accel: Optional[np.ndarray] = None
+    def __init__(self, jacobian, inv_mass, v, h, f_ext, depth, depth_rate, accel=None):
+        self.jacobian = jacobian
+        self.inv_mass = inv_mass
+        self.v = v
+        self.h = h
+        self.f_ext = f_ext
+        self.depth = depth
+        self.depth_rate = depth_rate
+        self.accel = inv_mass @ f_ext if accel is None else accel
+        self.num_contacts = depth.size
+        self._floats = None
 
-    def __post_init__(self):
-        if self.accel is None:
-            self.accel = self.inv_mass @ self.f_ext
+    @classmethod
+    def _from_floats(cls, rows, inv_mass, f_ext, mass, v, h, depth, depth_rate) -> "ContactProblem":
+        """The problem of table-frame contacts as the rollout loop holds it.
 
-    @property
-    def num_contacts(self) -> int:
-        return self.depth.size
+        rows holds the flat Jacobian entries of geometry._table_rows,
+        inv_mass and f_ext are the mass-term arrays and mass their
+        _block_mass floats (m^-1, W, f_ext), and v (6), depth and depth_rate
+        are Python float lists.
+        """
+        problem = cls.__new__(cls)
+        problem.inv_mass = inv_mass
+        problem.f_ext = f_ext
+        problem.h = h
+        problem.num_contacts = len(depth)
+        problem._floats = (rows, *mass, v, depth)
+        problem._depth_rate = depth_rate
+        return problem
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        flat = self._floats[0]
+        return np.fromiter(flat, float, len(flat)).reshape(-1, 6)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return np.array(self._floats[4])
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        return np.array(self._floats[5])
+
+    @cached_property
+    def depth_rate(self) -> np.ndarray:
+        return np.array(self._depth_rate)
+
+    @cached_property
+    def accel(self) -> np.ndarray:
+        return self.inv_mass @ self.f_ext
+
+    def _pgs_terms(self) -> tuple:
+        """(J, m^-1, W, f_ext, v, depth) as Python floats: the PGS solver's input.
+
+        J holds the Jacobian's entries in one flat list, row after row, and W
+        the three rows of the world inverse inertia. A problem built from arrays converts them on
+        every call, so the next solve sees an array edited in place. Raises
+        ValueError when inv_mass lacks the block form of _block_mass.
+        """
+        if self._floats is not None:
+            return self._floats
+        minv, W, f_ext = _block_mass(self.inv_mass, self.f_ext)
+        return self.jacobian.ravel().tolist(), minv, W, f_ext, self.v.tolist(), self.depth.tolist()
 
     def delassus(self) -> np.ndarray:
         """Contact-space effective inverse mass J M^-1 J^T."""
@@ -164,6 +222,24 @@ def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool):
     return inv_mass, f_ext
 
 
+def _block_mass(inv_mass: np.ndarray, f_ext: np.ndarray) -> tuple:
+    """(m^-1, W, f_ext) as Python floats, for inv_mass in _mass_terms's block form diag(m^-1 I3, W).
+
+    W comes back as its three rows. Raises ValueError for a 6x6 matrix of
+    any other form, a NaN m^-1 included.
+    """
+    M = np.asarray(inv_mass, dtype=float)
+    if M.shape != (6, 6):
+        raise ValueError(f"inv_mass must be 6x6, got shape {M.shape}")
+    rows = M.tolist()
+    minv = rows[0][0]
+    lin = [[minv, 0.0, 0.0], [0.0, minv, 0.0], [0.0, 0.0, minv]]
+    zeros = [0.0, 0.0, 0.0]
+    if [r[:3] for r in rows] != lin + [zeros] * 3 or [r[3:] for r in rows[:3]] != [zeros] * 3 or minv != minv:
+        raise ValueError("inv_mass must have the block form diag(m^-1 I3, W) that _mass_terms builds")
+    return minv, [r[3:] for r in rows[3:]], np.asarray(f_ext, dtype=float).tolist()
+
+
 def build_contact_problem(
     state: RigidState,
     inertia: InertialParams,
@@ -187,7 +263,6 @@ def build_contact_problem(
     return ContactProblem(_frame_jacobian(rho, frames), inv_mass, v, float(dt), f_ext, depth, depth_rate)
 
 
-@dataclass
 class ContactImpulse:
     """Per-contact impulses plus their aggregated effect on the body.
 
@@ -196,16 +271,39 @@ class ContactImpulse:
     to feed the integrator. normal (the nonnegative normal impulses, N*s) and
     tangent (the (t1, t2) tangential impulses, one row per contact) are views
     into impulse; flat() returns a copy of it.
+
+    The PGS solver works on Python floats and builds its result with
+    _from_floats: impulse and wrench are then made from its float lists when
+    first read, and the rollout loop takes the lists through _float_lists.
     """
 
-    impulse: np.ndarray
-    wrench: np.ndarray
-    converged: bool
-    iterations: int
+    def __init__(self, impulse: np.ndarray, wrench: np.ndarray, converged: bool, iterations: int):
+        self.impulse = impulse
+        self.wrench = wrench
+        self.converged = converged
+        self.iterations = iterations
+        self._lists = None
+
+    @classmethod
+    def _from_floats(cls, impulse: list, wrench: list, converged: bool, iterations: int) -> "ContactImpulse":
+        """A result over the float lists of a solver, which it keeps (not copies)."""
+        result = cls.__new__(cls)
+        result.converged = converged
+        result.iterations = iterations
+        result._lists = (impulse, wrench)
+        return result
 
     @classmethod
     def empty(cls) -> "ContactImpulse":
         return cls(np.zeros(0), np.zeros(6), True, 0)
+
+    @cached_property
+    def impulse(self) -> np.ndarray:
+        return np.array(self._lists[0], dtype=float)
+
+    @cached_property
+    def wrench(self) -> np.ndarray:
+        return np.array(self._lists[1], dtype=float)
 
     @property
     def normal(self) -> np.ndarray:
@@ -217,6 +315,28 @@ class ContactImpulse:
 
     def flat(self) -> np.ndarray:
         return self.impulse.copy()
+
+    def _float_lists(self) -> tuple:
+        """(impulse, wrench) as Python float lists, for reading only: a float solver's own lists."""
+        if self._lists is not None:
+            return self._lists
+        return self.impulse.tolist(), self.wrench.tolist()
+
+
+def _warm_floats(warm_start, n: int) -> Optional[list]:
+    """A solver's starting iterate from warm_start: a new list of n Python floats, or None.
+
+    warm_start may be a flat array or a list of n numbers (the rollout loop
+    passes the last result's list); None or any other shape gives None. An
+    integer warm start is read as floats, so it cannot truncate the iterates.
+    """
+    if isinstance(warm_start, np.ndarray):
+        if warm_start.shape != (n,):
+            return None
+        warm_start = warm_start.tolist()
+    if warm_start is None or len(warm_start) != n:
+        return None
+    return [float(x) for x in warm_start]
 
 
 def _package(problem: ContactProblem, lam: np.ndarray, converged: bool, iterations: int) -> ContactImpulse:
@@ -301,7 +421,9 @@ def _projected_step(x: list, g: list, c: list, L: float, mu: float) -> tuple:
     NaN distance (inf - inf) of a later candidate beats no other here, where
     the oracle's argmin picks the first NaN, and min(b, m) is b when m is
     NaN, where np.minimum gives NaN. NaN input gives NaN output, since no
-    candidate beats a NaN distance.
+    candidate beats a NaN distance. When no facet or edge candidate is
+    feasible the apex wins even if its distance overflows to inf, unless
+    that distance is NaN.
     """
     out = [0.0] * len(x)
     norm = 0.0
@@ -340,12 +462,15 @@ def _projected_step(x: list, g: list, c: list, L: float, mu: float) -> tuple:
                 e = n1 - n0
                 f = mu * n1 - a0
                 best = e * e + f * f
+                feasible = True
             else:
                 best = math.inf
+                feasible = False
             choice = 1
             # facet |t2| = mu n, t1 interior
             n2 = (n0 + mu * b0) / den1
             if n2 >= 0.0 and a0 <= mu * n2:
+                feasible = True
                 e = n2 - n0
                 f = mu * n2 - b0
                 d = e * e + f * f
@@ -354,14 +479,16 @@ def _projected_step(x: list, g: list, c: list, L: float, mu: float) -> tuple:
             # edge |t1| = |t2| = mu n
             n3 = (n0 + mu * (a0 + b0)) / den3
             if n3 >= 0.0:
+                feasible = True
                 e = n3 - n0
                 f = mu * n3 - a0
                 h = mu * n3 - b0
                 d = e * e + f * f + h * h
                 if d < best:
                     best, choice = d, 3
-            # apex
-            if n0 * n0 + a0 * a0 + b0 * b0 < best:
+            # apex; also when no other candidate is feasible and its distance overflows, unless it is NaN
+            d = n0 * n0 + a0 * a0 + b0 * b0
+            if d < best or not feasible and d == d:
                 choice = 4
             if choice == 1:
                 n_new = n1
@@ -578,10 +705,7 @@ def regularized_convex_impulse(
     c = (problem.jacobian @ problem.v_free()).tolist()
     for i, ref in enumerate(_convex_reference_velocity(problem, params)):
         c[3 * i] -= ref
-    if warm_start is not None and warm_start.shape == (3 * nc,):
-        lam0 = warm_start.tolist()
-    else:
-        lam0 = [0.0] * (3 * nc)
+    lam0 = _warm_floats(warm_start, 3 * nc) or [0.0] * (3 * nc)
     lam, residual, iters = _pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
     if not residual <= tol:
         raise ConvexSolverError(residual, iters)
@@ -602,40 +726,44 @@ def erp_cfm(h: float, k: float, b: float) -> tuple[float, float]:
 def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     """Projected Gauss-Seidel sweeps over normal and boxed tangential rows.
 
-    g and bias are sequences of floats (Python float lists from
-    rigid_pgs_impulse); lam holds the starting iterate and is updated in
-    place. Each residual is the row dot product rows[r].dot(lam), taken in
-    numpy because its rounding belongs to BLAS (OpenBLAS sums short rows as
-    one chain of fused multiply-adds, which Python 3.11 floats cannot
-    reproduce). All other work runs on Python floats: the Delassus diagonal
-    and a mirror of lam are lists, and every update is written to both the
-    mirror and the array. Each float operation is the one the former
-    all-numpy loop applied to float64 scalars, in the same order, so the
-    iterates are bit-identical to it. A non-finite iterate is reported as
-    not converged, since a NaN change never exceeds the sweep's largest.
+    All arguments are Python floats: A the Delassus matrix as a list of
+    rows, g and lam flat lists [n, t1, t2, ...] and bias one entry per
+    contact. lam holds the starting iterate and is updated in place. Each
+    residual is the row dot A[k] . lam summed left to right from the first
+    product, written out one contact (three terms) at a time, then
+    ((dot + g) - bias) + cfm * old for a normal row and dot + g for a
+    tangential one. A non-finite iterate is reported as not converged,
+    since a NaN change never exceeds the sweep's largest.
     """
-    rows = list(A)
-    diag = A.diagonal().tolist()
-    lam_f = lam.tolist()
-    nc = len(bias)
+    n = len(lam)
+    rest = range(3, n, 3)  # the row dot's contacts after the first
+    # per contact: its normal row's index, row, diagonal + cfm, g and bias, then each tangent's
+    contacts = [
+        (ni, A[ni], A[ni][ni] + cfm, g[ni], bias[ni // 3],
+         ((ni + 1, A[ni + 1], A[ni + 1][ni + 1], g[ni + 1]), (ni + 2, A[ni + 2], A[ni + 2][ni + 2], g[ni + 2])))
+        for ni in range(0, n, 3)
+    ]
     sweeps = 0
     converged = False
     for sweeps in range(1, max_iters + 1):
         delta = 0.0
-        for i in range(nc):
-            ni = 3 * i
-            old = lam_f[ni]
-            r = float(rows[ni].dot(lam)) + g[ni] - bias[i] + cfm * old
-            new = old - r / (diag[ni] + cfm)
+        for ni, row, dn, gn, bn, tangents in contacts:
+            r = row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+            for j in rest:
+                r = r + row[j] * lam[j] + row[j + 1] * lam[j + 1] + row[j + 2] * lam[j + 2]
+            old = lam[ni]
+            new = old - (r + gn - bn + cfm * old) / dn
             if new < 0.0:
                 new = 0.0
             change = abs(new - old)
-            lam[ni] = lam_f[ni] = new
+            lam[ni] = new
             bound = mu * new
-            for jt in (ni + 1, ni + 2):
-                old = lam_f[jt]
-                r = float(rows[jt].dot(lam)) + g[jt]
-                newt = old - r / diag[jt]
+            for jt, row, dt, gt in tangents:
+                r = row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+                for j in rest:
+                    r = r + row[j] * lam[j] + row[j + 1] * lam[j + 1] + row[j + 2] * lam[j + 2]
+                old = lam[jt]
+                newt = old - (r + gt) / dt
                 if newt > bound:
                     newt = bound
                 elif newt < -bound:
@@ -643,13 +771,13 @@ def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
                 cj = abs(newt - old)
                 if cj > change:
                     change = cj
-                lam[jt] = lam_f[jt] = newt
+                lam[jt] = newt
             if change > delta:
                 delta = change
         if delta < tol:
             converged = True
             break
-    converged = converged and all(map(math.isfinite, lam_f))
+    converged = converged and all(map(math.isfinite, lam))
     return lam, converged, sweeps
 
 
@@ -670,30 +798,74 @@ def rigid_pgs_impulse(
     reached first the intermediate iterate is returned as a legal result
     with converged=False. A non-finite iterate is never reported converged.
 
-    The Delassus matrix and J @ v_free stay numpy products; the bias and
-    the warm start's normal clamp run on Python floats. Both clamps keep
-    np.maximum(0.0, x)'s semantics: NaN propagates and -0.0 stays -0.0.
+    The solve runs on Python floats alone, with no BLAS, LAPACK or numpy
+    array before its result: sums of products whose order the code fixes
+    replace the matrix products, so the result does not depend on the BLAS
+    build. It reads the problem through _pgs_terms and uses the block form
+    of the inverse mass (a ValueError for any other): M^-1 r of a Jacobian
+    row r = (l, a) is (m^-1 l, W a), each entry of W a summed left to
+    right. Each Delassus entry A[i][j] = r_i . M^-1 r_j and each entry of
+    g = J v_free, with v_free = v + h M^-1 f_ext, is a 6-term dot summed
+    left to right; the sweeps are those of _pgs; the wrench J^T lam sums
+    lam_k r_k over the rows in order, starting from the first. The bias and
+    the warm start's normal clamp keep np.maximum(0.0, x)'s semantics: NaN
+    propagates and -0.0 stays -0.0. warm_start may also be the list of
+    floats that the rollout loop passes (see _warm_floats).
     """
     if params.model != "rigid_pgs":
         raise ValueError(f"params.model must be 'rigid_pgs', got {params.model!r}")
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    A = problem.delassus()
-    g = (problem.jacobian @ problem.v_free()).tolist()
-    erp, cfm = erp_cfm(problem.h, params.k, params.b)
-    gain = erp / problem.h
-    bias = [gain * (0.0 if d < 0.0 else d) for d in problem.depth.tolist()]
-    if warm_start is not None and warm_start.shape == (3 * nc,):
-        lam_f = warm_start.tolist()
-        for i in range(0, 3 * nc, 3):
-            if lam_f[i] < 0.0:
-                lam_f[i] = 0.0
-        lam = np.array(lam_f, dtype=float)  # an integer warm start must not truncate the iterates
+    J, minv, W, f, v, depth = problem._pgs_terms()
+    J = list(zip(*[iter(J)] * 6))  # the rows of 6
+    h = problem.h
+    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = W
+    # M^-1 J^T, one row per Jacobian row, then the Delassus matrix A = J M^-1 J^T
+    m_rows = [
+        (minv * l0, minv * l1, minv * l2,
+         w00 * a0 + w01 * a1 + w02 * a2, w10 * a0 + w11 * a1 + w12 * a2, w20 * a0 + w21 * a1 + w22 * a2)
+        for l0, l1, l2, a0, a1, a2 in J
+    ]
+    A = []
+    for r0, r1, r2, r3, r4, r5 in J:
+        row = []
+        for m0, m1, m2, m3, m4, m5 in m_rows:
+            row.append(r0 * m0 + r1 * m1 + r2 * m2 + r3 * m3 + r4 * m4 + r5 * m5)
+        A.append(row)
+    # v_free = v + h M^-1 f_ext, then g = J v_free
+    f0, f1, f2, f3, f4, f5 = f
+    v0, v1, v2, v3, v4, v5 = v
+    u0 = v0 + h * (minv * f0)
+    u1 = v1 + h * (minv * f1)
+    u2 = v2 + h * (minv * f2)
+    u3 = v3 + h * (w00 * f3 + w01 * f4 + w02 * f5)
+    u4 = v4 + h * (w10 * f3 + w11 * f4 + w12 * f5)
+    u5 = v5 + h * (w20 * f3 + w21 * f4 + w22 * f5)
+    g = [r0 * u0 + r1 * u1 + r2 * u2 + r3 * u3 + r4 * u4 + r5 * u5 for r0, r1, r2, r3, r4, r5 in J]
+    erp, cfm = erp_cfm(h, params.k, params.b)
+    gain = erp / h
+    bias = [gain * (0.0 if d < 0.0 else d) for d in depth]
+    n = 3 * nc
+    lam = _warm_floats(warm_start, n)
+    if lam is None:
+        lam = [0.0] * n
     else:
-        lam = np.zeros(3 * nc)
+        for i in range(0, n, 3):
+            if lam[i] < 0.0:
+                lam[i] = 0.0
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
-    return _package(problem, lam, converged, sweeps)
+    # the wrench J^T lam
+    x = lam[0]
+    s0, s1, s2, s3, s4, s5 = [x * e for e in J[0]]
+    for x, (r0, r1, r2, r3, r4, r5) in zip(lam[1:], J[1:]):
+        s0 += x * r0
+        s1 += x * r1
+        s2 += x * r2
+        s3 += x * r3
+        s4 += x * r4
+        s5 += x * r5
+    return ContactImpulse._from_floats(lam, [s0, s1, s2, s3, s4, s5], converged, sweeps)
 
 
 def solve_contact_impulse(

@@ -5,12 +5,16 @@ vectorized compliant law, the integrator, the fused rollout loop and the
 trajectory writer exactly as they were written over numpy arrays. The loop
 calls the live mass terms and the frozen Jacobian builder and solvers below.
 
-The two iterative contact solvers follow as they were before their bias,
-warm-start, regularizer and reference-velocity glue moved to Python floats:
-``rigid_pgs_impulse`` and ``regularized_convex_impulse`` with their sweep,
-QP and packaging helpers. They share the live, separately tested friction
-pyramid projection and erp/cfm mapping, and return results over a copy of
-their flat impulse.
+The convex solver follows as it was before its regularizer and
+reference-velocity glue moved to Python floats: ``regularized_convex_impulse``
+with its QP and packaging helpers. ``pgs_impulse`` and ``pgs`` are the
+oracle of the PGS solver, which runs on Python floats with no BLAS: the same
+fixed summation orders, written independently on numpy columns and plain
+index loops. ``blas_pgs_impulse`` and ``blas_pgs``, the PGS solver as it was
+with BLAS products and row dots, are kept as the reference that the float
+solver must agree with to a stated tolerance. The solvers share the live,
+separately tested friction pyramid projection and erp/cfm mapping, and
+return results over a copy of their flat impulse.
 ``pyramid_qp`` is also the oracle of the QP's shortcuts (the reused
 look-ahead projection, the float restart sign, ``Q.dot`` on lists): it runs
 the loop as it was before them, with arrays only at its boundary.
@@ -294,6 +298,90 @@ def convex_impulse(problem, params, max_iters=DEFAULT_QP_ITERS, tol=DEFAULT_QP_T
 
 
 def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
+    """Gauss-Seidel sweeps with every row dot summed left to right from its first product."""
+    A = np.asarray(A, dtype=float).tolist()
+    n = len(lam)
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_iters + 1):
+        delta = 0.0
+        for ni in range(0, n, 3):
+            for k in range(ni, ni + 3):
+                r = A[k][0] * lam[0]
+                for j in range(1, n):
+                    r = r + A[k][j] * lam[j]
+                old = lam[k]
+                if k == ni:
+                    new = old - (((r + g[k]) - bias[k // 3]) + cfm * old) / (A[k][k] + cfm)
+                    if new < 0.0:
+                        new = 0.0
+                    change = abs(new - old)
+                    bound = mu * new
+                else:
+                    new = old - (r + g[k]) / A[k][k]
+                    if new > bound:
+                        new = bound
+                    elif new < -bound:
+                        new = -bound
+                    if abs(new - old) > change:
+                        change = abs(new - old)
+                lam[k] = new
+            if change > delta:
+                delta = change
+        if delta < tol:
+            converged = True
+            break
+    converged = converged and all(math.isfinite(x) for x in lam)
+    return lam, converged, sweeps
+
+
+def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
+    """The PGS solve in the fixed order of the float kernel, on numpy columns.
+
+    Every product of the block inverse mass diag(m^-1 I3, W), of the
+    Delassus matrix, of g = J v_free and of the wrench is an elementwise
+    numpy expression summed term by term in index order, so no BLAS call
+    decides a rounding.
+    """
+    nc = problem.num_contacts
+    if nc == 0:
+        return ContactImpulse.empty()
+    J = problem.jacobian
+    minv = problem.inv_mass[0, 0]
+    W = problem.inv_mass[3:, 3:]
+    MJ = np.empty_like(J)  # row k is M^-1 J[k]
+    MJ[:, :3] = minv * J[:, :3]
+    for c in range(3):
+        MJ[:, 3 + c] = W[c, 0] * J[:, 3] + W[c, 1] * J[:, 4] + W[c, 2] * J[:, 5]
+    A = J[:, 0:1] * MJ[:, 0]  # A[i, j] = J[i] . MJ[j], term by term
+    for c in range(1, 6):
+        A = A + J[:, c:c + 1] * MJ[:, c]
+    f = problem.f_ext
+    accel = np.concatenate([minv * f[:3], W[:, 0] * f[3] + W[:, 1] * f[4] + W[:, 2] * f[5]])
+    v_free = problem.v + problem.h * accel
+    g = J[:, 0] * v_free[0]
+    for c in range(1, 6):
+        g = g + J[:, c] * v_free[c]
+    erp, cfm = erp_cfm(problem.h, params.k, params.b)
+    bias = (erp / problem.h) * np.maximum(0.0, problem.depth)
+    if warm_start is not None and np.shape(warm_start) == (3 * nc,):
+        lam = np.array(warm_start, dtype=float)
+        normal = lam[0::3]
+        np.maximum(0.0, normal, out=normal)
+    else:
+        lam = np.zeros(3 * nc)
+    lam, converged, sweeps = pgs(A, g.tolist(), bias.tolist(), cfm, params.mu, lam.tolist(), max_iters, tol)
+    lam = np.array(lam)
+    wrench = lam[0] * J[0]
+    for k in range(1, 3 * nc):
+        wrench = wrench + lam[k] * J[k]
+    return ContactImpulse(lam, wrench, converged, sweeps)
+
+
+# --- the BLAS PGS, kept as the reference of the tolerance tests ---------------
+
+
+def blas_pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     rows = list(A)
     diag = A.diagonal().tolist()
     g_f = g.tolist()
@@ -335,7 +423,7 @@ def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     return lam, converged, sweeps
 
 
-def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
+def blas_pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
@@ -349,5 +437,5 @@ def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TO
         np.maximum(0.0, normal, out=normal)
     else:
         lam = np.zeros(3 * nc)
-    lam, converged, sweeps = pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
+    lam, converged, sweeps = blas_pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
     return package(problem, lam, converged, sweeps)

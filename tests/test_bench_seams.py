@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import cubetoss as ct
+from cubetoss.synthetic import random_toss_states
+from test_simulate import anisotropic_box
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import replay as rp  # noqa: E402
@@ -30,9 +32,20 @@ def test_tracer_patches_every_name_and_restores_it():
     assert [owner.__dict__[attr] for owner, attr, _, _ in tr.PATCHES] == originals
 
 
-@pytest.mark.parametrize("preset", ["cube-mujoco-style", "cube-bullet-style"])
-def test_public_api_replay_of_a_pool_toss_is_exact(preset):
-    rep = rp.replay(wl.pool("tumbling")[0], ct.param_preset(preset), ct.cube_inertial(), ct.cube_geometry(),
-                    ct.SimConfig(), 0.3, rp.Replay())
+@pytest.mark.parametrize("preset, pool, body", [
+    pytest.param("cube-mujoco-style", "tumbling", "cube", id="cube-mujoco-style"),
+    pytest.param("cube-bullet-style", "tumbling", "cube", id="cube-bullet-style"),
+    # sweep-pgs's pool, mostly one or two contacts per step
+    pytest.param("cube-bullet-style", "sliding", "cube", id="cube-bullet-style-sliding"),
+    # a world inverse inertia that changes every step
+    pytest.param("cube-bullet-style", "tumbling", "anisotropic box", id="cube-bullet-style-anisotropic-box"),
+])
+def test_public_api_replay_of_a_pool_toss_is_exact(preset, pool, body):
+    if body == "cube":
+        x0, inertia, geom = wl.pool(pool)[0], ct.cube_inertial(), ct.cube_geometry()
+    else:
+        geom, inertia = anisotropic_box()
+        x0 = random_toss_states(1, geom, seed=wl.POOL_SEED)[0]
+    rep = rp.replay(x0, ct.param_preset(preset), inertia, geom, ct.SimConfig(), 0.3, rp.Replay())
     assert sum(rep.contacts) > 0
     assert rep.max_final_dev_m == 0.0

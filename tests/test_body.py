@@ -116,6 +116,11 @@ def test_inertial_params_validation():
         ct.InertialParams(1.0, -np.eye(3))
     with pytest.raises(ValueError):
         ct.InertialParams(1.0, np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
+    # a mass or inertia whose inverse overflows, or one that is not finite, is a configuration error
+    for mass, inertia in ((1e-320, 1e-3 * np.eye(3)), (np.inf, 1e-3 * np.eye(3)), (np.nan, 1e-3 * np.eye(3)),
+                          (0.37, np.diag([1e-320] * 3)), (0.37, np.diag([np.inf] * 3)), (0.37, np.diag([np.nan] * 3))):
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            ct.InertialParams(mass, inertia)
     assert ct.InertialParams(1.0, 0.0081 * np.eye(3)).isotropic
     assert not ct.InertialParams(1.0, np.diag([0.01, 0.02, 0.04])).isotropic
 

@@ -4,18 +4,21 @@ The corner detector, the compliant law, the integrator, the fused loop and
 the elementwise glue of the PGS and convex solvers now run on Python floats,
 and the convex QP skips work whose result it already knows. The numpy
 versions are frozen in ``frozen_numpy`` as oracles: every helper must return the same values, sign bits and NaNs
-included, and every rollout the same trajectory and the same divergence.
+included, and every rollout the same trajectory and the same divergence. The PGS solver has no BLAS product
+left; its oracle is ``frozen_numpy.pgs_impulse``, the same fixed summation orders written on numpy columns,
+and the former BLAS solve is the reference it must match within a tolerance.
 """
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cubetoss as ct
 import frozen_numpy as fz
+from test_pgs import BLAS_TOL
 from cubetoss import quat
 from cubetoss.body import _integrate
 from cubetoss.geometry import _corner_contact_arrays, _table_jacobian
@@ -341,6 +344,23 @@ def test_rigid_pgs_impulse_matches_numpy_oracle(case, max_iters):
 
 
 @PROPERTY_SETTINGS
+@given(solver_cases(), st.integers(1, 50))
+def test_rigid_pgs_impulse_agrees_with_blas_solve(case, max_iters):
+    """On finite problems the float solve stays within BLAS_TOL of the former BLAS one (see test_pgs)."""
+    problem, mu, k, b, _, warm = case
+    inputs = [problem.jacobian, problem.v, problem.f_ext, problem.depth, problem.depth_rate, warm]
+    assume(all(x is None or np.all(np.isfinite(x)) for x in inputs))
+    params = ct.ContactParams(mu, k, b, "rigid_pgs")
+    with np.errstate(all="ignore"):
+        want = fz.blas_pgs_impulse(problem, params, max_iters, warm_start=warm)
+    assume(np.all(np.isfinite(want.flat())))  # an overflowing problem has no rounding to compare
+    got = ct.rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
+    for g, w in ((got.flat(), want.flat()), (got.wrench, want.wrench)):
+        assert np.max(np.abs(g - w), initial=0.0) <= BLAS_TOL * max(1.0, np.max(np.abs(w), initial=0.0))
+    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+
+
+@PROPERTY_SETTINGS
 @given(solver_cases(), st.sampled_from([5, 50, 500]))
 def test_regularized_convex_impulse_matches_numpy_oracle(case, max_iters):
     problem, mu, k, b, d, warm = case
@@ -543,6 +563,37 @@ def test_rollout_matches_frozen_numpy_loop(preset, cube_geom):
         got = ct.simulate(x0, params, inertia, cube_geom, cfg, 0.3).as_matrix()
         want = fz.simulate(x0, params, inertia, cube_geom, cfg, 0.3).as_matrix()
         assert same_bits(got, want), (preset, i)
+
+
+def test_float_built_problem_reads_as_the_array_built_one(monkeypatch, cube_geom):
+    """The PGS problems simulate builds from floats read, field by field, as the frozen loop's arrays,
+    and the other solvers solve them bit for bit as they solve those."""
+    params = ct.param_preset("cube-bullet-style")
+    cfg = ct.SimConfig(dt=DT, downsample=1)
+    got, want = [], []
+    live = sys.modules["cubetoss.simulate"].rigid_pgs_impulse
+    frozen = fz.pgs_impulse
+
+    def recorder(solver, out):
+        def solve(problem, *args, **kwargs):
+            out.append(problem)
+            return solver(problem, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(sys.modules["cubetoss.simulate"], "rigid_pgs_impulse", recorder(live, got))
+    monkeypatch.setattr(fz, "pgs_impulse", recorder(frozen, want))
+    for x0, inertia in _rollout_cases(cube_geom):
+        ct.simulate(x0, params, inertia, cube_geom, cfg, 0.3)
+        fz.simulate(x0, params, inertia, cube_geom, cfg, 0.3)
+    assert len(got) == len(want) > 0
+    convex = ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex")
+    compliant = ct.ContactParams(0.3, 3300.0, 45.0, "compliant")
+    for g, w in zip(got[::7], want[::7]):
+        assert g.num_contacts == w.num_contacts and g.h == w.h
+        for name in ("jacobian", "inv_mass", "v", "f_ext", "depth", "depth_rate", "accel"):
+            assert same_bits(getattr(g, name), getattr(w, name)), name
+        for solve, p in ((ct.regularized_convex_impulse, convex), (ct.hunt_crossley_impulse, compliant)):
+            assert same_impulse(solve(g, p), solve(w, p))
 
 
 def _divergence(fn, params, x0, cube_geom, cube_inertia):

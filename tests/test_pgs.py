@@ -1,57 +1,36 @@
 """Property tests of the projected Gauss-Seidel sweeps used by the rigid solver.
 
-The float loop in ``cubetoss.solvers._pgs`` must reproduce, bit for bit, the
-all-numpy loop it replaced; that version is frozen below as the oracle,
-together with the non-finite check that ``rigid_pgs_impulse`` applied to its
-result.
+``cubetoss.solvers._pgs`` runs on Python floats and sums every row dot left
+to right from its first product. ``frozen_numpy.pgs`` is the oracle of that
+arithmetic, written independently as plain index loops: the two must agree
+bit for bit. ``frozen_numpy.blas_pgs``, the sweeps as they were with BLAS
+row dots, is the reference that finite cases must match to BLAS_TOL. The
+last test keeps BLAS and LAPACK out of the PGS solve and the PGS contact
+step of a rollout.
 """
+import dis
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubetoss as ct
+import frozen_numpy as fz
 from cubetoss.solvers import _pgs
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+DT = 1.0 / 1480.0
+# agreement with the BLAS solve, absolute and relative to the largest impulse. Measured on 3,000
+# examples of pgs_problems and the 2,279 finite ones of 3,000 test_float_loop.solver_cases: at most
+# 7.1e-15 apart, with the same sweep count and convergence on all
+BLAS_TOL = 1e-12
 
 
-def numpy_pgs(A, g, bias, cfm, mu, lam0, max_iters, tol):
-    """The former all-numpy sweeps, plus the finite check on the final iterate."""
-    lam = lam0.copy()
-    nc = g.size // 3
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, max_iters + 1):
-        delta = 0.0
-        for i in range(nc):
-            ni = 3 * i
-            r = float(A[ni] @ lam) + g[ni] - bias[i] + cfm * lam[ni]
-            new = lam[ni] - r / (A[ni, ni] + cfm)
-            if new < 0.0:
-                new = 0.0
-            change = abs(new - lam[ni])
-            lam[ni] = new
-            bound = mu * new
-            for jt in (ni + 1, ni + 2):
-                r = float(A[jt] @ lam) + g[jt]
-                newt = lam[jt] - r / A[jt, jt]
-                if newt > bound:
-                    newt = bound
-                elif newt < -bound:
-                    newt = -bound
-                cj = abs(newt - lam[jt])
-                if cj > change:
-                    change = cj
-                lam[jt] = newt
-            if change > delta:
-                delta = change
-        if delta < tol:
-            converged = True
-            break
-    converged = converged and bool(np.all(np.isfinite(lam)))
-    return lam, converged, sweeps
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @st.composite
@@ -91,35 +70,113 @@ def pgs_problems(draw):
 @given(pgs_problems())
 def test_pgs_matches_numpy_oracle(problem):
     A, g, bias, cfm, mu, lam0, max_iters, tol = problem
-    want, want_conv, want_sweeps = numpy_pgs(A, g, bias, cfm, mu, lam0, max_iters, tol)
-    lam = lam0.copy()
-    got, conv, sweeps = _pgs(A, g, bias, cfm, mu, lam, max_iters, tol)
+    want, want_conv, want_sweeps = fz.pgs(A, g.tolist(), bias.tolist(), cfm, mu, lam0.tolist(), max_iters, tol)
+    lam = lam0.tolist()
+    got, conv, sweeps = _pgs(A.tolist(), g.tolist(), bias.tolist(), cfm, mu, lam, max_iters, tol)
     assert got is lam
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert same_bits(got, want)  # values and sign bits
     assert conv == want_conv
     assert sweeps == want_sweeps
 
 
 @PROPERTY_SETTINGS
+@given(pgs_problems())
+def test_pgs_agrees_with_blas_sweeps(problem):
+    A, g, bias, cfm, mu, lam0, max_iters, tol = problem
+    want, want_conv, want_sweeps = fz.blas_pgs(A, g, bias, cfm, mu, lam0.copy(), max_iters, tol)
+    got, conv, sweeps = _pgs(A.tolist(), g.tolist(), bias.tolist(), cfm, mu, lam0.tolist(), max_iters, tol)
+    assert np.max(np.abs(np.array(got) - want)) <= BLAS_TOL * max(1.0, np.max(np.abs(want)))
+    assert (conv, sweeps) == (want_conv, want_sweeps)
+
+
+@PROPERTY_SETTINGS
 @given(pgs_problems(), st.sampled_from(["g", "bias", "lam0", "A"]), st.sampled_from([math.nan, math.inf]))
 def test_pgs_non_finite_problem_never_converged(problem, field, bad):
-    A, g, bias, cfm, mu, lam0, max_iters, tol = problem
+    A, g, bias, cfm, mu, lam0, max_iters, tol = (x.tolist() if isinstance(x, np.ndarray) else x for x in problem)
     if field == "g":
-        g = g.copy()
         g[0] = bad
     elif field == "bias":
-        bias = bias.copy()
         bias[0] = bad
     elif field == "lam0":
-        lam0 = lam0.copy()
         lam0[0] = bad
     else:
-        A = A.copy()
-        A[0, 0] = bad
-    with np.errstate(invalid="ignore", over="ignore"):
-        lam, converged, _ = _pgs(A, g, bias, cfm, mu, lam0.copy(), max_iters, tol)
-    if not np.all(np.isfinite(lam)):
+        A[0][0] = bad
+    lam, converged, _ = _pgs(A, g, bias, cfm, mu, lam0, max_iters, tol)
+    if not all(map(math.isfinite, lam)):
         assert not converged
     if math.isnan(bad):
         assert not converged
+
+
+# numpy's products, which go to BLAS or LAPACK, by the names code reaches them through
+PRODUCT_NAMES = {"dot", "vdot", "matmul", "inner", "outer", "tensordot", "einsum", "linalg"}
+
+
+def numpy_products(fn) -> tuple:
+    """Run fn() and return (products, called): where it reached a numpy product, and the Python functions it ran.
+
+    sys.setprofile sees C calls by name (ndarray.dot and the like) and
+    Python calls into numpy.linalg; an opcode trace sees the @ operator and
+    every load of a product's name (np.dot, np.matmul, np.linalg), which C
+    call events do not show. Each product is reported as (function, what).
+    """
+    products, called, codes = [], set(), {}
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) in PRODUCT_NAMES:
+            products.append((frame.f_code.co_name, arg.__name__))
+        elif event == "call":
+            called.add(frame.f_code.co_name)
+            if frame.f_globals.get("__name__", "").startswith("numpy.linalg"):
+                products.append((frame.f_code.co_name, "numpy.linalg"))
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            code = frame.f_code
+            if code not in codes:
+                codes[code] = {ins.offset: ins for ins in dis.get_instructions(code)}
+            ins = codes[code].get(frame.f_lasti)
+            if ins is not None and (
+                "MATRIX_MULTIPLY" in ins.opname
+                or ins.opname == "BINARY_OP" and ins.argrepr in ("@", "@=")
+                or ins.opname.startswith("LOAD_") and ins.argval in PRODUCT_NAMES
+            ):
+                products.append((code.co_name, ins.argrepr or ins.opname))
+        return trace
+
+    sys.setprofile(profile)
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return products, called
+
+
+def test_numpy_products_sees_each_way_to_blas():
+    a = np.eye(3)
+    for fn in (lambda: a @ a, lambda: a.dot(a), lambda: np.dot(a, a), lambda: np.matmul(a, a),
+               lambda: np.linalg.eigvalsh(a)):
+        assert numpy_products(fn)[0]
+    assert numpy_products(lambda: (a * a).sum())[0] == []
+
+
+def test_pgs_solve_and_rollout_step_call_no_blas(cube_geom, cube_inertia):
+    """The PGS solve, and the PGS contact step of a rollout, run no BLAS or LAPACK product."""
+    state = ct.RigidState([0.0, 0.0, 0.0495], [1.0, 0.0, 0.0, 0.0], [0.2, -0.1, -0.3], [0.5, 0.2, -0.4])
+    contacts = ct.detect_contacts(state, cube_geom)
+    problem = ct.build_contact_problem(state, cube_inertia, contacts, DT)
+    params = ct.param_preset("cube-bullet-style")
+    warm = np.full(3 * len(contacts), 0.01)
+    products, called = numpy_products(lambda: ct.rigid_pgs_impulse(problem, params, warm_start=warm))
+    assert len(contacts) == 4 and "rigid_pgs_impulse" in called
+    assert products == []
+    # one contact step. What remains is outside the PGS path: the state check before the first
+    # step (a quaternion norm) and the corner products of the detector
+    products, called = numpy_products(
+        lambda: ct.simulate(state, params, cube_inertia, cube_geom, ct.SimConfig(dt=DT, downsample=1), DT)
+    )
+    assert "rigid_pgs_impulse" in called
+    assert {p[0] for p in products} == {"require_valid", "_corner_contact_arrays"}

@@ -53,6 +53,8 @@ def vectorized_pyramid_project(lam: np.ndarray, mu: float, scalar_nan_rules: boo
         dists[1:][np.isnan(dists[1:])] = big
         minimum = scalar_min
     choice = np.argmin(dists, axis=0)
+    # the apex, when nothing else is feasible, even at an infinite distance; a NaN one keeps NaN
+    choice = np.where(~(feas1 | feas2 | feas3) & ~np.isnan(d4), 3, choice)
     n_new = np.choose(choice, [n1, n2, n3, np.zeros_like(n0)])
     a_new = np.choose(choice, [mu * n1, minimum(a0, mu * n2), mu * n3, np.zeros_like(a0)])
     b_new = np.choose(choice, [minimum(b0, mu * n1), mu * n2, mu * n3, np.zeros_like(b0)])
@@ -114,6 +116,17 @@ def test_projection_matches_vectorized_oracle(inp):
     # t = 0 (it tests 0 <= -0.0); the closed form sends that point to the apex
     expected[np.repeat(expected[0::3] < 0.0, 3)] = 0.0
     assert np.array_equal(_pyramid_project(x.copy(), mu), expected)
+
+
+def test_overflowing_apex_distance_still_goes_to_apex():
+    """Every candidate infeasible and the apex distance n * n overflowing: the apex, not a facet."""
+    out, norm = _projected_step([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1e-300, 5e-324)
+    assert out == [0.0, 0.0, 0.0] and norm == 0.0
+    step = np.array([-1e300, 0.0, 0.0])
+    assert _pyramid_project(step, 5e-324).tolist() == [0.0, 0.0, 0.0]
+    with np.errstate(over="ignore"):
+        assert vectorized_pyramid_project(step, 5e-324).tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(_pyramid_project(np.array([-1e300, math.nan, 0.0]), 5e-324)[1])
 
 
 def test_projection_underflowing_cone_bound_goes_to_apex():
