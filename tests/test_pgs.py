@@ -13,6 +13,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,17 @@ def test_pgs_non_finite_problem_never_converged(problem, field, bad):
         assert not converged
     if math.isnan(bad):
         assert not converged
+
+
+def test_pgs_requires_the_block_inverse_mass(cube_geom, cube_inertia):
+    """The float kernel assumes diag(m^-1 I3, W); any other inverse mass is refused, not solved another way."""
+    state = ct.RigidState([0.0, 0.0, 0.0495], [1.0, 0.0, 0.0, 0.0], [0.2, -0.1, -0.3], [0.5, 0.2, -0.4])
+    params = ct.param_preset("cube-bullet-style")
+    for i, j, value in ((0, 4, 0.1), (1, 1, 3.0), (3, 0, 0.1), (0, 0, math.nan)):
+        problem = ct.build_contact_problem(state, cube_inertia, ct.detect_contacts(state, cube_geom), DT)
+        problem.inv_mass[i, j] = value
+        with pytest.raises(ValueError, match="block form"):
+            ct.rigid_pgs_impulse(problem, params)
 
 
 # numpy's products, which go to BLAS or LAPACK, by the names code reaches them through
