@@ -220,6 +220,30 @@ def test_params_file(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_params_precedence(tmp_path):
+    """The base comes from --preset, else --params, else --model/--mu/--k/--b; then the flags override it."""
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    cfg = tmp_path / "convex.cfg"
+    cfg.write_text("model = regularized_convex\nmu = 0.3\nk = 2000\nb = 50\nd_interp = 0.5\n")
+    cases = [
+        (["--preset", "cube-mujoco-style", "--params", str(cfg)],
+         {"model": "regularized_convex", "mu": 0.22, "k": 3300.0, "b": 45.0, "d_interp": 0.9}),
+        (["--params", str(cfg)],
+         {"model": "regularized_convex", "mu": 0.3, "k": 2000.0, "b": 50.0, "d_interp": 0.5}),
+        (["--params", str(cfg), "--mu", "0.4", "--d-interp", "0.7"],
+         {"model": "regularized_convex", "mu": 0.4, "k": 2000.0, "b": 50.0, "d_interp": 0.7}),
+        (["--preset", "cube-mujoco-style", "--params", str(cfg), "--k", "1000", "--b", "30",
+          "--d-interp", "0.6"],
+         {"model": "regularized_convex", "mu": 0.22, "k": 1000.0, "b": 30.0, "d_interp": 0.6}),
+        (["--model", "regularized_convex", "--mu", "0.1", "--k", "500", "--b", "20"],
+         {"model": "regularized_convex", "mu": 0.1, "k": 500.0, "b": 20.0, "d_interp": 0.9}),
+    ]
+    for i, (flags, expected) in enumerate(cases):
+        out = tmp_path / f"res{i}.json"
+        assert main(["evaluate", *flags, "--dataset", str(d), "--out", str(out)]) == 0, flags
+        assert ct.ResultsDocument.load(out).config["params"] == expected, flags
+
+
 def test_params_file_rejects_unknown_key(tmp_path, capsys):
     d, _ = write_dataset(tmp_path, n=1)
     cfg = tmp_path / "convex.cfg"
