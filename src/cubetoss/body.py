@@ -56,7 +56,8 @@ class RigidState:
         for name in ("pos", "quat", "vel", "ang_vel"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite component in state field '{name}'")
-        n = float(np.sqrt(self.quat @ self.quat))
+        qw, qx, qy, qz = self.quat.tolist()
+        n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"quaternion norm {n} deviates from 1 by more than 1e-9")
 
@@ -126,8 +127,8 @@ class SimConfig:
     activation_margin: float = 1e-3
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if int(self.downsample) != self.downsample or self.downsample < 1:
             raise ValueError(f"downsample must be a positive integer, got {self.downsample}")
         self.downsample = int(self.downsample)

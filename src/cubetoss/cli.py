@@ -64,20 +64,17 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help=f"parallel rollout workers (env {WORKERS_ENV}; results do not depend on this)")
 
 
-PARAMS_FILE_KEYS = ("model", "mu", "k", "b", "d_interp")
+PARAMS_FILE_KEYS = tuple(f.name for f in dataclasses.fields(ContactParams))
 
 
-def _parse_params_file(path: str) -> dict:
+def _parse_params_file(path: str) -> ContactParams:
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, val = line.partition(sep)
-                break
-        else:
+        key, sep, val = line.partition("=")
+        if not sep:
             raise CliError(f"{path}: line {lineno}: expected key=value")
         key = key.strip()
         val = val.strip()
@@ -89,36 +86,26 @@ def _parse_params_file(path: str) -> dict:
             except ValueError:
                 raise CliError(f"{path}: line {lineno}: {key} must be a number, got {val!r}") from None
         values[key] = val
-    return values
+    missing = {"model", "mu", "k", "b"} - set(values)
+    if missing:
+        raise CliError(f"{path}: missing keys {sorted(missing)}")
+    return ContactParams(**values)
 
 
 def _resolve_params(args) -> ContactParams:
+    """--preset, else --params, else --model/--mu/--k/--b; then --mu/--k/--b/--d-interp override it."""
     if args.preset:
-        preset = param_preset(args.preset)
-        if args.model and args.model != preset.model:
-            raise CliError(f"preset {args.preset} is for model {preset.model}, not {args.model}")
-        base = {"model": preset.model, "mu": preset.mu, "k": preset.k, "b": preset.b,
-                "d_interp": preset.d_interp}
+        base, source = param_preset(args.preset), f"preset {args.preset}"
     elif args.params:
-        vals = _parse_params_file(args.params)
-        missing = {"model", "mu", "k", "b"} - set(vals)
-        if missing:
-            raise CliError(f"{args.params}: missing keys {sorted(missing)}")
-        if args.model and args.model != vals["model"]:
-            raise CliError(f"{args.params} is for model {vals['model']}, not {args.model}")
-        base = {"model": vals["model"], "mu": vals["mu"], "k": vals["k"], "b": vals["b"],
-                "d_interp": vals.get("d_interp", 0.9)}
+        base, source = _parse_params_file(args.params), args.params
+    elif None in (args.model, args.mu, args.k, args.b):
+        raise CliError("give --preset, --params, or all of --model/--mu/--k/--b")
     else:
-        if args.model is None or args.mu is None or args.k is None or args.b is None:
-            raise CliError("give --preset, --params, or all of --model/--mu/--k/--b")
-        base = {"model": args.model, "mu": args.mu, "k": args.k, "b": args.b, "d_interp": 0.9}
-    for name in ("mu", "k", "b"):
-        override = getattr(args, name)
-        if override is not None:
-            base[name] = float(override)
-    if args.d_interp is not None:
-        base["d_interp"] = float(args.d_interp)
-    return ContactParams(base["mu"], base["k"], base["b"], base["model"], base["d_interp"])
+        base, source = ContactParams(args.mu, args.k, args.b, args.model), None
+    if args.model and args.model != base.model:
+        raise CliError(f"{source} is for model {base.model}, not {args.model}")
+    flags = {name: getattr(args, name) for name in ("mu", "k", "b", "d_interp")}
+    return dataclasses.replace(base, **{name: v for name, v in flags.items() if v is not None})
 
 
 def _sim_config(args, model: str) -> SimConfig:
@@ -159,11 +146,6 @@ def _executor(args):
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=n) as ex:
         yield ex
-
-
-def _params_dict(params: ContactParams) -> dict:
-    return {"model": params.model, "mu": params.mu, "k": params.k, "b": params.b,
-            "d_interp": params.d_interp}
 
 
 def _sim_dict(args) -> dict:
@@ -244,7 +226,7 @@ def _cmd_evaluate(args) -> int:
     }
     doc = ResultsDocument(
         command="evaluate",
-        config={"dataset": args.dataset, "params": _params_dict(params), "sim": _sim_dict(args)},
+        config={"dataset": args.dataset, "params": dataclasses.asdict(params), "sim": _sim_dict(args)},
         results=results,
     )
     doc.save(args.out)
@@ -276,24 +258,24 @@ def _cmd_identify(args) -> int:
         holdout = [trajs[i] for i in order[args.train :]]
 
     with _executor(args) as ex:
-        def loss_fn(values: dict) -> float:
-            params = ContactParams(values["mu"], values["k"], values["b"], args.model)
+        def loss_fn(point: dict) -> float:
+            params = ContactParams(model=args.model, **point)
             return dataset_loss(train, params, inertia, geom, cfg, executor=ex)
 
         result = optimize(loss_fn, domain, budget=args.budget, seed=args.seed)
-        best = ContactParams(result.params["mu"], result.params["k"], result.params["b"], args.model)
+        best = ContactParams(model=args.model, **result.params)
         holdout_loss = (
             dataset_loss(holdout, best, inertia, geom, cfg, executor=ex) if holdout else None
         )
 
     results = {
-        "params": _params_dict(best),
+        "params": dataclasses.asdict(best),
         "loss": result.loss,
         "n_evaluations": result.n_evaluations,
         "best_index": result.best_index,
         "holdout_loss": holdout_loss,
         "history": [
-            {"index": i, "mu": float(p[0]), "k": float(p[1]), "b": float(p[2]), "loss": float(l)}
+            {"index": i, **dict(zip(domain.names, p.tolist())), "loss": float(l)}
             for i, (p, l) in enumerate(zip(result.history_params, result.history_loss))
         ],
     }
@@ -331,12 +313,14 @@ def _cmd_sweep(args) -> int:
         spec = next((a for a in domain.axes if a.name == name), None)
         if spec is None:
             raise CliError(f"cannot sweep {name!r}")
+        if spec.log:
+            log_axes.add(name)
         if args.grid == 1:
             values = np.array([getattr(params, name)])  # single point sits at the baseline
         elif name in log_axes:
             values = np.logspace(np.log10(max(spec.lower, 1e-12)), np.log10(spec.upper), args.grid)
         else:
-            values = spec.grid(args.grid)
+            values = np.linspace(spec.lower, spec.upper, args.grid)
         axes.append((name, values))
     with _executor(args) as ex:
         grid = sweep(params, axes, trajs, cube_inertial(), cube_geometry(), cfg,
@@ -347,7 +331,7 @@ def _cmd_sweep(args) -> int:
         command="sweep",
         config={
             "dataset": args.dataset,
-            "params": _params_dict(params),
+            "params": dataclasses.asdict(params),
             "axes": axis_names,
             "log": sorted(log_axes),
             "grid": args.grid,
@@ -401,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--axes", required=True, help="one or two of mu,k,b (comma separated)")
-    p.add_argument("--log", default="", help="axes to grid logarithmically, e.g. --log k")
+    p.add_argument("--log", default="", help="more axes to grid logarithmically (k always is)")
     p.add_argument("--grid", type=int, default=20, help="points per axis (default 20)")
     p.add_argument("--out", required=True, help="results JSON path")
     p.add_argument("--csv", default=None, help="grid CSV path (default: out with .csv suffix)")

@@ -22,7 +22,8 @@ from .metrics import _penalized_mean, rollout_reports
 from .solvers import ContactParams
 from .trajectory import Trajectory
 
-# rand/1/bin: the differential weight F and the binomial recombination rate CR
+# rand/1/bin: the population size, the differential weight F and the binomial recombination rate CR
+POPULATION = 16
 MUTATION = 0.7
 CROSSOVER = 0.9
 
@@ -93,7 +94,6 @@ class OptimizeResult:
     history_params: np.ndarray
     history_loss: np.ndarray
     best_index: int
-    names: tuple[str, ...]
 
     @property
     def n_evaluations(self) -> int:
@@ -105,23 +105,23 @@ def optimize(
     domain: ParamDomain,
     budget: int = 2000,
     seed: int = 0,
-    population: int = 16,
 ) -> OptimizeResult:
     """Minimize loss_fn over the domain with rand/1/bin differential evolution.
 
-    The differential weight is MUTATION and the recombination rate CROSSOVER.
-    Proposals outside the box are clipped to the bounds before evaluation.
-    Ties on the best loss go to the earliest evaluation, so results do not
-    depend on how candidate evaluations are scheduled. A budget below the
-    population size shrinks the initial population instead of failing, which
-    keeps degenerate budgets (down to a single evaluation) well defined.
+    The population has POPULATION members, the differential weight is
+    MUTATION and the recombination rate CROSSOVER. Proposals outside the box
+    are clipped to the bounds before evaluation. Ties on the best loss go to
+    the earliest evaluation, so results do not depend on how candidate
+    evaluations are scheduled. A budget below POPULATION shrinks the initial
+    population to the budget, which is then spent on it alone; this keeps
+    degenerate budgets (down to a single evaluation) well defined.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(seed)
     lo, hi = domain.search_bounds()
     dim = len(domain.axes)
-    pop_n = max(1, min(population, budget))
+    pop_n = min(POPULATION, budget)
 
     pop = rng.uniform(lo, hi, size=(pop_n, dim))
     hist_u: list[np.ndarray] = []
@@ -139,13 +139,9 @@ def optimize(
         for i in range(pop_n):
             if evals >= budget:
                 break
-            if pop_n >= 4:
-                choices = [j for j in range(pop_n) if j != i]
-                r1, r2, r3 = rng.choice(choices, size=3, replace=False)
-                trial = pop[r1] + MUTATION * (pop[r2] - pop[r3])
-            else:
-                # too few members for rand/1, fall back to uniform resampling
-                trial = rng.uniform(lo, hi, size=dim)
+            choices = [j for j in range(pop_n) if j != i]
+            r1, r2, r3 = rng.choice(choices, size=3, replace=False)
+            trial = pop[r1] + MUTATION * (pop[r2] - pop[r3])
             cross = rng.random(dim) <= CROSSOVER
             cross[rng.integers(dim)] = True
             trial = np.where(cross, trial, pop[i])
@@ -164,7 +160,6 @@ def optimize(
         history_params=np.array([[a.decode(u[i]) for i, a in enumerate(domain.axes)] for u in hist_u]),
         history_loss=losses,
         best_index=best,
-        names=domain.names,
     )
 
 

@@ -8,6 +8,8 @@ them.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .body import InertialParams
@@ -35,18 +37,11 @@ PARAM_PRESETS: dict[str, ContactParams] = {
     "cube-bullet-style": ContactParams(mu=0.36, k=1800.0, b=27.0, model="rigid_pgs"),
 }
 
-PRESET_FOR_MODEL = {
-    "compliant": "cube-drake",
-    "regularized_convex": "cube-mujoco-style",
-    "rigid_pgs": "cube-bullet-style",
-}
-
 
 def param_preset(name: str) -> ContactParams:
     if name not in PARAM_PRESETS:
         raise KeyError(f"unknown parameter preset {name!r}, expected one of {sorted(PARAM_PRESETS)}")
-    p = PARAM_PRESETS[name]
-    return ContactParams(p.mu, p.k, p.b, p.model, p.d_interp)
+    return replace(PARAM_PRESETS[name])
 
 
 def cube_domain(model: str) -> ParamDomain:

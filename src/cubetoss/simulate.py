@@ -93,8 +93,8 @@ def simulate(
     cfg = cfg or SimConfig()
     if cfg.solver is not None and cfg.solver != params.model:
         raise ValueError(f"config selects solver {cfg.solver!r} but params.model is {params.model!r}")
-    if not (duration > 0.0):
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not (0.0 < duration < math.inf):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     x0.require_valid()
 
     dt = cfg.dt

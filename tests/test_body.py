@@ -145,6 +145,12 @@ def test_sim_config_validation():
             ct.SimConfig(activation_margin=bad)
 
 
+def test_sim_config_rejects_non_finite_dt():
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ct.SimConfig(dt=bad)
+
+
 def test_quat_integrate_matches_step_orientation():
     inertia = ct.InertialParams(0.37, 0.0081 * np.eye(3), gravity=(0, 0, 0))
     s = ct.RigidState([0, 0, 0], [1, 0, 0, 0], [0, 0, 0], [4.0, -3.0, 2.0])

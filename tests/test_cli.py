@@ -169,6 +169,21 @@ def test_sweep_grid_rows(tmp_path):
     assert axes["k"]["values"][-1] == pytest.approx(1e5)
 
 
+def test_sweep_log_scaled_axis_is_log_spaced_and_labelled(tmp_path):
+    """k is log-scaled in the cube domain: its grid is log-spaced and says so, with or without --log k."""
+    d, _ = write_dataset(tmp_path, n=1, seed=73, duration=0.05)
+    docs = []
+    for i, extra in enumerate(([], ["--log", "k"])):
+        out = tmp_path / f"sweep{i}.json"
+        assert main(["sweep", "--preset", "cube-drake", "--dataset", str(d), "--axes", "k", "--grid", "3",
+                     *extra, "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    doc = json.loads(docs[0])
+    assert doc["config"]["log"] == ["k"]
+    assert doc["results"]["axes"] == [{"name": "k", "log": True, "values": [100.0, 3162.2776601683795, 1e5]}]
+    assert docs[0] == docs[1]
+
+
 def test_config_error_exit_codes(tmp_path):
     d, _ = write_dataset(tmp_path, n=1)
     assert main(["evaluate", "--dataset", str(d), "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
@@ -253,6 +268,17 @@ def test_params_file_rejects_unknown_key(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 5" in err and "'d-interp'" in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_params_file_takes_only_key_equals_value_lines(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    cfg = tmp_path / "convex.cfg"
+    cfg.write_text("model = regularized_convex\nmu = 0.1\nk: 3300\nb = 45\n")
+    rc = main(["simulate", "--params", str(cfg), "--x0", str(d / "toss_000.csv"),
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == EXIT_CONFIG
+    assert "line 3: expected key=value" in capsys.readouterr().err
     assert not (tmp_path / "sim.csv").exists()
 
 

@@ -71,8 +71,8 @@ def box_domains(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(box_domains(), st.integers(1, 120), st.integers(0, 2**32 - 1), st.integers(1, 20))
-def test_optimize_never_evaluates_outside_box(dom, budget, seed, population):
+@given(box_domains(), st.integers(1, 120), st.integers(0, 2**32 - 1))
+def test_optimize_never_evaluates_outside_box(dom, budget, seed):
     """Every evaluated point lies inside its box, bounds included, with no tolerance."""
     seen = []
 
@@ -81,7 +81,7 @@ def test_optimize_never_evaluates_outside_box(dom, budget, seed, population):
         return sum((v - a.upper) ** 2 if i % 2 else (v - a.lower) ** 2 for i, (a, v) in
                    enumerate(zip(dom.axes, p.values())))
 
-    res = ct.optimize(loss, dom, budget=budget, seed=seed, population=population)
+    res = ct.optimize(loss, dom, budget=budget, seed=seed)
     assert len(seen) == budget == res.n_evaluations
     for p in seen:
         assert all(a.lower <= p[a.name] <= a.upper for a in dom.axes), p

@@ -185,10 +185,9 @@ def test_pgs_solve_and_rollout_step_call_no_blas(cube_geom, cube_inertia):
     products, called = numpy_products(lambda: ct.rigid_pgs_impulse(problem, params, warm_start=warm))
     assert len(contacts) == 4 and "rigid_pgs_impulse" in called
     assert products == []
-    # one contact step. What remains is outside the PGS path: the state check before the first
-    # step (a quaternion norm) and the corner products of the detector
+    # one contact step. What remains is outside the PGS path: the corner products of the detector
     products, called = numpy_products(
         lambda: ct.simulate(state, params, cube_inertia, cube_geom, ct.SimConfig(dt=DT, downsample=1), DT)
     )
     assert "rigid_pgs_impulse" in called
-    assert {p[0] for p in products} == {"require_valid", "_corner_contact_arrays"}
+    assert {p[0] for p in products} == {"_corner_contact_arrays"}

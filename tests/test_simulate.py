@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,13 @@ def test_duration_must_be_positive(cube_geom, cube_inertia):
     x0 = ct.RigidState([0, 0, 0.3], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
         ct.simulate(x0, drake_params(), cube_inertia, cube_geom, ct.SimConfig(), 0.0)
+
+
+def test_duration_must_be_finite(cube_geom, cube_inertia):
+    x0 = ct.RigidState([0, 0, 0.3], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            ct.simulate(x0, drake_params(), cube_inertia, cube_geom, ct.SimConfig(), bad)
 
 
 def test_tossed_cube_dissipates_and_stays_on_table(cube_geom, cube_inertia):

@@ -36,9 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cubetoss import Trajectory, quat, save_trajectory
-
-CUBE_SIDE_M = 0.1
+from cubetoss import CUBE_SIDE_M, Trajectory, quat, save_trajectory
 
 
 def load_raw(path: Path) -> np.ndarray:
