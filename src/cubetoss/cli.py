@@ -241,8 +241,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_identify(args) -> int:
     if args.model is None:
         raise CliError("--model is required for identify")
-    if args.domain_preset != "cube":
-        raise CliError(f"unknown domain preset {args.domain_preset!r}")
     domain = cube_domain(args.model)
     cfg = _sim_config(args, args.model)
     trajs = _load_dataset(args.dataset)
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--preset", dest="domain_preset", default="cube", help="domain preset (default cube)")
     p.add_argument("--budget", type=int, default=2000, help="loss evaluations (default 2000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train", type=int, default=None, help="identify on n trajectories, hold out the rest")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -204,12 +204,7 @@ class SweepGrid:
             ],
             "losses": self.losses.tolist(),
             "diverged": self.diverged.tolist(),
-            "baseline": {
-                "model": self.baseline.model,
-                "mu": self.baseline.mu,
-                "k": self.baseline.k,
-                "b": self.baseline.b,
-            },
+            "baseline": asdict(self.baseline),
         }
 
 

@@ -12,25 +12,23 @@ that the public per-step API uses too: quat._matrix_rows, the corner
 detector geometry._corner_contact_arrays, the compliant law
 solvers._compliant_force and the integrator body._integrate. Each float
 operation is the one the former array code applied elementwise, in the same
-order, so rollouts are bit-identical to that code. Numpy keeps what belongs
-to BLAS: the corner products inside the detector, and the matrix products
-of the convex solver, which gets a ContactProblem of arrays built from the
-float lists with the table-frame Jacobian (geometry) and the mass terms
-(solvers._mass_terms). The PGS solver runs on floats alone, so its
-ContactProblem is built from the float lists themselves
-(ContactProblem._from_floats: the Jacobian rows of geometry._table_rows and
-the block mass floats of solvers._block_mass) and its result is read back
-as float lists (ContactImpulse._float_lists); a PGS step makes no numpy
-array. Warm starts are remapped per corner over float lists when the set
-of active corners changes. Both iterative solvers are
-called through this module's globals rigid_pgs_impulse and
-regularized_convex_impulse, once per contact step: that seam is deliberate,
-since it is where the solver layer can be timed (the benchmark's tracer
-wraps these names) and where the per-step API meets the loop. Stepping
-detect_contacts, build_contact_problem, the solver with per-corner warm
-starts, and step therefore reproduces a convex or PGS rollout bit for bit.
-The compliant rollout sums its wrench per corner, while
-hunt_crossley_impulse goes through J @ v and J.T @ lam, so its public
+order, so rollouts are bit-identical to that code. Numpy keeps the corner
+products inside the detector and, for an anisotropic body, the mass terms
+(solvers._mass_terms) and the integrator's rotations. Both iterative solvers
+run on floats alone, so the loop builds their ContactProblem from the float
+lists themselves (ContactProblem._from_floats: the Jacobian rows of
+geometry._table_rows and the block mass floats of solvers._block_mass) and
+reads their result back as float lists (ContactImpulse._float_lists); a PGS
+or convex step of a cube makes no numpy array outside the detector. Warm
+starts are remapped per corner over float lists when the set of active
+corners changes. Both iterative solvers are called through this module's
+globals rigid_pgs_impulse and regularized_convex_impulse, once per contact
+step: that seam is deliberate, since it is where the solver layer can be
+timed (the benchmark's tracer wraps these names) and where the per-step API
+meets the loop. Stepping detect_contacts, build_contact_problem, the solver
+with per-corner warm starts, and step therefore reproduces a convex or PGS
+rollout bit for bit. The compliant rollout sums its wrench per corner,
+while hunt_crossley_impulse goes through J @ v and J.T @ lam, so its public
 replay agrees to rounding only.
 
 Any arithmetic error inside a step (ZeroDivisionError, OverflowError),
@@ -49,7 +47,7 @@ import numpy as np
 
 from . import quat
 from .body import InertialParams, RigidState, SimConfig, _integrate
-from .geometry import BoxGeometry, _corner_contact_arrays, _table_jacobian, _table_rows
+from .geometry import BoxGeometry, _corner_contact_arrays, _table_rows
 from .solvers import (
     DEFAULT_PGS_ITERS,
     DEFAULT_QP_ITERS,
@@ -112,14 +110,11 @@ def simulate(
     max_iters = cfg.solver_iters
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
-    # an isotropic body's mass terms, and so its unconstrained acceleration, do not depend on the state
-    const_mass_terms = const_accel = const_block = None
+    # an isotropic body's mass terms do not depend on the state
+    const_mass_terms = const_block = None
     if inertia.isotropic and model != "compliant":
         const_mass_terms = _mass_terms(None, None, inertia, True)
-        if model == "regularized_convex":
-            const_accel = const_mass_terms[0] @ const_mass_terms[1]
-        else:
-            const_block = _block_mass(*const_mass_terms)
+        const_block = _block_mass(*const_mass_terms)
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
     warm_corners = []
@@ -143,16 +138,10 @@ def simulate(
             else:
                 idx, depth, depth_rate, _, _, rho, _ = found
                 inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True)
-                if model == "rigid_pgs":
-                    problem = ContactProblem._from_floats(
-                        _table_rows(rho), inv_mass, f_ext, const_block or _block_mass(inv_mass, f_ext),
-                        v + w, dt, depth, depth_rate,
-                    )
-                else:
-                    problem = ContactProblem(
-                        _table_jacobian(rho), inv_mass, np.array(v + w), dt, f_ext,
-                        np.array(depth), np.array(depth_rate), const_accel,
-                    )
+                problem = ContactProblem._from_floats(
+                    _table_rows(rho), inv_mass, f_ext, const_block or _block_mass(inv_mass, f_ext),
+                    v + w, dt, depth, depth_rate,
+                )
                 if idx == warm_corners:
                     warm = warm_flat
                 else:

@@ -24,28 +24,21 @@ dynamics alone. Friction for the two optimization-based solvers uses a
 tangential impulses respect |t_i| <= mu * n while a pyramid corner may
 exceed the circular cone by up to sqrt(2).
 
-The PGS solve runs on Python floats alone, with no BLAS or LAPACK call and
-no numpy array until a caller reads its result's arrays: the Delassus
-entries J M^-1 J^T, J v_free, the sweeps and J^T lambda are sums of
-products in an order the code fixes (see rigid_pgs_impulse), so a PGS
-result does not depend on the BLAS build. The convex solver keeps in numpy
-only the products whose rounding belongs to BLAS or LAPACK (J M^-1 J^T,
-J v_free, J^T lambda, the QP's two matrix-vector products per iteration,
-eigvalsh, and the QP's restart dot when its sign is too close to call on
-floats). Everything elementwise runs on Python floats in the order numpy
-applied it: the convex regularizer, reference velocity, pyramid projection
-and momentum updates. So convex results are bit-identical to all-numpy
-code. The QP fuses its elementwise passes: one
-loop per contact takes the gradient step, projects it onto the pyramid and
-measures the projected gradient (_projected_step), and one loop forms the
-momentum difference and the restart sums (_uphill). It also skips work
-whose result is already known: it reuses the convergence test's
-projection as the next iterate when the momentum point equals the iterate
-bit for bit, and it settles the restart sign on floats outside a proven
-error band (see _pyramid_qp and _uphill). Each solver is one public
-function with no second kernel beside it; rollouts call these functions,
-and every result holds one flat impulse, which the loop hands the next
-step as its warm start (each solver copies its warm start).
+Both iterative solvers run on Python floats alone, with no BLAS or LAPACK
+call and no numpy array until a caller reads their result's arrays: the
+Delassus entries J M^-1 J^T, M^-1 f_ext, J v_free and J^T lambda are sums of
+products in an order the code fixes (_float_terms and _float_impulse, shared
+by both), and so are the PGS sweeps' row dots and the convex QP's
+matrix-vector product, step-size bound and restart sum (see _pgs and
+_pyramid_qp). So a PGS or convex result does not depend on the BLAS build.
+The QP fuses its elementwise passes: one loop per contact takes the
+gradient step, projects it onto the pyramid and measures the gradient
+mapping (_projected_step), and one loop forms the momentum difference and
+the restart sum (_uphill); each iteration makes one projected step. Each
+solver is one public function with no second kernel beside it; rollouts
+call these functions, and every result holds one flat impulse, which the
+loop hands the next step as its warm start (each solver copies its warm
+start).
 """
 from __future__ import annotations
 
@@ -70,7 +63,11 @@ DEFAULT_SLIP_TOLERANCE = 1e-3
 
 
 class ConvexSolverError(RuntimeError):
-    """Raised when the convex solver hits its iteration cap above tolerance."""
+    """Raised when the convex solver stops above tolerance: at its iteration cap, or at once on a non-finite residual.
+
+    residual is the gradient mapping at the last momentum point (see
+    _pyramid_qp), inf when the problem's step-size bound is not finite.
+    """
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
@@ -117,18 +114,17 @@ class ContactProblem:
     v the pre-step generalized velocity [v, w], f_ext the external
     generalized force (gravity and gyroscopic pseudo-force), and h the
     timestep. accel is the unconstrained generalized acceleration
-    inv_mass @ f_ext, computed on construction unless given; a rollout
-    whose mass terms do not change passes the one product it computed.
+    inv_mass @ f_ext.
 
-    The rollout loop builds its PGS problems with _from_floats instead,
-    from the Python float lists it already holds, because the PGS solver
-    reads only floats (_pgs_terms). Such a problem builds its jacobian, v,
+    The rollout loop builds its problems with _from_floats instead, from the
+    Python float lists it already holds, because the iterative solvers read
+    only floats (_input_floats). Such a problem builds its jacobian, v,
     depth, depth_rate and accel arrays when they are first read, each equal
     bit for bit to the array the constructor would have been given, so
     every other reader sees the problem it saw before.
     """
 
-    def __init__(self, jacobian, inv_mass, v, h, f_ext, depth, depth_rate, accel=None):
+    def __init__(self, jacobian, inv_mass, v, h, f_ext, depth, depth_rate):
         self.jacobian = jacobian
         self.inv_mass = inv_mass
         self.v = v
@@ -136,7 +132,7 @@ class ContactProblem:
         self.f_ext = f_ext
         self.depth = depth
         self.depth_rate = depth_rate
-        self.accel = inv_mass @ f_ext if accel is None else accel
+        self.accel = inv_mass @ f_ext
         self.num_contacts = depth.size
         self._floats = None
 
@@ -179,8 +175,8 @@ class ContactProblem:
     def accel(self) -> np.ndarray:
         return self.inv_mass @ self.f_ext
 
-    def _pgs_terms(self) -> tuple:
-        """(J, m^-1, W, f_ext, v, depth) as Python floats: the PGS solver's input.
+    def _input_floats(self) -> tuple:
+        """(J, m^-1, W, f_ext, v, depth) as Python floats: the iterative solvers' input.
 
         J holds the Jacobian's entries in one flat list, row after row, and W
         the three rows of the world inverse inertia. A problem built from arrays converts them on
@@ -339,10 +335,68 @@ def _warm_floats(warm_start, n: int) -> Optional[list]:
     return [float(x) for x in warm_start]
 
 
-def _package(problem: ContactProblem, lam: np.ndarray, converged: bool, iterations: int) -> ContactImpulse:
-    """A solver's result over its flat impulse lam, which the result keeps (not a copy)."""
-    wrench = problem.jacobian.T @ lam if problem.num_contacts else np.zeros(6)
-    return ContactImpulse(lam, wrench, converged, iterations)
+def _float_terms(problem: ContactProblem) -> tuple:
+    """(J, A, accel, g, v, depth) of a problem with contacts, on Python floats: the iterative solvers' input.
+
+    J holds the Jacobian's rows of 6, A = J M^-1 J^T is a list of new rows
+    (the caller may edit them), accel = M^-1 f_ext and v are 6 floats, g =
+    J v_free with v_free = v + h accel, and depth has one entry per contact.
+    The inverse mass must have the block form diag(m^-1 I3, W) of
+    _mass_terms (a ValueError otherwise), so M^-1 r of a Jacobian row r =
+    (l, a) is (m^-1 l, W a), each entry of W a summed left to right. Each
+    Delassus entry A[i][j] = r_i . M^-1 r_j and each entry of g is a 6-term
+    dot summed left to right, and so is each entry of W f_ext in accel.
+    """
+    J, minv, W, f, v, depth = problem._input_floats()
+    J = list(zip(*[iter(J)] * 6))  # the rows of 6
+    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = W
+    # M^-1 J^T, one row per Jacobian row, then the Delassus matrix A = J M^-1 J^T
+    m_rows = [
+        (minv * l0, minv * l1, minv * l2,
+         w00 * a0 + w01 * a1 + w02 * a2, w10 * a0 + w11 * a1 + w12 * a2, w20 * a0 + w21 * a1 + w22 * a2)
+        for l0, l1, l2, a0, a1, a2 in J
+    ]
+    A = []
+    for r0, r1, r2, r3, r4, r5 in J:
+        row = []
+        for m0, m1, m2, m3, m4, m5 in m_rows:
+            row.append(r0 * m0 + r1 * m1 + r2 * m2 + r3 * m3 + r4 * m4 + r5 * m5)
+        A.append(row)
+    f0, f1, f2, f3, f4, f5 = f
+    a0 = minv * f0
+    a1 = minv * f1
+    a2 = minv * f2
+    a3 = w00 * f3 + w01 * f4 + w02 * f5
+    a4 = w10 * f3 + w11 * f4 + w12 * f5
+    a5 = w20 * f3 + w21 * f4 + w22 * f5
+    # v_free = v + h accel, then g = J v_free
+    h = problem.h
+    v0, v1, v2, v3, v4, v5 = v
+    u0 = v0 + h * a0
+    u1 = v1 + h * a1
+    u2 = v2 + h * a2
+    u3 = v3 + h * a3
+    u4 = v4 + h * a4
+    u5 = v5 + h * a5
+    g = [r0 * u0 + r1 * u1 + r2 * u2 + r3 * u3 + r4 * u4 + r5 * u5 for r0, r1, r2, r3, r4, r5 in J]
+    return J, A, [a0, a1, a2, a3, a4, a5], g, v, depth
+
+
+def _float_impulse(J: list, lam: list, converged: bool, iterations: int) -> ContactImpulse:
+    """A result over the float impulse lam of the Jacobian rows J (non-empty), with its wrench J^T lam.
+
+    The wrench sums lam_k r_k over the rows in order, starting from the first.
+    """
+    x = lam[0]
+    s0, s1, s2, s3, s4, s5 = [x * e for e in J[0]]
+    for x, (r0, r1, r2, r3, r4, r5) in zip(lam[1:], J[1:]):
+        s0 += x * r0
+        s1 += x * r1
+        s2 += x * r2
+        s3 += x * r3
+        s4 += x * r4
+        s5 += x * r5
+    return ContactImpulse._from_floats(lam, [s0, s1, s2, s3, s4, s5], converged, iterations)
 
 
 # --- compliant model ---------------------------------------------------------
@@ -387,14 +441,15 @@ def hunt_crossley_impulse(
     for depth, rate, vt1, vt2 in zip(problem.depth.tolist(), problem.depth_rate.tolist(), vc[1::3], vc[2::3]):
         fn, ft1, ft2 = _compliant_force(depth, rate, vt1, vt2, mu, k, b, slip_tolerance)
         lam += (h * fn, h * ft1, h * ft2)
-    return _package(problem, np.array(lam), True, 0)
+    lam = np.array(lam)
+    return ContactImpulse(lam, problem.jacobian.T @ lam, True, 0)
 
 
 # --- regularized convex model ------------------------------------------------
 
 
 def _projected_step(x: list, g: list, c: list, L: float, mu: float) -> tuple:
-    """One projected gradient step P(x - (g + c) / L) and its projected-gradient norm.
+    """One projected gradient step P(x - (g + c) / L) and the gradient mapping at x.
 
     x, g and c are flat lists [n, t1, t2, n, t1, t2, ...] of Python floats
     (the point, the product Q x and the linear term). Returns the step as a
@@ -535,7 +590,7 @@ def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
     return np.array(_pyramid_project_floats(lam.tolist(), mu))
 
 
-def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -> list:
+def _convex_reference_velocity(J: list, v: list, accel: list, depth: list, h: float, params: ContactParams) -> list:
     """Per-contact normal velocity targets of the interpolated reference dynamics.
 
     The target blends a spring-damper response to penetration with the
@@ -543,61 +598,39 @@ def _convex_reference_velocity(problem: ContactProblem, params: ContactParams) -
     of the pre-step normal velocity and its gain is clamped at full arrest,
     so the reference never demands a rebound faster than the approach.
 
-    The two normal-velocity products stay in numpy; the blend runs on Python
-    floats, one list entry per contact, each operation the one the former
-    array expression applied elementwise. The approach clamp keeps
-    np.minimum(s, 0.0)'s semantics: NaN propagates and -0.0 becomes +0.0.
+    J, v, accel and depth are _float_terms's floats. Each contact's
+    pre-step normal velocity r . v and normal acceleration r . accel, with r
+    its normal row, are 6-term dots summed left to right. The approach clamp
+    keeps np.minimum(s, 0.0)'s semantics: NaN propagates and -0.0 becomes
+    +0.0.
     """
-    h, d, k, b = problem.h, params.d_interp, params.k, params.b
-    J = problem.jacobian
-    s_minus = (J @ problem.v)[0::3].tolist()
-    accel = (J @ problem.accel)[0::3].tolist()
+    d, k, b = params.d_interp, params.k, params.b
+    v0, v1, v2, v3, v4, v5 = v
+    a0, a1, a2, a3, a4, a5 = accel
     carry = max(0.0, 1.0 - h * d * b)
     spring = h * d * k
     relax = 1.0 - d
-    return [
-        (0.0 if s >= 0.0 else s) * carry + spring * depth + relax * (h * a)
-        for s, depth, a in zip(s_minus, problem.depth.tolist(), accel)
-    ]
+    out = []
+    for (r0, r1, r2, r3, r4, r5), depth_i in zip(J[0::3], depth):
+        s = r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4 + r5 * v5
+        a = r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5
+        out.append((0.0 if s >= 0.0 else s) * carry + spring * depth_i + relax * (h * a))
+    return out
 
 
 def _uphill(y: list, lam_new: list, lam: list) -> tuple:
     """The APG restart test and the step it tests: (uphill, diff) with diff = lam_new - lam.
 
-    y, lam_new and lam are Python float lists of one length n. One pass
-    forms diff_i = lam_new_i - lam_i and u_i = y_i - lam_new_i, the
-    differences numpy would form, and sums the products u_i * diff_i in list
-    order. uphill is float((np.array(y) - np.array(lam_new)) @ np.array(diff))
-    > 0.0. In exact arithmetic the dot product S lies within
-    gamma_n * sum|u_i diff_i| (gamma_n = n u / (1 - n u), u = 2**-53) of any
-    floating-point evaluation of it, in any summation order, with or without
-    fused multiply-adds; so both this float sum s and numpy's BLAS dot lie
-    within that distance of S, and within twice it of each other. A sum
-    beyond 2.25 n u times the float sum of |products| (which covers
-    2 gamma_n and the rounding of that sum) therefore has the sign the BLAS
-    dot would give. The absolute 1e-300 covers products that underflow,
-    whose error is absolute, not relative. Only a sum inside that band, a
-    non-finite one, or one whose magnitudes near overflow (sum above 1e300)
-    calls the BLAS dot, as the test did before. On evaluate-convex (seeds
-    41-43) none of 107,095 restart tests entered the band.
+    y, lam_new and lam are Python float lists of one length. One pass forms
+    diff_i = lam_new_i - lam_i and sums the products (y_i - lam_new_i) *
+    diff_i in list order; uphill is whether that sum is positive.
     """
-    n = len(y)
-    diff = [0.0] * n
-    s = total = 0.0
-    for i in range(n):
-        li = lam_new[i]
+    diff = [0.0] * len(y)
+    s = 0.0
+    for i, li in enumerate(lam_new):
         d = diff[i] = li - lam[i]
-        p = (y[i] - li) * d
-        s += p
-        total += abs(p)
-    if 2.5e-16 * n * total + 1e-300 < abs(s) and total < 1e300:
-        return s > 0.0, diff
-    return float(np.array([yi - li for yi, li in zip(y, lam_new)]) @ np.array(diff)) > 0.0, diff
-
-
-def _same_floats(a: list, b: list) -> bool:
-    """Whether two float lists match bit for bit, signed zeros included; NaN never matches a new NaN."""
-    return a == b and (0.0 not in a or all(math.copysign(1.0, x) == math.copysign(1.0, z) for x, z in zip(a, b)))
+        s += (y[i] - li) * d
+    return s > 0.0, diff
 
 
 def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
@@ -606,73 +639,65 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     Q is strongly convex (Delassus plus a positive diagonal regularizer) and
     the projection is exact, so momentum with the gradient restart of
     O'Donoghue and Candes (restart when (y - lam_new) . (lam_new - lam) > 0)
-    converges linearly. Returns the iterate as an array, the final
-    projected-gradient infinity norm, and the iteration count; a non-finite
-    norm stops the iteration at once, since NaN never meets the tolerance.
-    When eigvalsh does not converge (an infinite Q), the solve ends at once
-    with norm inf, which the caller reports as not converged. c and the
-    start lam0 are Python float lists.
+    converges linearly. Q is a list of rows, c and the start lam0 are lists,
+    all of Python floats. Returns the iterate as a new list, the residual
+    and the iteration count.
 
-    The iterates are Python float lists. Each elementwise operation (gradient
-    steps, projections, the projected gradient and its norm, the momentum
-    update) is the one numpy would apply, so the iterates are bit-identical
-    to an all-numpy loop while avoiding its per-call overhead on these short
-    vectors. Numpy keeps what belongs to BLAS and LAPACK: eigvalsh for the
-    step size 1/L, the two matrix-vector products per iteration (Q.dot on
-    the list, the same dgemv as Q @ array), and the restart dot when
-    _uphill cannot settle its sign on floats.
+    The step size is 1/L with L the Gershgorin bound of Q's largest
+    eigenvalue: the largest row sum of |Q_ij|, each summed left to right.
+    A non-finite bound (an infinite or NaN Q) ends the solve at once with
+    residual inf, which the caller reports as not converged; L <= 0 (Q = 0)
+    returns zeros with residual 0.
 
-    Each iteration makes few passes over its lists, since on 3 to 24 floats
-    the interpreter's per-element cost outweighs the arithmetic.
-    _projected_step takes a gradient step, projects it and measures the
-    projected gradient in one pass per contact; _uphill forms the
-    difference lam_new - lam and sums the restart products in one pass.
-    What is left is the momentum update, which needs the restart decision
-    first, and the bit-exact test of y against lam_new.
-
-    Two shortcuts skip work whose result is already known, and change no
-    iterate, count or stopping decision:
-    * The convergence test projects a gradient step from lam_new. When the
-      next momentum point y equals lam_new bit for bit (beta == 0 on the
-      first momentum step and after every restart), that projection is
-      exactly the next iterate, so the next iteration skips its product
-      Q @ y, its step and a projection. Plain == would not do: -0.0 + 0.0 * d
-      gives +0.0, and a signed zero in y can reach the iterate through the
-      projection's copysign.
-    * The restart sign is settled on floats by _uphill, which calls the BLAS
-      dot only when the float sum lies within its error band of zero (or is
-      not finite).
+    Each iteration takes one projected step lam_new = P(y - (Q y + c) / L)
+    from the momentum point y and stops when the gradient mapping at y,
+    L * max_i |y_i - lam_new_i|, is at most tol (Nesterov's stopping rule),
+    returning lam_new; a non-finite residual stops it at once, since NaN
+    never meets the tolerance. Q y is summed left to right, written out one
+    contact (three terms) at a time as _pgs's row dots are, since on 3 to
+    24 floats the interpreter's per-call cost outweighs the arithmetic.
+    _projected_step takes the step, projects it and measures the residual
+    in one pass per contact; _uphill forms lam_new - lam and the restart
+    sum in one pass. No BLAS or LAPACK call is made.
     """
-    try:
-        L = float(np.linalg.eigvalsh(Q)[-1])
-    except np.linalg.LinAlgError:  # the eigen solve did not converge, as for an infinite Q
-        return np.zeros(len(lam0)), math.inf, 0
+    n = len(lam0)
+    L = 0.0
+    for row in Q:
+        s = 0.0
+        for q in row:
+            s += abs(q)
+        if not s <= L:  # larger, or NaN
+            L = s
+            if s != s:
+                break
+    if not L < math.inf:
+        return [0.0] * n, math.inf, 0
     if L <= 0.0:
-        return np.zeros(len(lam0)), 0.0, 0
-    matvec = Q.dot
+        return [0.0] * n, 0.0, 0
+    rest = range(3, n, 3)  # the row dot's contacts after the first
     lam = y = _pyramid_project_floats(lam0, mu)
-    ahead = None  # the projected step from y, when y is the last iterate
     t = 1.0
     pg_norm = math.inf
     for it in range(1, max_iters + 1):
-        if ahead is None:
-            lam_new = _projected_step(y, matvec(y).tolist(), c, L, mu)[0]
-        else:
-            lam_new = ahead
-        ahead, pg_norm = _projected_step(lam_new, matvec(lam_new).tolist(), c, L, mu)
+        y0, y1, y2 = y[0], y[1], y[2]
+        qy = []
+        for row in Q:
+            r = row[0] * y0 + row[1] * y1 + row[2] * y2
+            for j in rest:
+                r = r + row[j] * y[j] + row[j + 1] * y[j + 1] + row[j + 2] * y[j + 2]
+            qy.append(r)
+        lam_new, pg_norm = _projected_step(y, qy, c, L, mu)
         if pg_norm <= tol or not math.isfinite(pg_norm):
-            return np.array(lam_new), pg_norm, it
+            return lam_new, pg_norm, it
         uphill, diff = _uphill(y, lam_new, lam)
         if uphill:
             t = 1.0  # momentum points uphill, restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         y = [li + beta * di for li, di in zip(lam_new, diff)]
-        if y != lam_new or not _same_floats(y, lam_new):  # != first spares the call on most iterations
-            ahead = None
         lam = lam_new
         t = t_new
-    return np.array(lam), pg_norm, max_iters
+    return lam, pg_norm, max_iters
 
 
 def regularized_convex_impulse(
@@ -689,27 +714,33 @@ def regularized_convex_impulse(
     v* the reference normal velocities. R makes the program strictly convex,
     so the impulse is unique regardless of the warm start. Raises
     ConvexSolverError when the iteration cap is hit above tol or the
-    projected gradient turns non-finite (a NaN or infinite problem).
+    residual (the gradient mapping at the last momentum point, see
+    _pyramid_qp) turns non-finite (a NaN or infinite problem).
+
+    The solve runs on Python floats alone, as rigid_pgs_impulse does: A,
+    J v_free and the wrench J^T lambda come from _float_terms and
+    _float_impulse, so the inverse mass must have _mass_terms's block form
+    (a ValueError otherwise). warm_start may also be the list of floats that
+    the rollout loop passes (see _warm_floats).
     """
     if params.model != "regularized_convex":
         raise ValueError(f"params.model must be 'regularized_convex', got {params.model!r}")
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
+    J, Q, accel, c, v, depth = _float_terms(problem)
     d = params.d_interp
     ratio = (1.0 - d) / d
-    # A + diag(ratio * diag(A)): adding 0.0 maps an off-diagonal -0.0 to +0.0 as that sum did
-    Q = problem.delassus() + 0.0
-    for i, a in enumerate(Q.diagonal().tolist()):
-        Q[i, i] = a + ratio * a
-    c = (problem.jacobian @ problem.v_free()).tolist()
-    for i, ref in enumerate(_convex_reference_velocity(problem, params)):
+    for i, row in enumerate(Q):  # A + diag(ratio * diag(A))
+        a = row[i]
+        row[i] = a + ratio * a
+    for i, ref in enumerate(_convex_reference_velocity(J, v, accel, depth, problem.h, params)):
         c[3 * i] -= ref
     lam0 = _warm_floats(warm_start, 3 * nc) or [0.0] * (3 * nc)
     lam, residual, iters = _pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
     if not residual <= tol:
         raise ConvexSolverError(residual, iters)
-    return _package(problem, lam, True, iters)
+    return _float_impulse(J, lam, True, iters)
 
 
 # --- rigid complementarity model ---------------------------------------------
@@ -801,48 +832,21 @@ def rigid_pgs_impulse(
     The solve runs on Python floats alone, with no BLAS, LAPACK or numpy
     array before its result: sums of products whose order the code fixes
     replace the matrix products, so the result does not depend on the BLAS
-    build. It reads the problem through _pgs_terms and uses the block form
-    of the inverse mass (a ValueError for any other): M^-1 r of a Jacobian
-    row r = (l, a) is (m^-1 l, W a), each entry of W a summed left to
-    right. Each Delassus entry A[i][j] = r_i . M^-1 r_j and each entry of
-    g = J v_free, with v_free = v + h M^-1 f_ext, is a 6-term dot summed
-    left to right; the sweeps are those of _pgs; the wrench J^T lam sums
-    lam_k r_k over the rows in order, starting from the first. The bias and
-    the warm start's normal clamp keep np.maximum(0.0, x)'s semantics: NaN
-    propagates and -0.0 stays -0.0. warm_start may also be the list of
-    floats that the rollout loop passes (see _warm_floats).
+    build. The Delassus matrix, g = J v_free and the wrench J^T lam come
+    from _float_terms and _float_impulse, which need the block form of the
+    inverse mass (a ValueError for any other); the sweeps are those of
+    _pgs. The bias and the warm start's normal clamp keep
+    np.maximum(0.0, x)'s semantics: NaN propagates and -0.0 stays -0.0.
+    warm_start may also be the list of floats that the rollout loop passes
+    (see _warm_floats).
     """
     if params.model != "rigid_pgs":
         raise ValueError(f"params.model must be 'rigid_pgs', got {params.model!r}")
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    J, minv, W, f, v, depth = problem._pgs_terms()
-    J = list(zip(*[iter(J)] * 6))  # the rows of 6
+    J, A, _, g, _, depth = _float_terms(problem)
     h = problem.h
-    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = W
-    # M^-1 J^T, one row per Jacobian row, then the Delassus matrix A = J M^-1 J^T
-    m_rows = [
-        (minv * l0, minv * l1, minv * l2,
-         w00 * a0 + w01 * a1 + w02 * a2, w10 * a0 + w11 * a1 + w12 * a2, w20 * a0 + w21 * a1 + w22 * a2)
-        for l0, l1, l2, a0, a1, a2 in J
-    ]
-    A = []
-    for r0, r1, r2, r3, r4, r5 in J:
-        row = []
-        for m0, m1, m2, m3, m4, m5 in m_rows:
-            row.append(r0 * m0 + r1 * m1 + r2 * m2 + r3 * m3 + r4 * m4 + r5 * m5)
-        A.append(row)
-    # v_free = v + h M^-1 f_ext, then g = J v_free
-    f0, f1, f2, f3, f4, f5 = f
-    v0, v1, v2, v3, v4, v5 = v
-    u0 = v0 + h * (minv * f0)
-    u1 = v1 + h * (minv * f1)
-    u2 = v2 + h * (minv * f2)
-    u3 = v3 + h * (w00 * f3 + w01 * f4 + w02 * f5)
-    u4 = v4 + h * (w10 * f3 + w11 * f4 + w12 * f5)
-    u5 = v5 + h * (w20 * f3 + w21 * f4 + w22 * f5)
-    g = [r0 * u0 + r1 * u1 + r2 * u2 + r3 * u3 + r4 * u4 + r5 * u5 for r0, r1, r2, r3, r4, r5 in J]
     erp, cfm = erp_cfm(h, params.k, params.b)
     gain = erp / h
     bias = [gain * (0.0 if d < 0.0 else d) for d in depth]
@@ -855,17 +859,7 @@ def rigid_pgs_impulse(
             if lam[i] < 0.0:
                 lam[i] = 0.0
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
-    # the wrench J^T lam
-    x = lam[0]
-    s0, s1, s2, s3, s4, s5 = [x * e for e in J[0]]
-    for x, (r0, r1, r2, r3, r4, r5) in zip(lam[1:], J[1:]):
-        s0 += x * r0
-        s1 += x * r1
-        s2 += x * r2
-        s3 += x * r3
-        s4 += x * r4
-        s5 += x * r5
-    return ContactImpulse._from_floats(lam, [s0, s1, s2, s3, s4, s5], converged, sweeps)
+    return _float_impulse(J, lam, converged, sweeps)
 
 
 def solve_contact_impulse(

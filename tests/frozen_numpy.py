@@ -5,19 +5,18 @@ vectorized compliant law, the integrator, the fused rollout loop and the
 trajectory writer exactly as they were written over numpy arrays. The loop
 calls the live mass terms and the frozen Jacobian builder and solvers below.
 
-The convex solver follows as it was before its regularizer and
-reference-velocity glue moved to Python floats: ``regularized_convex_impulse``
-with its QP and packaging helpers. ``pgs_impulse`` and ``pgs`` are the
-oracle of the PGS solver, which runs on Python floats with no BLAS: the same
-fixed summation orders, written independently on numpy columns and plain
-index loops. ``blas_pgs_impulse`` and ``blas_pgs``, the PGS solver as it was
-with BLAS products and row dots, are kept as the reference that the float
-solver must agree with to a stated tolerance. The solvers share the live,
-separately tested friction pyramid projection and erp/cfm mapping, and
-return results over a copy of their flat impulse.
-``pyramid_qp`` is also the oracle of the QP's shortcuts (the reused
-look-ahead projection, the float restart sign, ``Q.dot`` on lists): it runs
-the loop as it was before them, with arrays only at its boundary.
+The two iterative solvers follow as oracles of the float kernels, which
+run on Python floats with no BLAS: the same fixed summation orders, written
+independently on numpy columns and plain index loops. ``fixed_terms`` and
+``fixed_impulse`` form the Delassus matrix, M^-1 f_ext, J v_free and the
+wrench for both; ``pgs_impulse`` with ``pgs`` and ``convex_impulse`` with
+``convex_reference_velocity`` and ``pyramid_qp`` (the one-projection APG
+with its Gershgorin step size) are the solves. ``blas_pgs_impulse`` and
+``blas_convex_impulse``, the solvers as they were with BLAS and LAPACK
+products (the convex one with eigvalsh and its two projections per
+iteration), are kept as the references that the float solvers must agree
+with to a stated tolerance. The solvers share the live, separately tested
+friction pyramid projection and erp/cfm mapping.
 """
 from __future__ import annotations
 
@@ -227,75 +226,126 @@ def table_jacobian(rho):
     return np.array(rows).reshape(-1, 6)
 
 
-def package(problem, lam, converged, iterations):
-    nc = problem.num_contacts
-    wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
-    return ContactImpulse(lam.copy(), wrench, converged, iterations)
+def fixed_terms(problem):
+    """(J, A, accel, g) of a problem in the float kernel's summation order, on numpy columns.
+
+    Every product of the block inverse mass diag(m^-1 I3, W), of the
+    Delassus matrix A, of accel = M^-1 f_ext and of g = J v_free is an
+    elementwise numpy expression summed term by term in index order, so no
+    BLAS call decides a rounding.
+    """
+    J = problem.jacobian
+    minv = problem.inv_mass[0, 0]
+    W = problem.inv_mass[3:, 3:]
+    MJ = np.empty_like(J)  # row k is M^-1 J[k]
+    MJ[:, :3] = minv * J[:, :3]
+    for c in range(3):
+        MJ[:, 3 + c] = W[c, 0] * J[:, 3] + W[c, 1] * J[:, 4] + W[c, 2] * J[:, 5]
+    A = J[:, 0:1] * MJ[:, 0]  # A[i, j] = J[i] . MJ[j], term by term
+    for c in range(1, 6):
+        A = A + J[:, c:c + 1] * MJ[:, c]
+    f = problem.f_ext
+    accel = np.concatenate([minv * f[:3], W[:, 0] * f[3] + W[:, 1] * f[4] + W[:, 2] * f[5]])
+    v_free = problem.v + problem.h * accel
+    g = J[:, 0] * v_free[0]
+    for c in range(1, 6):
+        g = g + J[:, c] * v_free[c]
+    return J, A, accel, g
+
+
+def fixed_impulse(J, lam, converged, iterations):
+    """A result over lam with the wrench J^T lam summed row by row from the first."""
+    lam = np.array(lam, dtype=float)
+    wrench = lam[0] * J[0]
+    for k in range(1, len(lam)):
+        wrench = wrench + lam[k] * J[k]
+    return ContactImpulse(lam, wrench, converged, iterations)
 
 
 def convex_reference_velocity(problem, params):
+    """The reference normal velocities with r . v and r . accel summed term by term over numpy columns."""
     h, d, k, b = problem.h, params.d_interp, params.k, params.b
-    J = problem.jacobian
-    s_minus = (J @ problem.v)[0::3]
-    dv0 = h * (J @ (problem.inv_mass @ problem.f_ext))[0::3]
+    J, _, accel, _ = fixed_terms(problem)
+    normal = J[0::3]
+    v = problem.v
+    s_minus = normal[:, 0] * v[0]
+    dv = normal[:, 0] * accel[0]
+    for c in range(1, 6):
+        s_minus = s_minus + normal[:, c] * v[c]
+        dv = dv + normal[:, c] * accel[c]
     carry = np.minimum(s_minus, 0.0) * max(0.0, 1.0 - h * d * b)
-    return carry + h * d * k * problem.depth + (1.0 - d) * dv0
+    return carry + h * d * k * problem.depth + (1.0 - d) * (h * dv)
 
 
 def pyramid_qp(Q, c, mu, lam0, max_iters, tol):
-    eigs = np.linalg.eigvalsh(Q)
-    L = float(eigs[-1])
+    """The one-projection APG as plain index loops over lists; Q is any n x n nested sequence."""
+    Q = np.asarray(Q, dtype=float).tolist()
+    c = [float(x) for x in c]
+    n = len(c)
+    row_sums = []
+    for i in range(n):
+        s = 0.0
+        for j in range(n):
+            s = s + abs(Q[i][j])
+        row_sums.append(s)
+    if not all(math.isfinite(s) for s in row_sums):
+        return [0.0] * n, math.inf, 0
+    L = max(row_sums)
     if L <= 0.0:
-        return np.zeros_like(lam0), 0.0, 0
-    c_f = c.tolist()
-    lam_f = _pyramid_project_floats(lam0.tolist(), mu)
-    lam = np.array(lam_f)
-    y_f, y = lam_f, lam
+        return [0.0] * n, 0.0, 0
+    lam = y = _pyramid_project_floats([float(x) for x in lam0], mu)
     t = 1.0
     pg_norm = math.inf
     for it in range(1, max_iters + 1):
-        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c_f)]
-        new_f = _pyramid_project_floats(step, mu)
-        lam_new = np.array(new_f)
-        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c_f)]
+        step = []
+        for i in range(n):
+            r = Q[i][0] * y[0]
+            for j in range(1, n):
+                r = r + Q[i][j] * y[j]
+            step.append(y[i] - (r + c[i]) / L)
+        new = _pyramid_project_floats(step, mu)
         pg_norm = 0.0
-        for li, pi in zip(new_f, _pyramid_project_floats(step, mu)):
-            e = abs(L * (li - pi))
+        for i in range(n):
+            e = abs(L * (y[i] - new[i]))
             if not e <= pg_norm:
                 pg_norm = e
                 if e != e:
                     break
         if pg_norm <= tol or not math.isfinite(pg_norm):
-            return lam_new, pg_norm, it
-        if float((y - lam_new) @ (lam_new - lam)) > 0.0:
+            return new, pg_norm, it
+        s = 0.0
+        for i in range(n):
+            s = s + (y[i] - new[i]) * (new[i] - lam[i])
+        if s > 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        y_f = [li + beta * (li - lo) for li, lo in zip(new_f, lam_f)]
-        y = np.array(y_f)
-        lam, lam_f = lam_new, new_f
+        y = [new[i] + beta * (new[i] - lam[i]) for i in range(n)]
+        lam = new
         t = t_new
     return lam, pg_norm, max_iters
 
 
 def convex_impulse(problem, params, max_iters=DEFAULT_QP_ITERS, tol=DEFAULT_QP_TOL, warm_start=None):
+    """The convex solve in the fixed order of the float kernel: fixed_terms, then pyramid_qp."""
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    A = problem.delassus()
+    J, A, _, g = fixed_terms(problem)
     d = params.d_interp
-    Q = A + np.diag((1.0 - d) / d * np.diag(A))
-    c = problem.jacobian @ problem.v_free()
+    diag = np.arange(3 * nc)
+    Q = A.copy()
+    Q[diag, diag] = A[diag, diag] + (1.0 - d) / d * A[diag, diag]
+    c = g.copy()
     c[0::3] -= convex_reference_velocity(problem, params)
-    if warm_start is not None and warm_start.shape == (3 * nc,):
-        lam0 = warm_start
+    if warm_start is not None and np.shape(warm_start) == (3 * nc,):
+        lam0 = np.array(warm_start, dtype=float).tolist()
     else:
-        lam0 = np.zeros(3 * nc)
+        lam0 = [0.0] * (3 * nc)
     lam, residual, iters = pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
     if not residual <= tol:
         raise ConvexSolverError(residual, iters)
-    return package(problem, lam, True, iters)
-
+    return fixed_impulse(J, lam, True, iters)
 
 def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     """Gauss-Seidel sweeps with every row dot summed left to right from its first product."""
@@ -336,32 +386,11 @@ def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
 
 
 def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
-    """The PGS solve in the fixed order of the float kernel, on numpy columns.
-
-    Every product of the block inverse mass diag(m^-1 I3, W), of the
-    Delassus matrix, of g = J v_free and of the wrench is an elementwise
-    numpy expression summed term by term in index order, so no BLAS call
-    decides a rounding.
-    """
+    """The PGS solve in the fixed order of the float kernel: fixed_terms, then pgs."""
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    J = problem.jacobian
-    minv = problem.inv_mass[0, 0]
-    W = problem.inv_mass[3:, 3:]
-    MJ = np.empty_like(J)  # row k is M^-1 J[k]
-    MJ[:, :3] = minv * J[:, :3]
-    for c in range(3):
-        MJ[:, 3 + c] = W[c, 0] * J[:, 3] + W[c, 1] * J[:, 4] + W[c, 2] * J[:, 5]
-    A = J[:, 0:1] * MJ[:, 0]  # A[i, j] = J[i] . MJ[j], term by term
-    for c in range(1, 6):
-        A = A + J[:, c:c + 1] * MJ[:, c]
-    f = problem.f_ext
-    accel = np.concatenate([minv * f[:3], W[:, 0] * f[3] + W[:, 1] * f[4] + W[:, 2] * f[5]])
-    v_free = problem.v + problem.h * accel
-    g = J[:, 0] * v_free[0]
-    for c in range(1, 6):
-        g = g + J[:, c] * v_free[c]
+    J, A, _, g = fixed_terms(problem)
     erp, cfm = erp_cfm(problem.h, params.k, params.b)
     bias = (erp / problem.h) * np.maximum(0.0, problem.depth)
     if warm_start is not None and np.shape(warm_start) == (3 * nc,):
@@ -371,14 +400,80 @@ def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TO
     else:
         lam = np.zeros(3 * nc)
     lam, converged, sweeps = pgs(A, g.tolist(), bias.tolist(), cfm, params.mu, lam.tolist(), max_iters, tol)
-    lam = np.array(lam)
-    wrench = lam[0] * J[0]
-    for k in range(1, 3 * nc):
-        wrench = wrench + lam[k] * J[k]
-    return ContactImpulse(lam, wrench, converged, sweeps)
+    return fixed_impulse(J, lam, converged, sweeps)
 
 
-# --- the BLAS PGS, kept as the reference of the tolerance tests ---------------
+# --- the BLAS solvers, kept as the references of the tolerance tests ----------
+
+
+def package(problem, lam, converged, iterations):
+    nc = problem.num_contacts
+    wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
+    return ContactImpulse(lam.copy(), wrench, converged, iterations)
+
+
+def blas_convex_reference_velocity(problem, params):
+    h, d, k, b = problem.h, params.d_interp, params.k, params.b
+    J = problem.jacobian
+    s_minus = (J @ problem.v)[0::3]
+    dv0 = h * (J @ (problem.inv_mass @ problem.f_ext))[0::3]
+    carry = np.minimum(s_minus, 0.0) * max(0.0, 1.0 - h * d * b)
+    return carry + h * d * k * problem.depth + (1.0 - d) * dv0
+
+
+def blas_pyramid_qp(Q, c, mu, lam0, max_iters, tol):
+    eigs = np.linalg.eigvalsh(Q)
+    L = float(eigs[-1])
+    if L <= 0.0:
+        return np.zeros_like(lam0), 0.0, 0
+    c_f = c.tolist()
+    lam_f = _pyramid_project_floats(lam0.tolist(), mu)
+    lam = np.array(lam_f)
+    y_f, y = lam_f, lam
+    t = 1.0
+    pg_norm = math.inf
+    for it in range(1, max_iters + 1):
+        step = [yi - (gi + ci) / L for yi, gi, ci in zip(y_f, (Q @ y).tolist(), c_f)]
+        new_f = _pyramid_project_floats(step, mu)
+        lam_new = np.array(new_f)
+        step = [li - (gi + ci) / L for li, gi, ci in zip(new_f, (Q @ lam_new).tolist(), c_f)]
+        pg_norm = 0.0
+        for li, pi in zip(new_f, _pyramid_project_floats(step, mu)):
+            e = abs(L * (li - pi))
+            if not e <= pg_norm:
+                pg_norm = e
+                if e != e:
+                    break
+        if pg_norm <= tol or not math.isfinite(pg_norm):
+            return lam_new, pg_norm, it
+        if float((y - lam_new) @ (lam_new - lam)) > 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        y_f = [li + beta * (li - lo) for li, lo in zip(new_f, lam_f)]
+        y = np.array(y_f)
+        lam, lam_f = lam_new, new_f
+        t = t_new
+    return lam, pg_norm, max_iters
+
+
+def blas_convex_impulse(problem, params, max_iters=DEFAULT_QP_ITERS, tol=DEFAULT_QP_TOL, warm_start=None):
+    nc = problem.num_contacts
+    if nc == 0:
+        return ContactImpulse.empty()
+    A = problem.delassus()
+    d = params.d_interp
+    Q = A + np.diag((1.0 - d) / d * np.diag(A))
+    c = problem.jacobian @ problem.v_free()
+    c[0::3] -= blas_convex_reference_velocity(problem, params)
+    if warm_start is not None and warm_start.shape == (3 * nc,):
+        lam0 = warm_start
+    else:
+        lam0 = np.zeros(3 * nc)
+    lam, residual, iters = blas_pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
+    if not residual <= tol:
+        raise ConvexSolverError(residual, iters)
+    return package(problem, lam, True, iters)
 
 
 def blas_pgs(A, g, bias, cfm, mu, lam, max_iters, tol):

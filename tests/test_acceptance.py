@@ -213,7 +213,7 @@ def test_criterion_7_identification_self_consistency(tmp_path, cube_geom, cube_i
     for i, t in enumerate(truths):
         ct.save_trajectory(t, d / f"toss_{i:03d}.csv")
     out = tmp_path / "ident.json"
-    rc = main(["identify", "--dataset", str(d), "--model", "compliant", "--preset", "cube",
+    rc = main(["identify", "--dataset", str(d), "--model", "compliant",
                "--budget", "320", "--seed", "0", "--out", str(out)])
     assert rc == 0
     doc = ct.ResultsDocument.load(out)

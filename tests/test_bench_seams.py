@@ -39,6 +39,9 @@ def test_tracer_patches_every_name_and_restores_it():
     pytest.param("cube-bullet-style", "sliding", "cube", id="cube-bullet-style-sliding"),
     # a world inverse inertia that changes every step
     pytest.param("cube-bullet-style", "tumbling", "anisotropic box", id="cube-bullet-style-anisotropic-box"),
+    # the loop builds its convex problems from floats, the public path from arrays
+    pytest.param("cube-mujoco-style", "sliding", "cube", id="cube-mujoco-style-sliding"),
+    pytest.param("cube-mujoco-style", "tumbling", "anisotropic box", id="cube-mujoco-style-anisotropic-box"),
 ])
 def test_public_api_replay_of_a_pool_toss_is_exact(preset, pool, body):
     if body == "cube":

@@ -122,17 +122,31 @@ def test_identify_budget_one_returns_single_point(tmp_path):
     assert doc.results["loss"] == doc.results["history"][0]["loss"]
 
 
-def test_identify_domain_preset_cube(tmp_path):
+def test_identify_writes_cube_domain_and_has_no_preset_flag(tmp_path):
+    """identify searches the cube domain; --preset, a parameter source elsewhere, is an unknown flag here."""
     d, _ = write_dataset(tmp_path, n=2)
     out = tmp_path / "res.json"
-    rc = main(["identify", "--dataset", str(d), "--model", "compliant", "--preset", "cube",
-               "--budget", "4", "--out", str(out)])
-    assert rc == 0
-    doc = ct.ResultsDocument.load(out)
-    dom = doc.config["domain"]
+    args = ["identify", "--dataset", str(d), "--model", "compliant", "--budget", "4", "--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--preset", "cube"])
+    assert err.value.code == 2
+    assert not out.exists()
+    assert main(args) == 0
+    dom = ct.ResultsDocument.load(out).config["domain"]
     assert dom["mu"] == {"lower": 0.0, "upper": 1.0, "log": False}
     assert dom["k"] == {"lower": 1e2, "upper": 1e5, "log": True}
     assert dom["b"] == {"lower": 0.0, "upper": 2.0, "log": False}
+
+
+def test_sweep_baseline_is_the_configured_params(tmp_path):
+    """results.baseline repeats config.params whole, d_interp included."""
+    d, _ = write_dataset(tmp_path, n=1, seed=73, duration=0.05)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--preset", "cube-mujoco-style", "--d-interp", "0.8", "--dataset", str(d),
+                 "--axes", "mu", "--grid", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["params"]["d_interp"] == 0.8
+    assert doc["results"]["baseline"] == doc["config"]["params"]
 
 
 def test_sweep_single_point_matches_evaluate(tmp_path):

@@ -5,8 +5,8 @@ to right from its first product. ``frozen_numpy.pgs`` is the oracle of that
 arithmetic, written independently as plain index loops: the two must agree
 bit for bit. ``frozen_numpy.blas_pgs``, the sweeps as they were with BLAS
 row dots, is the reference that finite cases must match to BLAS_TOL. The
-last test keeps BLAS and LAPACK out of the PGS solve and the PGS contact
-step of a rollout.
+last test keeps BLAS and LAPACK out of the PGS and convex solves and out of
+their contact steps in a rollout.
 """
 import dis
 import math
@@ -110,14 +110,16 @@ def test_pgs_non_finite_problem_never_converged(problem, field, bad):
 
 
 def test_pgs_requires_the_block_inverse_mass(cube_geom, cube_inertia):
-    """The float kernel assumes diag(m^-1 I3, W); any other inverse mass is refused, not solved another way."""
+    """The float kernels assume diag(m^-1 I3, W); any other inverse mass is refused, not solved another
+    way, by the PGS solver and by the convex one that shares its Delassus terms."""
     state = ct.RigidState([0.0, 0.0, 0.0495], [1.0, 0.0, 0.0, 0.0], [0.2, -0.1, -0.3], [0.5, 0.2, -0.4])
-    params = ct.param_preset("cube-bullet-style")
-    for i, j, value in ((0, 4, 0.1), (1, 1, 3.0), (3, 0, 0.1), (0, 0, math.nan)):
-        problem = ct.build_contact_problem(state, cube_inertia, ct.detect_contacts(state, cube_geom), DT)
-        problem.inv_mass[i, j] = value
-        with pytest.raises(ValueError, match="block form"):
-            ct.rigid_pgs_impulse(problem, params)
+    for params in (ct.param_preset("cube-bullet-style"), ct.param_preset("cube-mujoco-style")):
+        solve = ct.rigid_pgs_impulse if params.model == "rigid_pgs" else ct.regularized_convex_impulse
+        for i, j, value in ((0, 4, 0.1), (1, 1, 3.0), (3, 0, 0.1), (0, 0, math.nan)):
+            problem = ct.build_contact_problem(state, cube_inertia, ct.detect_contacts(state, cube_geom), DT)
+            problem.inv_mass[i, j] = value
+            with pytest.raises(ValueError, match="block form"):
+                solve(problem, params)
 
 
 # numpy's products, which go to BLAS or LAPACK, by the names code reaches them through
@@ -175,19 +177,30 @@ def test_numpy_products_sees_each_way_to_blas():
     assert numpy_products(lambda: (a * a).sum())[0] == []
 
 
-def test_pgs_solve_and_rollout_step_call_no_blas(cube_geom, cube_inertia):
-    """The PGS solve, and the PGS contact step of a rollout, run no BLAS or LAPACK product."""
+def assert_solve_and_rollout_step_call_no_blas(preset, solver, cube_geom, cube_inertia):
     state = ct.RigidState([0.0, 0.0, 0.0495], [1.0, 0.0, 0.0, 0.0], [0.2, -0.1, -0.3], [0.5, 0.2, -0.4])
     contacts = ct.detect_contacts(state, cube_geom)
     problem = ct.build_contact_problem(state, cube_inertia, contacts, DT)
-    params = ct.param_preset("cube-bullet-style")
+    params = ct.param_preset(preset)
     warm = np.full(3 * len(contacts), 0.01)
-    products, called = numpy_products(lambda: ct.rigid_pgs_impulse(problem, params, warm_start=warm))
-    assert len(contacts) == 4 and "rigid_pgs_impulse" in called
+    products, called = numpy_products(lambda: getattr(ct, solver)(problem, params, warm_start=warm))
+    assert len(contacts) == 4 and solver in called
     assert products == []
-    # one contact step. What remains is outside the PGS path: the corner products of the detector
+    # one contact step. What remains is outside the solver path: the corner products of the detector
     products, called = numpy_products(
         lambda: ct.simulate(state, params, cube_inertia, cube_geom, ct.SimConfig(dt=DT, downsample=1), DT)
     )
-    assert "rigid_pgs_impulse" in called
+    assert solver in called
     assert {p[0] for p in products} == {"_corner_contact_arrays"}
+
+
+def test_pgs_solve_and_rollout_step_call_no_blas(cube_geom, cube_inertia):
+    """The PGS solve, and the PGS contact step of a rollout, run no BLAS or LAPACK product."""
+    assert_solve_and_rollout_step_call_no_blas("cube-bullet-style", "rigid_pgs_impulse", cube_geom, cube_inertia)
+
+
+def test_convex_solve_and_rollout_step_call_no_blas(cube_geom, cube_inertia):
+    """The convex solve, and the convex contact step of a rollout, run no BLAS or LAPACK product."""
+    assert_solve_and_rollout_step_call_no_blas(
+        "cube-mujoco-style", "regularized_convex_impulse", cube_geom, cube_inertia
+    )

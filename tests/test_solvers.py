@@ -6,6 +6,7 @@ import pytest
 import cubetoss as ct
 from cubetoss.solvers import (
     _convex_reference_velocity,
+    _float_terms,
     _pyramid_project,
     _pyramid_qp,
     erp_cfm,
@@ -122,16 +123,21 @@ def test_convex_no_contacts_zero_impulse(cube_inertia):
     assert np.array_equal(imp.wrench, np.zeros(6))
 
 
+def reference_velocity(prob, params):
+    J, _, accel, _, v, depth = _float_terms(prob)
+    return _convex_reference_velocity(J, v, accel, depth, prob.h, params)
+
+
 def test_convex_reference_velocity_frozen_values():
     params = ct.ContactParams(0.0, 3300.0, 45.0, "regularized_convex", d_interp=0.9)
     prob, _, _ = single_contact_problem(mass=0.5, s_minus=-0.3, depth=0.002)
-    assert _convex_reference_velocity(prob, params)[0] == pytest.approx(-0.287777027027027, rel=1e-12)
+    assert reference_velocity(prob, params)[0] == pytest.approx(-0.287777027027027, rel=1e-12)
     # separating contact inside the margin: approach carryover drops out
     prob2, _, _ = single_contact_problem(mass=0.5, s_minus=0.5, depth=-0.0005)
-    assert _convex_reference_velocity(prob2, params)[0] == pytest.approx(-0.0010033783783783786, rel=1e-12)
+    assert reference_velocity(prob2, params)[0] == pytest.approx(-0.0010033783783783786, rel=1e-12)
     # gravity contributes its unconstrained velocity change, weighted by 1 - d
     prob3, _, _ = single_contact_problem(mass=0.5, s_minus=0.5, depth=0.0, include_gravity=True)
-    assert _convex_reference_velocity(prob3, params)[0] == pytest.approx(-0.0006628378378378377, rel=1e-12)
+    assert reference_velocity(prob3, params)[0] == pytest.approx(-0.0006628378378378377, rel=1e-12)
 
 
 def test_convex_scalar_qp_oracle():
@@ -142,7 +148,7 @@ def test_convex_scalar_qp_oracle():
         imp = ct.regularized_convex_impulse(prob, params)
         A = 2.0  # 1 / mass
         R = 0.22222222222222224  # (1 - d) / d * A
-        v_star = _convex_reference_velocity(prob, params)[0]
+        v_star = reference_velocity(prob, params)[0]
         expect = max(0.0, (v_star - s_minus) / (A + R))
         assert imp.normal[0] == pytest.approx(expect, abs=1e-10)
 
@@ -192,14 +198,16 @@ def test_convex_non_finite_problem_raises():
 
 
 def test_convex_eigen_failure_raises():
-    """An infinite Q (inf * eye puts NaN off the diagonal) makes eigvalsh fail to converge;
-    the solve ends as not converged, so the solver raises ConvexSolverError, not LinAlgError."""
+    """An infinite Q (inf * eye puts NaN off the diagonal) has no finite step-size bound, and neither
+    has the Delassus matrix of an infinite block-form m^-1 (inf * 0 is NaN): the solve ends at once as
+    not converged, so the solver raises ConvexSolverError."""
     with np.errstate(invalid="ignore"):
-        lam, residual, iters = _pyramid_qp(np.inf * np.eye(3), [0.0] * 3, 0.5, [0.0] * 3, 10, 1e-10)
-    assert lam.tolist() == [0.0] * 3 and residual == math.inf and iters == 0
+        lam, residual, iters = _pyramid_qp((np.inf * np.eye(3)).tolist(), [0.0] * 3, 0.5, [0.0] * 3, 10, 1e-10)
+    assert lam == [0.0] * 3 and residual == math.inf and iters == 0
     prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
-    prob.inv_mass[0, 0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(ct.ConvexSolverError) as err:
+    for i in range(3):
+        prob.inv_mass[i, i] = np.inf
+    with pytest.raises(ct.ConvexSolverError) as err:
         ct.regularized_convex_impulse(prob, ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex"))
     assert err.value.residual == math.inf and err.value.iterations == 0
 
