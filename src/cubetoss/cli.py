@@ -104,6 +104,8 @@ def _resolve_params(args) -> ContactParams:
         base, source = ContactParams(args.mu, args.k, args.b, args.model), None
     if args.model and args.model != base.model:
         raise CliError(f"{source} is for model {base.model}, not {args.model}")
+    if args.d_interp is not None and base.model != "regularized_convex":
+        raise CliError(f"--d-interp has no effect with model {base.model}; only regularized_convex uses it")
     flags = {name: getattr(args, name) for name in ("mu", "k", "b", "d_interp")}
     return dataclasses.replace(base, **{name: v for name, v in flags.items() if v is not None})
 
@@ -111,6 +113,8 @@ def _resolve_params(args) -> ContactParams:
 def _sim_config(args, model: str) -> SimConfig:
     if not (0.0 < args.rate < math.inf):
         raise CliError(f"--rate must be a positive finite number of Hz, got {args.rate}")
+    if args.solver_iters is not None and model == "compliant":
+        raise CliError("--solver-iters has no effect with model compliant, which does not iterate")
     return SimConfig(
         dt=1.0 / args.rate,
         downsample=args.downsample,

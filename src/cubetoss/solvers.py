@@ -39,6 +39,16 @@ solver is one public function with no second kernel beside it; rollouts
 call these functions, and every result holds one flat impulse, which the
 loop hands the next step as its warm start (each solver copies its warm
 start).
+
+Before the APG, the convex solve tries a face solve (_face_solve), the
+polishing step of OSQP and the second-order step of MuJoCo's Newton solver
+on this formulation: it reads each contact's face of the pyramid (apex,
+interior, a facet or the edge) from the projected warm start, solves the
+QP's reduced linear system on those faces by Cholesky over Python floats,
+and keeps the result only when the APG's own stopping rule accepts it. In
+a rollout the contacts seldom change face from one step to the next, so
+most warm-started solves end there, in one iteration; the rest run the APG
+from the warm start as before.
 """
 from __future__ import annotations
 
@@ -633,6 +643,23 @@ def _uphill(y: list, lam_new: list, lam: list) -> tuple:
     return s > 0.0, diff
 
 
+def _gershgorin(Q: list) -> float:
+    """The largest row sum of |Q_ij|, each summed left to right: a bound on Q's largest eigenvalue.
+
+    The scan stops at the first NaN row sum and returns it.
+    """
+    L = 0.0
+    for row in Q:
+        s = 0.0
+        for q in row:
+            s += abs(q)
+        if not s <= L:  # larger, or NaN
+            L = s
+            if s != s:
+                break
+    return L
+
+
 def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     """Accelerated projected gradient on min 1/2 l'Ql + c'l over the pyramid.
 
@@ -644,7 +671,7 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     and the iteration count.
 
     The step size is 1/L with L the Gershgorin bound of Q's largest
-    eigenvalue: the largest row sum of |Q_ij|, each summed left to right.
+    eigenvalue (_gershgorin): the largest row sum of |Q_ij|.
     A non-finite bound (an infinite or NaN Q) ends the solve at once with
     residual inf, which the caller reports as not converged; L <= 0 (Q = 0)
     returns zeros with residual 0.
@@ -661,15 +688,7 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     sum in one pass. No BLAS or LAPACK call is made.
     """
     n = len(lam0)
-    L = 0.0
-    for row in Q:
-        s = 0.0
-        for q in row:
-            s += abs(q)
-        if not s <= L:  # larger, or NaN
-            L = s
-            if s != s:
-                break
+    L = _gershgorin(Q)
     if not L < math.inf:
         return [0.0] * n, math.inf, 0
     if L <= 0.0:
@@ -700,6 +719,109 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     return lam, pg_norm, max_iters
 
 
+def _face_solve(Q, c, mu, lam0, tol):
+    """The pyramid QP solved exactly on the faces of the projected warm start, or None.
+
+    Q, c and lam0 are _pyramid_qp's. The projection p = P(lam0) puts each
+    contact on one face of its pyramid, read from equalities that the
+    closed-form projection meets exactly: the apex (n == 0), the edge
+    |t1| == |t2| == mu n, the facet |t1| == mu n or |t2| == mu n, or the
+    interior; with mu == 0, the apex or the ray t1 == t2 == 0. The face's
+    free directions are the columns of a matrix B (n along the edge
+    (1, +-mu, +-mu), n along a facet (1, +-mu, 0) with the other tangent
+    free, each of the three entries in the interior); each entry of the
+    impulse belongs to at most one column. The minimizer lam = B z of the
+    QP on the face's span solves B'QB z = -B'c, by Cholesky over Python
+    floats.
+
+    lam is then put to _pyramid_qp's stopping rule: Q lam summed as that
+    loop sums Q y, and the projected step from lam with the same step size
+    1/L. When its gradient mapping is at most tol, the step's projected
+    point and the gradient mapping are returned, as _pyramid_qp returns an
+    iteration that stops. Otherwise, and when every contact sits at the
+    apex (lam would be zero, the point the APG's first iteration tests), the
+    step-size bound is not finite and positive, a pivot is not positive or
+    p holds NaN, None is returned, and nothing has been decided.
+    """
+    L = _gershgorin(Q)
+    if not 0.0 < L < math.inf:
+        return None
+    p = _pyramid_project_floats(lam0, mu)
+    cols = []  # the free directions, each as (index, coefficient) pairs
+    for i in range(0, len(p), 3):
+        n = p[i]
+        if n == 0.0:  # apex
+            continue
+        if not n > 0.0:  # NaN
+            return None
+        if mu == 0.0:
+            cols.append(((i, 1.0),))
+            continue
+        m = mu * n
+        t1 = p[i + 1]
+        t2 = p[i + 2]
+        if abs(t1) == m:
+            if abs(t2) == m:
+                cols.append(((i, 1.0), (i + 1, math.copysign(mu, t1)), (i + 2, math.copysign(mu, t2))))
+            else:
+                cols += ((i, 1.0), (i + 1, math.copysign(mu, t1))), ((i + 2, 1.0),)
+        elif abs(t2) == m:
+            cols += ((i, 1.0), (i + 2, math.copysign(mu, t2))), ((i + 1, 1.0),)
+        else:
+            cols += ((i, 1.0),), ((i + 1, 1.0),), ((i + 2, 1.0),)
+    if not cols:
+        return None
+    # B'QB = G G' row by row (G lower triangular), with the forward solve G w = -B'c alongside
+    G = []
+    w = []
+    for a, col_a in enumerate(cols):
+        row = []
+        for b, col_b in enumerate(cols[:a + 1]):
+            s = 0.0
+            for i, u in col_a:
+                q = Q[i]
+                for j, v in col_b:
+                    s += u * v * q[j]
+            g_b = G[b] if b < a else row
+            for k in range(b):
+                s -= row[k] * g_b[k]
+            if b < a:
+                row.append(s / g_b[b])
+            elif s > 0.0:
+                row.append(math.sqrt(s))
+            else:  # not positive, or NaN
+                return None
+        r = 0.0
+        for i, u in col_a:
+            r -= u * c[i]
+        for k in range(a):
+            r -= row[k] * w[k]
+        G.append(row)
+        w.append(r / row[a])
+    # back solve G' z = w, then lam = B z
+    lam = [0.0] * len(p)
+    z = [0.0] * len(cols)
+    for a in range(len(cols) - 1, -1, -1):
+        s = w[a]
+        for k in range(a + 1, len(cols)):
+            s -= G[k][a] * z[k]
+        z[a] = s / G[a][a]
+        for i, u in cols[a]:
+            lam[i] = u * z[a]
+    rest = range(3, len(p), 3)
+    y0, y1, y2 = lam[0], lam[1], lam[2]
+    q_lam = []
+    for row in Q:
+        r = row[0] * y0 + row[1] * y1 + row[2] * y2
+        for j in rest:
+            r = r + row[j] * lam[j] + row[j + 1] * lam[j + 1] + row[j + 2] * lam[j + 2]
+        q_lam.append(r)
+    step, residual = _projected_step(lam, q_lam, c, L, mu)
+    if residual <= tol:
+        return step, residual
+    return None
+
+
 def regularized_convex_impulse(
     problem: ContactProblem,
     params: ContactParams,
@@ -717,6 +839,20 @@ def regularized_convex_impulse(
     residual (the gradient mapping at the last momentum point, see
     _pyramid_qp) turns non-finite (a NaN or infinite problem).
 
+    When max_iters >= 1, a face solve runs first (_face_solve): the exact
+    minimizer on the faces of the pyramid that the projected warm start
+    lies on, put to the APG's stopping rule. When the rule accepts it, its
+    projected step is the result and iterations reads 1, one stopping-rule
+    check, as when the APG stops at its first iteration. The face solve and
+    the APG each stop at a point whose gradient mapping is at most tol, not
+    at the same point, so their results agree to within what that rule
+    allows (at most 2.7e-10 N s apart over 35,042 solves in rollouts of
+    the benchmark's cube and box tosses). Otherwise the APG runs from the
+    warm start; when its first residual is not finite (Q y overflowed on a
+    warm start near overflow) while the warm start is not zero and the QP
+    is finite, it runs again from zero. Every ConvexSolverError comes from
+    the APG.
+
     The solve runs on Python floats alone, as rigid_pgs_impulse does: A,
     J v_free and the wrench J^T lambda come from _float_terms and
     _float_impulse, so the inverse mass must have _mass_terms's block form
@@ -728,6 +864,27 @@ def regularized_convex_impulse(
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
+    J, Q, c = _convex_qp(problem, params)
+    mu = params.mu
+    lam0 = _warm_floats(warm_start, 3 * nc) or [0.0] * (3 * nc)
+    face = _face_solve(Q, c, mu, lam0, tol) if max_iters >= 1 else None
+    if face is not None:
+        return _float_impulse(J, face[0], True, 1)
+    lam, residual, iters = _pyramid_qp(Q, c, mu, lam0, max_iters, tol)
+    if iters == 1 and not residual < math.inf and any(lam0) and all(map(math.isfinite, c)):
+        # a warm start near overflow overflowed Q y: the minimizer does not depend on it
+        lam, residual, iters = _pyramid_qp(Q, c, mu, [0.0] * (3 * nc), max_iters, tol)
+    if not residual <= tol:
+        raise ConvexSolverError(residual, iters)
+    return _float_impulse(J, lam, True, iters)
+
+
+def _convex_qp(problem: ContactProblem, params: ContactParams) -> tuple:
+    """(J, Q, c) of regularized_convex_impulse's QP on Python floats, for a problem with contacts.
+
+    J holds _float_terms's Jacobian rows, Q = A + R as a list of rows and
+    c = J v_free - v* with v* on the normal entries.
+    """
     J, Q, accel, c, v, depth = _float_terms(problem)
     d = params.d_interp
     ratio = (1.0 - d) / d
@@ -736,11 +893,7 @@ def regularized_convex_impulse(
         row[i] = a + ratio * a
     for i, ref in enumerate(_convex_reference_velocity(J, v, accel, depth, problem.h, params)):
         c[3 * i] -= ref
-    lam0 = _warm_floats(warm_start, 3 * nc) or [0.0] * (3 * nc)
-    lam, residual, iters = _pyramid_qp(Q, c, params.mu, lam0, max_iters, tol)
-    if not residual <= tol:
-        raise ConvexSolverError(residual, iters)
-    return _float_impulse(J, lam, True, iters)
+    return J, Q, c
 
 
 # --- rigid complementarity model ---------------------------------------------

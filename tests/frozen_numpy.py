@@ -3,7 +3,11 @@
 They are the oracles of the bit-identity tests: the corner detector, the
 vectorized compliant law, the integrator, the fused rollout loop and the
 trajectory writer exactly as they were written over numpy arrays. The loop
-calls the live mass terms and the frozen Jacobian builder and solvers below.
+calls the live mass terms, the frozen Jacobian builder, the frozen PGS
+solve below and the live convex solve. The convex oracle below is the APG
+alone; the live solver's face solve stops most warm-started solves at a
+point other than the APG's, though within its stopping rule, so the loop's
+glue is checked bit for bit against the convex solver it runs.
 
 The two iterative solvers follow as oracles of the float kernels, which
 run on Python floats with no BLAS: the same fixed summation orders, written
@@ -39,6 +43,7 @@ from cubetoss.solvers import (
     _mass_terms,
     _pyramid_project_floats,
     erp_cfm,
+    regularized_convex_impulse,
 )
 from cubetoss.trajectory import Trajectory
 
@@ -177,7 +182,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
                 warm = per_corner[idx].reshape(-1)
             try:
                 if model == "regularized_convex":
-                    imp = convex_impulse(problem, params, max_iters, warm_start=warm)
+                    imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
                     imp = pgs_impulse(problem, params, max_iters, warm_start=warm)
             except ConvexSolverError as err:

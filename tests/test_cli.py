@@ -221,6 +221,36 @@ def test_solver_iters_must_be_positive(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_flags_without_effect_on_the_model_exit_2(tmp_path, capsys):
+    """--d-interp weights only the regularized_convex model and --solver-iters caps only the iterative
+    solvers: given with any other model, each is a configuration error that names the model."""
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    x0 = str(d / "toss_000.csv")
+    out = tmp_path / "out.json"
+    cases = [
+        (["simulate", "--preset", "cube-drake", "--d-interp", "0.8", "--x0", x0], "--d-interp", "compliant"),
+        (["evaluate", "--preset", "cube-bullet-style", "--d-interp", "0.8", "--dataset", str(d)],
+         "--d-interp", "rigid_pgs"),
+        (["sweep", "--preset", "cube-drake", "--d-interp", "0.8", "--dataset", str(d), "--axes", "mu",
+          "--grid", "1"], "--d-interp", "compliant"),
+        (["simulate", "--model", "compliant", "--mu", "0.1", "--k", "1e4", "--b", "0.4", "--solver-iters", "50",
+          "--x0", x0], "--solver-iters", "compliant"),
+        (["evaluate", "--preset", "cube-drake", "--solver-iters", "50", "--dataset", str(d)],
+         "--solver-iters", "compliant"),
+        (["identify", "--model", "compliant", "--solver-iters", "50", "--budget", "2", "--dataset", str(d)],
+         "--solver-iters", "compliant"),
+    ]
+    for argv, flag, model in cases:
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert flag in err and model in err, argv
+        assert not out.exists()
+    for argv in (["evaluate", "--preset", "cube-bullet-style", "--solver-iters", "50", "--dataset", str(d)],
+                 ["evaluate", "--preset", "cube-mujoco-style", "--solver-iters", "50", "--d-interp", "0.8",
+                  "--dataset", str(d)]):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+
+
 def test_rate_must_be_positive_and_finite(tmp_path, capsys):
     d, _ = write_dataset(tmp_path, n=1, duration=0.05)
     for rate in ("0", "-1480", "inf", "nan"):

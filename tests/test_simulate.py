@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -199,3 +200,26 @@ def test_tossed_cube_dissipates_and_stays_on_table(cube_geom, cube_inertia):
         ke_end = ct.kinetic_energy(traj.state_at(len(traj) - 1), cube_inertia)
         assert ke_end < 0.05 * ke0, preset
         assert 0.04 < traj.pos[-1, 2] < 0.09, preset  # resting near the table, not sunk or flying
+
+
+def test_warm_started_convex_solves_take_the_face_solve(monkeypatch, cube_geom, cube_inertia):
+    """The convex solver's fast path stays on: on the first 16 tumbling tosses of the benchmark pool
+    (perfbench/workloads.py, pool seed 2110) at the MuJoCo-style preset, at least 90% of the loop's
+    convex solves have a non-zero warm start and stop after one iteration, which from such a warm start
+    is the face solve's (4,131 of 4,414 solves, 94%, when this guard was written; the APG alone takes a
+    median of 9 iterations on them)."""
+    simulate_module = sys.modules["cubetoss.simulate"]
+    solve = simulate_module.regularized_convex_impulse
+    counts = []
+
+    def counted(problem, params, max_iters, warm_start=None):
+        result = solve(problem, params, max_iters, warm_start=warm_start)
+        counts.append(result.iterations == 1 and warm_start is not None and any(warm_start))
+        return result
+
+    monkeypatch.setattr(simulate_module, "regularized_convex_impulse", counted)
+    params = ct.param_preset("cube-mujoco-style")
+    for x0 in random_toss_states(48, cube_geom, seed=2110)[:16]:
+        ct.simulate(x0, params, cube_inertia, cube_geom, ct.SimConfig(), 0.5)
+    assert len(counts) > 4000
+    assert sum(counts) >= 0.9 * len(counts)
