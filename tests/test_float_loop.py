@@ -7,8 +7,10 @@ values, sign bits and NaNs included, and every rollout the same trajectory
 and the same divergence. The PGS and convex solvers have no BLAS product
 left; their oracles are ``frozen_numpy.pgs_impulse`` and
 ``frozen_numpy.convex_impulse``, the same fixed summation orders written on
-numpy columns and plain index loops, and the former BLAS solves are the
-references they must match within a tolerance.
+numpy columns and plain index loops (the convex one is the APG alone, which
+the live solve matches bit for bit wherever its face solve declines), and
+the former BLAS solves are the references they must match within a
+tolerance.
 """
 import math
 import sys
