@@ -67,7 +67,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 PARAMS_FILE_KEYS = tuple(f.name for f in dataclasses.fields(ContactParams))
 
 
-def _parse_params_file(path: str) -> ContactParams:
+def _parse_params_file(path: str) -> dict:
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,23 +89,27 @@ def _parse_params_file(path: str) -> ContactParams:
     missing = {"model", "mu", "k", "b"} - set(values)
     if missing:
         raise CliError(f"{path}: missing keys {sorted(missing)}")
-    return ContactParams(**values)
+    return values
 
 
 def _resolve_params(args) -> ContactParams:
     """--preset, else --params, else --model/--mu/--k/--b; then --mu/--k/--b/--d-interp override it."""
+    d_interp_from = "--d-interp" if args.d_interp is not None else None
     if args.preset:
         base, source = param_preset(args.preset), f"preset {args.preset}"
     elif args.params:
-        base, source = _parse_params_file(args.params), args.params
+        values = _parse_params_file(args.params)
+        base, source = ContactParams(**values), args.params
+        if "d_interp" in values:
+            d_interp_from = d_interp_from or f"d_interp in {args.params}"
     elif None in (args.model, args.mu, args.k, args.b):
         raise CliError("give --preset, --params, or all of --model/--mu/--k/--b")
     else:
         base, source = ContactParams(args.mu, args.k, args.b, args.model), None
     if args.model and args.model != base.model:
         raise CliError(f"{source} is for model {base.model}, not {args.model}")
-    if args.d_interp is not None and base.model != "regularized_convex":
-        raise CliError(f"--d-interp has no effect with model {base.model}; only regularized_convex uses it")
+    if d_interp_from and base.model != "regularized_convex":
+        raise CliError(f"{d_interp_from} has no effect with model {base.model}; only regularized_convex uses it")
     flags = {name: getattr(args, name) for name in ("mu", "k", "b", "d_interp")}
     return dataclasses.replace(base, **{name: v for name, v in flags.items() if v is not None})
 

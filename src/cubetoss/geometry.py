@@ -9,7 +9,11 @@ contact patch and no torsional friction.
 
 The detector works on Python floats and serves both detect_contacts and
 the rollout loop; only its two corner products stay in numpy, because
-their rounding belongs to BLAS (see _corner_contact_arrays).
+their rounding belongs to BLAS (see _corner_contact_arrays). Every contact
+has the table's frame, so a contact is known by its moment arm from the
+COM: solvers.ContactProblem holds the arms, _table_jacobian builds the
+Jacobian from them when it is read, and the solvers form their terms from
+the arms directly.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from .body import RigidState
 NORMAL = np.array([0.0, 0.0, 1.0])
 TANGENT1 = np.array([1.0, 0.0, 0.0])
 TANGENT2 = np.array([0.0, 1.0, 0.0])
-TABLE_FRAME = np.stack([NORMAL, TANGENT1, TANGENT2])  # rows: normal, t1, t2
 
 CORNER_SIGNS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
@@ -171,14 +174,15 @@ def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: flo
     ]
 
 
-def _table_rows(rho) -> list:
-    """The entries of the table-frame contact Jacobian as one flat list of Python floats.
+def _table_jacobian(rho) -> np.ndarray:
+    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
 
     rho holds the arms from the COM to the witness points as three rows
-    (x, y, z) of nc values: a (3, nc) array or three float lists. The list
-    holds 3nc rows of 6 entries, one after another. Rows follow
-    [e, rho x e] for e = normal (+z), t1 (+x), t2 (+y) of each contact, so
-    the normal row of J @ twist equals minus depth_rate.
+    (x, y, z) of nc values: a (3, nc) array or three float lists. Rows
+    follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
+    normal row of J @ twist equals minus depth_rate. The entries go into one
+    flat list read by np.fromiter with a known count, which on these few
+    contacts costs less than nested lists or strided assignments.
     """
     flat = []
     for x, y, z in zip(*rho):
@@ -187,27 +191,4 @@ def _table_rows(rho) -> list:
             1.0, 0.0, 0.0, 0.0, z, -y,
             0.0, 1.0, 0.0, -z, 0.0, x,
         )
-    return flat
-
-
-def _table_jacobian(rho) -> np.ndarray:
-    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
-
-    The entries of _table_rows(rho), read by np.fromiter with a known count,
-    which on these few contacts costs less than nested lists or strided
-    assignments.
-    """
-    flat = _table_rows(rho)
     return np.fromiter(flat, float, len(flat)).reshape(-1, 6)
-
-
-def _frame_jacobian(rho: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Stacked 3nc x 6 contact Jacobian for per-contact frames, shape (nc, 3, 3).
-
-    Each row [e, rho x e] is linear in its direction e, so a contact's block
-    is its table-frame block rotated by frame @ TABLE_FRAME.T. For the table
-    frame that rotation is the identity and the result equals _table_jacobian.
-    """
-    nc = rho.shape[1]
-    blocks = _table_jacobian(rho.tolist()).reshape(nc, 3, 6)
-    return (frames @ TABLE_FRAME.T @ blocks).reshape(3 * nc, 6)

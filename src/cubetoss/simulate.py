@@ -9,27 +9,25 @@ the integration rate.
 The loop carries the state as Python floats, because numpy's per-call
 overhead dominates on these 3- and 4-vectors, and it uses the float helpers
 that the public per-step API uses too: quat._matrix_rows, the corner
-detector geometry._corner_contact_arrays, the compliant law
-solvers._compliant_force and the integrator body._integrate. Each float
+detector geometry._corner_contact_arrays, the compliant law's
+per-contact terms solvers._compliant_terms with their sum
+solvers._wrench_impulse, and the integrator body._integrate. Each float
 operation is the one the former array code applied elementwise, in the same
 order, so rollouts are bit-identical to that code. Numpy keeps the corner
 products inside the detector and, for an anisotropic body, the mass terms
-(solvers._mass_terms) and the integrator's rotations. Both iterative solvers
-run on floats alone, so the loop builds their ContactProblem from the float
-lists themselves (ContactProblem._from_floats: the Jacobian rows of
-geometry._table_rows and the block mass floats of solvers._block_mass) and
-reads their result back as float lists (ContactImpulse._float_lists); a PGS
-or convex step of a cube makes no numpy array outside the detector. Warm
-starts are remapped per corner over float lists when the set of active
-corners changes. Both iterative solvers are called through this module's
-globals rigid_pgs_impulse and regularized_convex_impulse, once per contact
-step: that seam is deliberate, since it is where the solver layer can be
-timed (the benchmark's tracer wraps these names) and where the per-step API
-meets the loop. Stepping detect_contacts, build_contact_problem, the solver
-with per-corner warm starts, and step therefore reproduces a convex or PGS
-rollout bit for bit. The compliant rollout sums its wrench per corner,
-while hunt_crossley_impulse goes through J @ v and J.T @ lam, so its public
-replay agrees to rounding only.
+(solvers._mass_terms) and the integrator's rotations. For a PGS or convex
+step the loop builds the ContactProblem from the detector's arms and its
+float lists, as build_contact_problem does from detect_contacts output, and
+reads the result's float lists back; such a step of a cube makes no numpy
+array outside the detector. Warm starts are remapped per corner over float
+lists when the set of active corners changes. Both iterative solvers are
+called through this module's globals rigid_pgs_impulse and
+regularized_convex_impulse, once per contact step: that seam is
+deliberate, since it is where the solver layer can be timed (the
+benchmark's tracer wraps these names) and where the per-step API meets the
+loop. Stepping detect_contacts, build_contact_problem, the solver with
+per-corner warm starts, and step therefore reproduces a rollout of any of
+the three models bit for bit.
 
 Any arithmetic error inside a step (ZeroDivisionError, OverflowError),
 a convex solve that gives up, or a ValueError from the integrator (math.sin
@@ -47,16 +45,16 @@ import numpy as np
 
 from . import quat
 from .body import InertialParams, RigidState, SimConfig, _integrate
-from .geometry import BoxGeometry, _corner_contact_arrays, _table_rows
+from .geometry import BoxGeometry, _corner_contact_arrays
 from .solvers import (
     DEFAULT_PGS_ITERS,
     DEFAULT_QP_ITERS,
     ContactParams,
     ContactProblem,
     ConvexSolverError,
-    _block_mass,
-    _compliant_force,
+    _compliant_terms,
     _mass_terms,
+    _wrench_impulse,
     regularized_convex_impulse,
     rigid_pgs_impulse,
 )
@@ -111,10 +109,7 @@ def simulate(
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
     # an isotropic body's mass terms do not depend on the state
-    const_mass_terms = const_block = None
-    if inertia.isotropic and model != "compliant":
-        const_mass_terms = _mass_terms(None, None, inertia, True)
-        const_block = _block_mass(*const_mass_terms)
+    const_mass_terms = _mass_terms(None, None, inertia, True) if inertia.isotropic else None
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
     warm_corners = []
@@ -130,18 +125,12 @@ def simulate(
             elif model == "compliant":
                 # explicit law: assemble the wrench straight from the corner data
                 _, depth, depth_rate, vt1, vt2, rho, _ = found
-                terms = []
-                for d, dr, t1, t2, x, y, z in zip(depth, depth_rate, vt1, vt2, *rho):
-                    fn, ft1, ft2 = _compliant_force(d, dr, t1, t2, mu, k, b, slip)
-                    terms.append((ft1, ft2, fn, y * fn - z * ft2, z * ft1 - x * fn, x * ft2 - y * ft1))
+                terms = _compliant_terms(depth, depth_rate, vt1, vt2, rho, mu, k, b, slip)
                 imp_lin, imp_ang = _wrench_impulse(terms, dt)
             else:
                 idx, depth, depth_rate, _, _, rho, _ = found
                 inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True)
-                problem = ContactProblem._from_floats(
-                    _table_rows(rho), inv_mass, f_ext, const_block or _block_mass(inv_mass, f_ext),
-                    v + w, dt, depth, depth_rate,
-                )
+                problem = ContactProblem(rho, inv_mass, v + w, dt, f_ext, depth, depth_rate)
                 if idx == warm_corners:
                     warm = warm_flat
                 else:
@@ -155,7 +144,7 @@ def simulate(
                     imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
                     imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
-                warm_flat, wrench = imp._float_lists()
+                warm_flat, wrench = imp._impulse, imp._wrench
                 warm_corners = idx
                 imp_lin, imp_ang = wrench[:3], wrench[3:]
         except (ArithmeticError, ConvexSolverError) as err:
@@ -177,28 +166,3 @@ def simulate(
         rows[:, 7:10].copy(),
         rows[:, 10:13].copy(),
     )
-
-
-def _wrench_impulse(terms, dt):
-    """Linear and angular impulse over dt from per-contact force and moment terms.
-
-    terms holds one (fx, fy, fz, mx, my, mz) tuple per contact. Each column
-    is summed in the order np.sum uses for float64 arrays: up to 7 terms
-    one by one onto +0.0, 8 terms as one round of pairwise sums. So the
-    impulses equal dt * arr.sum() over per-contact float64 arrays bit for
-    bit, signed zeros included.
-    """
-    if len(terms) == 8:
-        sx, sy, sz, tx, ty, tz = [
-            0.0 + (((a + b) + (c + d)) + ((e + f) + (g + h))) for a, b, c, d, e, f, g, h in zip(*terms)
-        ]
-    else:
-        sx = sy = sz = tx = ty = tz = 0.0
-        for fx, fy, fz, mx, my, mz in terms:
-            sx += fx
-            sy += fy
-            sz += fz
-            tx += mx
-            ty += my
-            tz += mz
-    return [dt * sx, dt * sy, dt * sz], [dt * tx, dt * ty, dt * tz]

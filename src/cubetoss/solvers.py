@@ -24,13 +24,17 @@ dynamics alone. Friction for the two optimization-based solvers uses a
 tangential impulses respect |t_i| <= mu * n while a pyramid corner may
 exceed the circular cone by up to sqrt(2).
 
-Both iterative solvers run on Python floats alone, with no BLAS or LAPACK
-call and no numpy array until a caller reads their result's arrays: the
-Delassus entries J M^-1 J^T, M^-1 f_ext, J v_free and J^T lambda are sums of
-products in an order the code fixes (_float_terms and _float_impulse, shared
-by both), and so are the PGS sweeps' row dots and the convex QP's
+A ContactProblem holds table contacts (normal +z, tangents +x and +y) by
+their moment arms, as Python floats. Both iterative solvers run on those
+floats, with no BLAS or LAPACK call and no numpy array until a caller reads
+their result's arrays. One builder over the arms (_float_terms) forms the
+Delassus entries J M^-1 J^T in closed form, skipping the table-frame
+Jacobian's structural zeros, and M^-1 f_ext and J v_free with every
+product; the convex reference velocity and the wrench J^T lambda
+(_float_impulse) keep every product too. Each is a sum in an order the
+code fixes, and so are the PGS sweeps' row dots and the convex QP's
 matrix-vector product, step-size bound and restart sum (see _pgs and
-_pyramid_qp). So a PGS or convex result does not depend on the BLAS build.
+_pyramid_qp), so a PGS or convex result does not depend on the BLAS build.
 The QP fuses its elementwise passes: one loop per contact takes the
 gradient step, projects it onto the pyramid and measures the gradient
 mapping (_projected_step), and one loop forms the momentum difference and
@@ -61,7 +65,7 @@ import numpy as np
 
 from . import quat
 from .body import InertialParams, RigidState
-from .geometry import ContactPoint, _frame_jacobian
+from .geometry import NORMAL, TANGENT1, TANGENT2, ContactPoint, _table_jacobian
 
 MODELS = ("compliant", "regularized_convex", "rigid_pgs")
 
@@ -117,65 +121,71 @@ class ContactParams:
 
 
 class ContactProblem:
-    """One-step contact problem in velocity-impulse form.
+    """One-step problem of table contacts in velocity-impulse form.
 
-    jacobian stacks the per-contact 3x6 maps (rows normal, t1, t2).
-    inv_mass is the 6x6 inverse generalized mass at the current orientation,
-    v the pre-step generalized velocity [v, w], f_ext the external
-    generalized force (gravity and gyroscopic pseudo-force), and h the
-    timestep. accel is the unconstrained generalized acceleration
-    inv_mass @ f_ext.
+    rho holds the moment arms from the COM to the witness points as three
+    rows (x, y, z) of nc values, a (3, nc) array or three float lists.
+    inv_mass is the inverse generalized mass diag(m^-1 I3, W) at the
+    current orientation as the pair (m^-1, W) that _mass_terms returns, W
+    the world inverse inertia as three float rows; f_ext is the external
+    generalized force (gravity and gyroscopic pseudo-force), v the pre-step
+    generalized velocity [v, w], h the timestep, and depth and depth_rate
+    have one entry per contact, all Python floats and float lists. The
+    problem keeps the lists it is given (not copies); the solvers read them.
 
-    The rollout loop builds its problems with _from_floats instead, from the
-    Python float lists it already holds, because the iterative solvers read
-    only floats (_input_floats). Such a problem builds its jacobian, v,
-    depth, depth_rate and accel arrays when they are first read, each equal
-    bit for bit to the array the constructor would have been given, so
-    every other reader sees the problem it saw before.
+    Every contact has the table's frame (normal +z, tangents +x and +y), so
+    its Jacobian rows [e, rho x e] follow from its arm alone. The arrays
+    jacobian (geometry._table_jacobian), inv_mass, f_ext, v, depth,
+    depth_rate and accel = inv_mass @ f_ext are built when first read; they
+    are copies, and editing one changes nothing that a solver reads.
+
+    m^-1 must be positive and finite, and the arms and W finite with
+    |W|_F |rho| clear of overflow, a ValueError otherwise: then the Delassus
+    entries, which skip the products of the Jacobian's structural zeros,
+    equal their 6-term sums bit for bit (see _float_terms).
     """
 
-    def __init__(self, jacobian, inv_mass, v, h, f_ext, depth, depth_rate):
-        self.jacobian = jacobian
-        self.inv_mass = inv_mass
-        self.v = v
+    def __init__(self, rho, inv_mass, v, h, f_ext, depth, depth_rate):
+        if isinstance(rho, np.ndarray):
+            rho = rho.tolist()
+        minv, (w0, w1, w2) = inv_mass
+        # each entry of W (rho x e) is at most |W|_F |rho| in size; a NaN or inf in W or rho fails the test too
+        if not (0.0 < minv < math.inf and 2.0 * math.hypot(*w0, *w1, *w2) * math.hypot(*rho[0], *rho[1], *rho[2])
+                < math.inf):
+            raise ValueError("a contact problem needs a positive finite m^-1 and finite arms and W, "
+                             "with |W|_F |rho| clear of overflow")
+        self._rho = rho
+        self._mass = inv_mass
+        self._f = f_ext
+        self._v = v
         self.h = h
-        self.f_ext = f_ext
-        self.depth = depth
-        self.depth_rate = depth_rate
-        self.accel = inv_mass @ f_ext
-        self.num_contacts = depth.size
-        self._floats = None
-
-    @classmethod
-    def _from_floats(cls, rows, inv_mass, f_ext, mass, v, h, depth, depth_rate) -> "ContactProblem":
-        """The problem of table-frame contacts as the rollout loop holds it.
-
-        rows holds the flat Jacobian entries of geometry._table_rows,
-        inv_mass and f_ext are the mass-term arrays and mass their
-        _block_mass floats (m^-1, W, f_ext), and v (6), depth and depth_rate
-        are Python float lists.
-        """
-        problem = cls.__new__(cls)
-        problem.inv_mass = inv_mass
-        problem.f_ext = f_ext
-        problem.h = h
-        problem.num_contacts = len(depth)
-        problem._floats = (rows, *mass, v, depth)
-        problem._depth_rate = depth_rate
-        return problem
+        self._depth = depth
+        self._depth_rate = depth_rate
+        self.num_contacts = len(depth)
 
     @cached_property
     def jacobian(self) -> np.ndarray:
-        flat = self._floats[0]
-        return np.fromiter(flat, float, len(flat)).reshape(-1, 6)
+        return _table_jacobian(self._rho)
+
+    @cached_property
+    def inv_mass(self) -> np.ndarray:
+        minv, W = self._mass
+        M = np.zeros((6, 6))
+        M[0, 0] = M[1, 1] = M[2, 2] = minv
+        M[3:, 3:] = W
+        return M
+
+    @cached_property
+    def f_ext(self) -> np.ndarray:
+        return np.array(self._f)
 
     @cached_property
     def v(self) -> np.ndarray:
-        return np.array(self._floats[4])
+        return np.array(self._v)
 
     @cached_property
     def depth(self) -> np.ndarray:
-        return np.array(self._floats[5])
+        return np.array(self._depth)
 
     @cached_property
     def depth_rate(self) -> np.ndarray:
@@ -184,19 +194,6 @@ class ContactProblem:
     @cached_property
     def accel(self) -> np.ndarray:
         return self.inv_mass @ self.f_ext
-
-    def _input_floats(self) -> tuple:
-        """(J, m^-1, W, f_ext, v, depth) as Python floats: the iterative solvers' input.
-
-        J holds the Jacobian's entries in one flat list, row after row, and W
-        the three rows of the world inverse inertia. A problem built from arrays converts them on
-        every call, so the next solve sees an array edited in place. Raises
-        ValueError when inv_mass lacks the block form of _block_mass.
-        """
-        if self._floats is not None:
-            return self._floats
-        minv, W, f_ext = _block_mass(self.inv_mass, self.f_ext)
-        return self.jacobian.ravel().tolist(), minv, W, f_ext, self.v.tolist(), self.depth.tolist()
 
     def delassus(self) -> np.ndarray:
         """Contact-space effective inverse mass J M^-1 J^T."""
@@ -208,42 +205,22 @@ class ContactProblem:
 
 
 def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool):
-    """Inverse generalized mass and external generalized force at orientation R.
+    """((m^-1, W), f_ext) at orientation R: the inverse generalized mass diag(m^-1 I3, W) and the external force.
 
-    For an isotropic body the world inverse inertia is exactly the body
-    diagonal and the gyroscopic torque vanishes, so neither depends on R or
-    w (which may then be None).
+    Python floats, W as three rows and f_ext as six values. For an
+    isotropic body W is exactly the body diagonal and the gyroscopic torque
+    vanishes, so neither depends on R or w (which may then be None).
     """
-    inv_mass = np.zeros((6, 6))
-    inv_mass[0, 0] = inv_mass[1, 1] = inv_mass[2, 2] = 1.0 / inertia.mass
-    f_ext = np.zeros(6)
-    if include_gravity:
-        f_ext[:3] = inertia.mass * inertia.gravity
+    f_ext = (inertia.mass * inertia.gravity).tolist() if include_gravity else [0.0, 0.0, 0.0]
     if inertia.isotropic:
-        inv_mass[3, 3] = inv_mass[4, 4] = inv_mass[5, 5] = inertia.inertia_body_inv[0, 0]
+        i = float(inertia.inertia_body_inv[0, 0])
+        W = [[i, 0.0, 0.0], [0.0, i, 0.0], [0.0, 0.0, i]]
+        f_ext += (0.0, 0.0, 0.0)
     else:
-        inv_mass[3:, 3:] = R @ inertia.inertia_body_inv @ R.T
+        W = (R @ inertia.inertia_body_inv @ R.T).tolist()
         iw = R @ inertia.inertia_body @ R.T
-        f_ext[3:] = -np.cross(w, iw @ w)
-    return inv_mass, f_ext
-
-
-def _block_mass(inv_mass: np.ndarray, f_ext: np.ndarray) -> tuple:
-    """(m^-1, W, f_ext) as Python floats, for inv_mass in _mass_terms's block form diag(m^-1 I3, W).
-
-    W comes back as its three rows. Raises ValueError for a 6x6 matrix of
-    any other form, a NaN m^-1 included.
-    """
-    M = np.asarray(inv_mass, dtype=float)
-    if M.shape != (6, 6):
-        raise ValueError(f"inv_mass must be 6x6, got shape {M.shape}")
-    rows = M.tolist()
-    minv = rows[0][0]
-    lin = [[minv, 0.0, 0.0], [0.0, minv, 0.0], [0.0, 0.0, minv]]
-    zeros = [0.0, 0.0, 0.0]
-    if [r[:3] for r in rows] != lin + [zeros] * 3 or [r[3:] for r in rows[:3]] != [zeros] * 3 or minv != minv:
-        raise ValueError("inv_mass must have the block form diag(m^-1 I3, W) that _mass_terms builds")
-    return minv, [r[3:] for r in rows[3:]], np.asarray(f_ext, dtype=float).tolist()
+        f_ext += (-np.cross(w, iw @ w)).tolist()
+    return (1.0 / inertia.mass, W), f_ext
 
 
 def build_contact_problem(
@@ -255,18 +232,22 @@ def build_contact_problem(
 ) -> ContactProblem:
     """Assemble the velocity-level problem for the detected contacts.
 
-    Uses the same Jacobian and mass terms as the rollout loop, so stepping
-    detect_contacts output through this problem reproduces simulate.
+    Uses the arms and mass terms of the rollout loop, so stepping
+    detect_contacts output through this problem reproduces simulate. Every
+    contact must have the table frame that detect_contacts gives it, a
+    ValueError otherwise.
     """
+    for c in contacts:
+        if not (np.array_equal(c.normal, NORMAL) and np.array_equal(c.tangent1, TANGENT1)
+                and np.array_equal(c.tangent2, TANGENT2)):
+            raise ValueError("build_contact_problem takes contacts in the table frame (normal +z, tangents +x, +y)")
     R = quat.to_matrix(state.quat)
     inv_mass, f_ext = _mass_terms(R, state.ang_vel, inertia, include_gravity)
-    nc = len(contacts)
-    rho = np.array([c.point for c in contacts]).reshape(nc, 3).T - state.pos[:, None]
-    frames = np.array([(c.normal, c.tangent1, c.tangent2) for c in contacts]).reshape(nc, 3, 3)
-    v = np.concatenate([state.vel, state.ang_vel])
-    depth = np.array([c.depth for c in contacts])
-    depth_rate = np.array([c.depth_rate for c in contacts])
-    return ContactProblem(_frame_jacobian(rho, frames), inv_mass, v, float(dt), f_ext, depth, depth_rate)
+    rho = np.array([c.point for c in contacts]).reshape(-1, 3).T - state.pos[:, None]
+    depth = [float(c.depth) for c in contacts]
+    depth_rate = [float(c.depth_rate) for c in contacts]
+    return ContactProblem(rho, inv_mass, state.vel.tolist() + state.ang_vel.tolist(), float(dt), f_ext, depth,
+                          depth_rate)
 
 
 class ContactImpulse:
@@ -278,38 +259,28 @@ class ContactImpulse:
     tangent (the (t1, t2) tangential impulses, one row per contact) are views
     into impulse; flat() returns a copy of it.
 
-    The PGS solver works on Python floats and builds its result with
-    _from_floats: impulse and wrench are then made from its float lists when
-    first read, and the rollout loop takes the lists through _float_lists.
+    impulse and wrench may be given as arrays or as float lists. The
+    result holds Python floats, keeping a list it is given (not a copy), and
+    builds the arrays when first read; the rollout loop reads the floats.
     """
 
-    def __init__(self, impulse: np.ndarray, wrench: np.ndarray, converged: bool, iterations: int):
-        self.impulse = impulse
-        self.wrench = wrench
+    def __init__(self, impulse, wrench, converged: bool, iterations: int):
+        self._impulse = impulse.tolist() if isinstance(impulse, np.ndarray) else impulse
+        self._wrench = wrench.tolist() if isinstance(wrench, np.ndarray) else wrench
         self.converged = converged
         self.iterations = iterations
-        self._lists = None
-
-    @classmethod
-    def _from_floats(cls, impulse: list, wrench: list, converged: bool, iterations: int) -> "ContactImpulse":
-        """A result over the float lists of a solver, which it keeps (not copies)."""
-        result = cls.__new__(cls)
-        result.converged = converged
-        result.iterations = iterations
-        result._lists = (impulse, wrench)
-        return result
 
     @classmethod
     def empty(cls) -> "ContactImpulse":
-        return cls(np.zeros(0), np.zeros(6), True, 0)
+        return cls([], [0.0] * 6, True, 0)
 
     @cached_property
     def impulse(self) -> np.ndarray:
-        return np.array(self._lists[0], dtype=float)
+        return np.array(self._impulse, dtype=float)
 
     @cached_property
     def wrench(self) -> np.ndarray:
-        return np.array(self._lists[1], dtype=float)
+        return np.array(self._wrench, dtype=float)
 
     @property
     def normal(self) -> np.ndarray:
@@ -321,12 +292,6 @@ class ContactImpulse:
 
     def flat(self) -> np.ndarray:
         return self.impulse.copy()
-
-    def _float_lists(self) -> tuple:
-        """(impulse, wrench) as Python float lists, for reading only: a float solver's own lists."""
-        if self._lists is not None:
-            return self._lists
-        return self.impulse.tolist(), self.wrench.tolist()
 
 
 def _warm_floats(warm_start, n: int) -> Optional[list]:
@@ -346,67 +311,97 @@ def _warm_floats(warm_start, n: int) -> Optional[list]:
 
 
 def _float_terms(problem: ContactProblem) -> tuple:
-    """(J, A, accel, g, v, depth) of a problem with contacts, on Python floats: the iterative solvers' input.
+    """(A, g, accel) of a problem with contacts, on Python floats: the iterative solvers' input.
 
-    J holds the Jacobian's rows of 6, A = J M^-1 J^T is a list of new rows
-    (the caller may edit them), accel = M^-1 f_ext and v are 6 floats, g =
-    J v_free with v_free = v + h accel, and depth has one entry per contact.
-    The inverse mass must have the block form diag(m^-1 I3, W) of
-    _mass_terms (a ValueError otherwise), so M^-1 r of a Jacobian row r =
-    (l, a) is (m^-1 l, W a), each entry of W a summed left to right. Each
-    Delassus entry A[i][j] = r_i . M^-1 r_j and each entry of g is a 6-term
-    dot summed left to right, and so is each entry of W f_ext in accel.
+    A = J M^-1 J^T is a list of new rows (the caller may edit them), g =
+    J v_free with v_free = v + h accel, and accel = M^-1 f_ext has 6
+    entries, each of W f_ext summed left to right. All come from the arms:
+    contact i's rows n, t1 and t2 are [e, rho_i x e] for e = +z, +x, +y, so
+    M^-1 r = (m^-1 e, W (rho_i x e)).
+
+    A Delassus entry r_a . M^-1 r_b is, in closed form, its linear part
+    (m^-1 when both rows have the same direction, else 0.0) plus the
+    angular products whose Jacobian entry is not a structural zero, added
+    in the order of the 6-term sum; W (rho x e) skips its structural-zero
+    product too. That is exact for the finite arms and W that ContactProblem
+    requires: the 6-term sum's first three products add up to exactly +0.0
+    or m^-1 > 0, a float sum that does not start at -0.0 never reaches
+    -0.0, and adding a zero of either sign to such a sum changes nothing.
+    The skipped products are such zeros, and the W (rho x e) entries they
+    would change differ at most in the sign of a zero, which reaches A only
+    through a product that is zero either way.
+
+    g sees any velocity, signed zeros and non-finite values included, so
+    each of its entries keeps all six products of its row, left to right,
+    with the frame's 0.0 and 1.0 entries written as literals; the partial
+    sums over those constant entries are the same for every contact and
+    are formed once.
     """
-    J, minv, W, f, v, depth = problem._input_floats()
-    J = list(zip(*[iter(J)] * 6))  # the rows of 6
-    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = W
-    # M^-1 J^T, one row per Jacobian row, then the Delassus matrix A = J M^-1 J^T
-    m_rows = [
-        (minv * l0, minv * l1, minv * l2,
-         w00 * a0 + w01 * a1 + w02 * a2, w10 * a0 + w11 * a1 + w12 * a2, w20 * a0 + w21 * a1 + w22 * a2)
-        for l0, l1, l2, a0, a1, a2 in J
-    ]
+    minv, ((w00, w01, w02), (w10, w11, w12), (w20, w21, w22)) = problem._mass
+    arms = []  # (x, y, z, -x, -y, -z) per contact
+    cols = []  # W (rho x e) of its rows n (y, -x, 0), t1 (0, z, -y) and t2 (-z, 0, x)
+    for x, y, z in zip(*problem._rho):
+        nx = -x
+        ny = -y
+        nz = -z
+        arms.append((x, y, z, nx, ny, nz))
+        cols.append((w00 * y + w01 * nx, w10 * y + w11 * nx, w20 * y + w21 * nx,
+                     w01 * z + w02 * ny, w11 * z + w12 * ny, w21 * z + w22 * ny,
+                     w00 * nz + w02 * x, w10 * nz + w12 * x, w20 * nz + w22 * x))
     A = []
-    for r0, r1, r2, r3, r4, r5 in J:
-        row = []
-        for m0, m1, m2, m3, m4, m5 in m_rows:
-            row.append(r0 * m0 + r1 * m1 + r2 * m2 + r3 * m3 + r4 * m4 + r5 * m5)
-        A.append(row)
-    f0, f1, f2, f3, f4, f5 = f
+    for x, y, z, nx, ny, nz in arms:
+        rn = []
+        r1 = []
+        r2 = []
+        for n0, n1, n2, a0, a1, a2, b0, b1, b2 in cols:
+            rn += minv + y * n0 + nx * n1, 0.0 + y * a0 + nx * a1, 0.0 + y * b0 + nx * b1
+            r1 += 0.0 + z * n1 + ny * n2, minv + z * a1 + ny * a2, 0.0 + z * b1 + ny * b2
+            r2 += 0.0 + nz * n0 + x * n2, 0.0 + nz * a0 + x * a2, minv + nz * b0 + x * b2
+        A += rn, r1, r2
+    f0, f1, f2, f3, f4, f5 = problem._f
     a0 = minv * f0
     a1 = minv * f1
     a2 = minv * f2
     a3 = w00 * f3 + w01 * f4 + w02 * f5
     a4 = w10 * f3 + w11 * f4 + w12 * f5
     a5 = w20 * f3 + w21 * f4 + w22 * f5
-    # v_free = v + h accel, then g = J v_free
     h = problem.h
-    v0, v1, v2, v3, v4, v5 = v
+    v0, v1, v2, v3, v4, v5 = problem._v
     u0 = v0 + h * a0
     u1 = v1 + h * a1
     u2 = v2 + h * a2
     u3 = v3 + h * a3
     u4 = v4 + h * a4
     u5 = v5 + h * a5
-    g = [r0 * u0 + r1 * u1 + r2 * u2 + r3 * u3 + r4 * u4 + r5 * u5 for r0, r1, r2, r3, r4, r5 in J]
-    return J, A, [a0, a1, a2, a3, a4, a5], g, v, depth
+    # rows n (0, 0, 1, y, -x, 0), t1 (1, 0, 0, 0, z, -y) and t2 (0, 1, 0, -z, 0, x) times v_free
+    gn = 0.0 * u0 + 0.0 * u1 + 1.0 * u2
+    g1 = 1.0 * u0 + 0.0 * u1 + 0.0 * u2 + 0.0 * u3
+    g2 = 0.0 * u0 + 1.0 * u1 + 0.0 * u2
+    z4 = 0.0 * u4
+    z5 = 0.0 * u5
+    g = []
+    for x, y, z, nx, ny, nz in arms:
+        g += gn + y * u3 + nx * u4 + z5, g1 + z * u4 + ny * u5, g2 + nz * u3 + z4 + x * u5
+    return A, g, [a0, a1, a2, a3, a4, a5]
 
 
-def _float_impulse(J: list, lam: list, converged: bool, iterations: int) -> ContactImpulse:
-    """A result over the float impulse lam of the Jacobian rows J (non-empty), with its wrench J^T lam.
+def _float_impulse(rho, lam: list, converged: bool, iterations: int) -> ContactImpulse:
+    """A result over the float impulse lam of the table contacts with arms rho, with its wrench J^T lam.
 
-    The wrench sums lam_k r_k over the rows in order, starting from the first.
+    The wrench sums lam_k r_k over the rows in order, all six products of
+    each row with its 0.0 and 1.0 entries written as literals, from -0.0,
+    which adds to the first product exactly.
     """
-    x = lam[0]
-    s0, s1, s2, s3, s4, s5 = [x * e for e in J[0]]
-    for x, (r0, r1, r2, r3, r4, r5) in zip(lam[1:], J[1:]):
-        s0 += x * r0
-        s1 += x * r1
-        s2 += x * r2
-        s3 += x * r3
-        s4 += x * r4
-        s5 += x * r5
-    return ContactImpulse._from_floats(lam, [s0, s1, s2, s3, s4, s5], converged, iterations)
+    s0 = s1 = s2 = s3 = s4 = s5 = -0.0
+    it = iter(lam)
+    for x, y, z, ln, l1, l2 in zip(*rho, it, it, it):
+        s0 = s0 + ln * 0.0 + l1 * 1.0 + l2 * 0.0
+        s1 = s1 + ln * 0.0 + l1 * 0.0 + l2 * 1.0
+        s2 = s2 + ln * 1.0 + l1 * 0.0 + l2 * 0.0
+        s3 = s3 + ln * y + l1 * 0.0 + l2 * -z
+        s4 = s4 + ln * -x + l1 * z + l2 * 0.0
+        s5 = s5 + ln * 0.0 + l1 * -y + l2 * x
+    return ContactImpulse(lam, [s0, s1, s2, s3, s4, s5], converged, iterations)
 
 
 # --- compliant model ---------------------------------------------------------
@@ -415,16 +410,56 @@ def _float_impulse(J: list, lam: list, converged: bool, iterations: int) -> Cont
 def _compliant_force(depth, depth_rate, vt1, vt2, mu, k, b, slip_tol):
     """Normal and tangential force (fn, ft1, ft2) of the compliant law at one contact.
 
-    Python floats throughout, shared by hunt_crossley_impulse and the
-    rollout loop. The clamps keep the semantics of the former np.maximum
-    calls on this platform: NaN propagates and a clamped -0.0 stays -0.0
-    (np.maximum(0.0, t) returns t unless 0.0 > t).
+    Python floats throughout, for _compliant_terms. The clamps keep the
+    semantics of the former np.maximum calls on this platform: NaN
+    propagates and a clamped -0.0 stays -0.0 (np.maximum(0.0, t) returns t
+    unless 0.0 > t).
     """
     rate = 1.0 + b * depth_rate
     fn = k * (0.0 if rate < 0.0 else rate) * (0.0 if depth < 0.0 else depth)
     speed = math.sqrt(vt1 * vt1 + vt2 * vt2)
     denom = slip_tol if speed < slip_tol else speed
     return fn, -mu * fn * vt1 / denom, -mu * fn * vt2 / denom
+
+
+def _compliant_terms(depth, depth_rate, vt1, vt2, rho, mu, k, b, slip_tol) -> list:
+    """The compliant law's (fx, fy, fz, mx, my, mz) per table contact: its force and its moment rho x f.
+
+    depth, depth_rate and the tangential velocities vt1 and vt2 hold one
+    Python float per contact and rho the arms as three rows; shared by
+    hunt_crossley_impulse and the rollout loop, which sum the terms with
+    _wrench_impulse.
+    """
+    terms = []
+    for d, dr, t1, t2, x, y, z in zip(depth, depth_rate, vt1, vt2, *rho):
+        fn, ft1, ft2 = _compliant_force(d, dr, t1, t2, mu, k, b, slip_tol)
+        terms.append((ft1, ft2, fn, y * fn - z * ft2, z * ft1 - x * fn, x * ft2 - y * ft1))
+    return terms
+
+
+def _wrench_impulse(terms, dt):
+    """Linear and angular impulse over dt from per-contact force and moment terms.
+
+    terms holds one (fx, fy, fz, mx, my, mz) tuple per contact. Each column
+    is summed in the order np.sum uses for float64 arrays: up to 7 terms
+    one by one onto +0.0, 8 terms as one round of pairwise sums. So the
+    impulses equal dt * arr.sum() over per-contact float64 arrays bit for
+    bit, signed zeros included.
+    """
+    if len(terms) == 8:
+        sx, sy, sz, tx, ty, tz = [
+            0.0 + (((a + b) + (c + d)) + ((e + f) + (g + h))) for a, b, c, d, e, f, g, h in zip(*terms)
+        ]
+    else:
+        sx = sy = sz = tx = ty = tz = 0.0
+        for fx, fy, fz, mx, my, mz in terms:
+            sx += fx
+            sy += fy
+            sz += fz
+            tx += mx
+            ty += my
+            tz += mz
+    return [dt * sx, dt * sy, dt * sz], [dt * tx, dt * ty, dt * tz]
 
 
 def hunt_crossley_impulse(
@@ -438,6 +473,11 @@ def hunt_crossley_impulse(
     solver is a pure function with no iteration. Contacts at or above the
     surface contribute nothing. slip_tolerance must be positive and finite,
     as SimConfig requires.
+
+    Each contact's tangential velocity v + w x rho is the corner detector's
+    expression, and the wrench is summed per contact by _wrench_impulse, as
+    the rollout loop sums it, so the per-step API replays a compliant
+    rollout bit for bit.
     """
     if params.model != "compliant":
         raise ValueError(f"params.model must be 'compliant', got {params.model!r}")
@@ -445,14 +485,18 @@ def hunt_crossley_impulse(
         raise ValueError(f"slip_tolerance must be positive and finite, got {slip_tolerance}")
     if problem.num_contacts == 0:
         return ContactImpulse.empty()
-    vc = (problem.jacobian @ problem.v).tolist()
-    h, mu, k, b = problem.h, params.mu, params.k, params.b
+    v0, v1, _, wx, wy, wz = problem._v
+    rx, ry, rz = rho = problem._rho
+    vt1 = [v0 + wy * z - wz * y for y, z in zip(ry, rz)]
+    vt2 = [v1 + wz * x - wx * z for x, z in zip(rx, rz)]
+    terms = _compliant_terms(problem._depth, problem._depth_rate, vt1, vt2, rho, params.mu, params.k, params.b,
+                             slip_tolerance)
+    h = problem.h
     lam = []
-    for depth, rate, vt1, vt2 in zip(problem.depth.tolist(), problem.depth_rate.tolist(), vc[1::3], vc[2::3]):
-        fn, ft1, ft2 = _compliant_force(depth, rate, vt1, vt2, mu, k, b, slip_tolerance)
+    for ft1, ft2, fn, _, _, _ in terms:
         lam += (h * fn, h * ft1, h * ft2)
-    lam = np.array(lam)
-    return ContactImpulse(lam, problem.jacobian.T @ lam, True, 0)
+    imp_lin, imp_ang = _wrench_impulse(terms, h)
+    return ContactImpulse(lam, imp_lin + imp_ang, True, 0)
 
 
 # --- regularized convex model ------------------------------------------------
@@ -600,7 +644,7 @@ def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
     return np.array(_pyramid_project_floats(lam.tolist(), mu))
 
 
-def _convex_reference_velocity(J: list, v: list, accel: list, depth: list, h: float, params: ContactParams) -> list:
+def _convex_reference_velocity(problem: ContactProblem, accel: list, params: ContactParams) -> list:
     """Per-contact normal velocity targets of the interpolated reference dynamics.
 
     The target blends a spring-damper response to penetration with the
@@ -608,22 +652,27 @@ def _convex_reference_velocity(J: list, v: list, accel: list, depth: list, h: fl
     of the pre-step normal velocity and its gain is clamped at full arrest,
     so the reference never demands a rebound faster than the approach.
 
-    J, v, accel and depth are _float_terms's floats. Each contact's
-    pre-step normal velocity r . v and normal acceleration r . accel, with r
-    its normal row, are 6-term dots summed left to right. The approach clamp
-    keeps np.minimum(s, 0.0)'s semantics: NaN propagates and -0.0 becomes
-    +0.0.
+    accel is _float_terms's. Each contact's pre-step normal velocity r . v
+    and normal acceleration r . accel, with r = (0, 0, 1, y, -x, 0) its
+    normal row, keep all six products, summed left to right as _float_terms
+    sums g. The approach clamp keeps np.minimum(s, 0.0)'s semantics: NaN
+    propagates and -0.0 becomes +0.0.
     """
+    h = problem.h
     d, k, b = params.d_interp, params.k, params.b
-    v0, v1, v2, v3, v4, v5 = v
+    v0, v1, v2, v3, v4, v5 = problem._v
     a0, a1, a2, a3, a4, a5 = accel
+    sn = 0.0 * v0 + 0.0 * v1 + 1.0 * v2
+    an = 0.0 * a0 + 0.0 * a1 + 1.0 * a2
+    sz = 0.0 * v5
+    az = 0.0 * a5
     carry = max(0.0, 1.0 - h * d * b)
     spring = h * d * k
     relax = 1.0 - d
     out = []
-    for (r0, r1, r2, r3, r4, r5), depth_i in zip(J[0::3], depth):
-        s = r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4 + r5 * v5
-        a = r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5
+    for x, y, _, depth_i in zip(*problem._rho, problem._depth):
+        s = sn + y * v3 + -x * v4 + sz
+        a = an + y * a3 + -x * a4 + az
         out.append((0.0 if s >= 0.0 else s) * carry + spring * depth_i + relax * (h * a))
     return out
 
@@ -853,47 +902,46 @@ def regularized_convex_impulse(
     is finite, it runs again from zero. Every ConvexSolverError comes from
     the APG.
 
-    The solve runs on Python floats alone, as rigid_pgs_impulse does: A,
-    J v_free and the wrench J^T lambda come from _float_terms and
-    _float_impulse, so the inverse mass must have _mass_terms's block form
-    (a ValueError otherwise). warm_start may also be the list of floats that
-    the rollout loop passes (see _warm_floats).
+    The solve runs on Python floats alone, as rigid_pgs_impulse does: A and
+    J v_free come from the problem's arms through _float_terms, and the
+    wrench J^T lambda through _float_impulse. warm_start may also be the
+    list of floats that the rollout loop passes (see _warm_floats).
     """
     if params.model != "regularized_convex":
         raise ValueError(f"params.model must be 'regularized_convex', got {params.model!r}")
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    J, Q, c = _convex_qp(problem, params)
+    Q, c = _convex_qp(problem, params)
     mu = params.mu
     lam0 = _warm_floats(warm_start, 3 * nc) or [0.0] * (3 * nc)
     face = _face_solve(Q, c, mu, lam0, tol) if max_iters >= 1 else None
     if face is not None:
-        return _float_impulse(J, face[0], True, 1)
+        return _float_impulse(problem._rho, face[0], True, 1)
     lam, residual, iters = _pyramid_qp(Q, c, mu, lam0, max_iters, tol)
     if iters == 1 and not residual < math.inf and any(lam0) and all(map(math.isfinite, c)):
         # a warm start near overflow overflowed Q y: the minimizer does not depend on it
         lam, residual, iters = _pyramid_qp(Q, c, mu, [0.0] * (3 * nc), max_iters, tol)
     if not residual <= tol:
         raise ConvexSolverError(residual, iters)
-    return _float_impulse(J, lam, True, iters)
+    return _float_impulse(problem._rho, lam, True, iters)
 
 
 def _convex_qp(problem: ContactProblem, params: ContactParams) -> tuple:
-    """(J, Q, c) of regularized_convex_impulse's QP on Python floats, for a problem with contacts.
+    """(Q, c) of regularized_convex_impulse's QP on Python floats, for a problem with contacts.
 
-    J holds _float_terms's Jacobian rows, Q = A + R as a list of rows and
-    c = J v_free - v* with v* on the normal entries.
+    Q = A + R is a list of rows and c = J v_free - v* with v* on the normal
+    entries, from _float_terms and _convex_reference_velocity.
     """
-    J, Q, accel, c, v, depth = _float_terms(problem)
+    Q, c, accel = _float_terms(problem)
     d = params.d_interp
     ratio = (1.0 - d) / d
     for i, row in enumerate(Q):  # A + diag(ratio * diag(A))
         a = row[i]
         row[i] = a + ratio * a
-    for i, ref in enumerate(_convex_reference_velocity(J, v, accel, depth, problem.h, params)):
+    for i, ref in enumerate(_convex_reference_velocity(problem, accel, params)):
         c[3 * i] -= ref
-    return J, Q, c
+    return Q, c
 
 
 # --- rigid complementarity model ---------------------------------------------
@@ -985,11 +1033,11 @@ def rigid_pgs_impulse(
     The solve runs on Python floats alone, with no BLAS, LAPACK or numpy
     array before its result: sums of products whose order the code fixes
     replace the matrix products, so the result does not depend on the BLAS
-    build. The Delassus matrix, g = J v_free and the wrench J^T lam come
-    from _float_terms and _float_impulse, which need the block form of the
-    inverse mass (a ValueError for any other); the sweeps are those of
-    _pgs. The bias and the warm start's normal clamp keep
-    np.maximum(0.0, x)'s semantics: NaN propagates and -0.0 stays -0.0.
+    build. The Delassus matrix and g = J v_free come from the problem's
+    arms through _float_terms, and the wrench J^T lam through
+    _float_impulse; the sweeps are those of _pgs. The bias and the warm
+    start's normal clamp keep np.maximum(0.0, x)'s semantics: NaN
+    propagates and -0.0 stays -0.0.
     warm_start may also be the list of floats that the rollout loop passes
     (see _warm_floats).
     """
@@ -998,11 +1046,11 @@ def rigid_pgs_impulse(
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    J, A, _, g, _, depth = _float_terms(problem)
+    A, g, _ = _float_terms(problem)
     h = problem.h
     erp, cfm = erp_cfm(h, params.k, params.b)
     gain = erp / h
-    bias = [gain * (0.0 if d < 0.0 else d) for d in depth]
+    bias = [gain * (0.0 if d < 0.0 else d) for d in problem._depth]
     n = 3 * nc
     lam = _warm_floats(warm_start, n)
     if lam is None:
@@ -1012,7 +1060,7 @@ def rigid_pgs_impulse(
             if lam[i] < 0.0:
                 lam[i] = 0.0
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
-    return _float_impulse(J, lam, converged, sweeps)
+    return _float_impulse(problem._rho, lam, converged, sweeps)
 
 
 def solve_contact_impulse(

@@ -3,8 +3,9 @@
 They are the oracles of the bit-identity tests: the corner detector, the
 vectorized compliant law, the integrator, the fused rollout loop and the
 trajectory writer exactly as they were written over numpy arrays. The loop
-calls the live mass terms, the frozen Jacobian builder, the frozen PGS
-solve below and the live convex solve. The convex oracle below is the APG
+builds the live contact problem from the frozen detector's arms and calls
+the frozen PGS solve below and the live convex solve; table_jacobian is the
+oracle of the live Jacobian builder. The convex oracle below is the APG
 alone; the live solver's face solve stops most warm-started solves at a
 point other than the APG's, though within its stopping rule, so the loop's
 glue is checked bit for bit against the convex solver it runs.
@@ -13,7 +14,8 @@ The two iterative solvers follow as oracles of the float kernels, which
 run on Python floats with no BLAS: the same fixed summation orders, written
 independently on numpy columns and plain index loops. ``fixed_terms`` and
 ``fixed_impulse`` form the Delassus matrix, M^-1 f_ext, J v_free and the
-wrench for both; ``pgs_impulse`` with ``pgs`` and ``convex_impulse`` with
+wrench for both, as 6-term sums over the full Jacobian rows, the oracles of
+the live builder's closed form; ``pgs_impulse`` with ``pgs`` and ``convex_impulse`` with
 ``convex_reference_velocity`` and ``pyramid_qp`` (the one-projection APG
 with its Gershgorin step size) are the solves. ``blas_pgs_impulse`` and
 ``blas_convex_impulse``, the solvers as they were with BLAS and LAPACK
@@ -170,7 +172,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
         else:
             inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True)
             problem = ContactProblem(
-                table_jacobian(rho), inv_mass, np.concatenate([v, w]), dt, f_ext, depth, depth_rate
+                rho, inv_mass, np.concatenate([v, w]).tolist(), dt, f_ext, depth.tolist(), depth_rate.tolist()
             )
             corners = idx.tolist()
             if corners == warm_corners:

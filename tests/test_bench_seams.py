@@ -33,13 +33,14 @@ def test_tracer_patches_every_name_and_restores_it():
 
 
 @pytest.mark.parametrize("preset, pool, body", [
+    pytest.param("cube-drake", "tumbling", "cube", id="cube-drake"),
     pytest.param("cube-mujoco-style", "tumbling", "cube", id="cube-mujoco-style"),
     pytest.param("cube-bullet-style", "tumbling", "cube", id="cube-bullet-style"),
     # sweep-pgs's pool, mostly one or two contacts per step
     pytest.param("cube-bullet-style", "sliding", "cube", id="cube-bullet-style-sliding"),
     # a world inverse inertia that changes every step
     pytest.param("cube-bullet-style", "tumbling", "anisotropic box", id="cube-bullet-style-anisotropic-box"),
-    # the loop builds its convex problems from floats, the public path from arrays
+    # the loop builds its convex problems from the detector's float lists, the public path from ContactPoints
     pytest.param("cube-mujoco-style", "sliding", "cube", id="cube-mujoco-style-sliding"),
     pytest.param("cube-mujoco-style", "tumbling", "anisotropic box", id="cube-mujoco-style-anisotropic-box"),
 ])

@@ -251,6 +251,26 @@ def test_flags_without_effect_on_the_model_exit_2(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == 0, argv
 
 
+def test_params_file_d_interp_without_effect_exits_2(tmp_path, capsys):
+    """A params file that sets d_interp for a model other than regularized_convex is the same configuration
+    error as --d-interp with it: exit 2, naming the file and the model, and nothing written."""
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    x0 = str(d / "toss_000.csv")
+    out = tmp_path / "out.json"
+    for model in ("compliant", "rigid_pgs"):
+        cfg = tmp_path / f"{model}.cfg"
+        cfg.write_text(f"model = {model}\nmu = 0.1\nk = 1e4\nb = 0.4\nd_interp = 0.5\n")
+        for argv in (["simulate", "--params", str(cfg), "--x0", x0],
+                     ["evaluate", "--params", str(cfg), "--dataset", str(d)]):
+            assert main([*argv, "--out", str(out)]) == EXIT_CONFIG, argv
+            err = capsys.readouterr().err
+            assert "d_interp" in err and str(cfg) in err and model in err, argv
+            assert not out.exists()
+    cfg = tmp_path / "convex.cfg"
+    cfg.write_text("model = regularized_convex\nmu = 0.1\nk = 3300\nb = 45\nd_interp = 0.5\n")
+    assert main(["evaluate", "--params", str(cfg), "--dataset", str(d), "--out", str(out)]) == 0
+
+
 def test_rate_must_be_positive_and_finite(tmp_path, capsys):
     d, _ = write_dataset(tmp_path, n=1, duration=0.05)
     for rate in ("0", "-1480", "inf", "nan"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,21 @@ def test_z_rotation_equivariance(cube_geom):
             assert np.max(np.abs(Rz @ ca.point - cb.point)) < 1e-12
             assert abs(ca.depth - cb.depth) < 1e-12
             assert abs(ca.depth_rate - cb.depth_rate) < 1e-12
+
+
+def test_build_contact_problem_requires_the_table_frame(cube_inertia):
+    """A problem holds table contacts only (normal +z, tangents +x and +y): a contact in any other
+    frame, a proper one included, is refused rather than solved in the table frame."""
+    s = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, -0.1], [0, 0, 0])
+    table = ct.ContactPoint(s.pos + [0.05, 0.05, -0.05], np.array([0.0, 0, 1]), 1e-4, 0.1,
+                            np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+    assert ct.build_contact_problem(s, cube_inertia, [table], DT).num_contacts == 1
+    c, d = np.cos(0.3), np.sin(0.3)
+    for field, direction in (("normal", [0.0, 0, -1]), ("normal", [0.0, d, c]), ("tangent1", [c, d, 0]),
+                             ("tangent1", [0.0, 1, 0]), ("tangent2", [1.0, 0, 0])):
+        other = dataclasses.replace(table, **{field: np.array(direction)})
+        with pytest.raises(ValueError, match="table frame"):
+            ct.build_contact_problem(s, cube_inertia, [table, other], DT)
 
 
 def test_jacobian_com_witness(cube_inertia):

@@ -109,17 +109,31 @@ def test_pgs_non_finite_problem_never_converged(problem, field, bad):
         assert not converged
 
 
-def test_pgs_requires_the_block_inverse_mass(cube_geom, cube_inertia):
-    """The float kernels assume diag(m^-1 I3, W); any other inverse mass is refused, not solved another
-    way, by the PGS solver and by the convex one that shares its Delassus terms."""
-    state = ct.RigidState([0.0, 0.0, 0.0495], [1.0, 0.0, 0.0, 0.0], [0.2, -0.1, -0.3], [0.5, 0.2, -0.4])
-    for params in (ct.param_preset("cube-bullet-style"), ct.param_preset("cube-mujoco-style")):
-        solve = ct.rigid_pgs_impulse if params.model == "rigid_pgs" else ct.regularized_convex_impulse
-        for i, j, value in ((0, 4, 0.1), (1, 1, 3.0), (3, 0, 0.1), (0, 0, math.nan)):
-            problem = ct.build_contact_problem(state, cube_inertia, ct.detect_contacts(state, cube_geom), DT)
-            problem.inv_mass[i, j] = value
-            with pytest.raises(ValueError, match="block form"):
-                solve(problem, params)
+def test_problem_requires_finite_arms_and_inverse_mass(cube_inertia):
+    """The Delassus entries skip the products of the table-frame Jacobian's structural zeros, which is
+    exact only for a positive finite m^-1 and finite arms and W whose products cannot overflow: any other
+    problem is refused when it is built, for every solver alike."""
+    rho = [[0.05, -0.05], [0.05, 0.05], [-0.05, -0.05]]
+    (minv, W), f_ext = ct.solvers._mass_terms(None, None, cube_inertia, True)
+
+    def build(rho=rho, minv=minv, W=W):
+        return ct.ContactProblem(rho, (minv, W), [0.0] * 6, DT, f_ext, [1e-3] * 2, [0.0] * 2)
+
+    assert build().num_contacts == build(np.array(rho)).num_contacts == 2
+    for bad in (math.nan, math.inf, -math.inf):
+        arms = [row[:] for row in rho]
+        arms[2][1] = bad
+        w = [row[:] for row in W]
+        w[1][2] = bad
+        for kwargs in ({"rho": arms}, {"rho": np.array(arms)}, {"W": w}):
+            with pytest.raises(ValueError, match="finite arms and W"):
+                build(**kwargs)
+    for bad in (0.0, -0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite arms and W"):
+            build(minv=bad)
+    # finite, but W (rho x e) overflows
+    with pytest.raises(ValueError, match="finite arms and W"):
+        build(rho=[[1e160, 0.0], [0.0, 0.0], [0.0, 0.0]], W=[[1e160, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 # numpy's products, which go to BLAS or LAPACK, by the names code reaches them through

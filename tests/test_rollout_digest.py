@@ -26,3 +26,13 @@ def test_digest_is_repeatable(digest_tool):
     assert (name, pool, toss) == ("cube-drake", "sliding", "0")
     assert len(mat) == len(csv) == 64 and mat != csv
 
+
+def test_flags_select_the_lines_of_digest_lines(digest_tool, capsys):
+    """--params, --pools and --tosses print what digest_lines yields for the same selection."""
+    assert digest_tool.main(["--params", "cube-bullet-style,compliant-truth", "--pools", "sliding",
+                             "--tosses", "1"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    want = list(digest_tool.digest_lines(["cube-bullet-style", "compliant-truth"], ["sliding"], tosses=1))
+    assert printed == want and len(want) == 2
+    with pytest.raises(SystemExit):
+        digest_tool.main(["--pools", "no-such-pool"])

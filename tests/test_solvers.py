@@ -7,11 +7,19 @@ import cubetoss as ct
 from cubetoss.solvers import (
     _convex_reference_velocity,
     _float_terms,
+    _pgs,
     _pyramid_project,
     _pyramid_qp,
     erp_cfm,
 )
-from conftest import lcp_enumerate, post_impulse_state, random_contact_problem, random_onset_state
+from conftest import (
+    lcp_enumerate,
+    post_impulse_state,
+    random_contact_problem,
+    random_frame_lcp,
+    random_onset_state,
+    with_velocity,
+)
 
 DT = 1.0 / 1480.0
 
@@ -124,8 +132,7 @@ def test_convex_no_contacts_zero_impulse(cube_inertia):
 
 
 def reference_velocity(prob, params):
-    J, _, accel, _, v, depth = _float_terms(prob)
-    return _convex_reference_velocity(J, v, accel, depth, prob.h, params)
+    return _convex_reference_velocity(prob, _float_terms(prob)[2], params)
 
 
 def test_convex_reference_velocity_frozen_values():
@@ -190,7 +197,7 @@ def test_convex_non_finite_problem_raises():
     params = ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex")
     finite = ct.regularized_convex_impulse(prob, params)
     assert finite.converged and np.all(np.isfinite(finite.flat()))
-    prob.v[0] = np.nan
+    prob = with_velocity(prob, [np.nan, *prob.v[1:].tolist()])
     with pytest.raises(ct.ConvexSolverError) as err:
         ct.regularized_convex_impulse(prob, params)
     assert np.isnan(err.value.residual)
@@ -199,16 +206,15 @@ def test_convex_non_finite_problem_raises():
 
 def test_convex_eigen_failure_raises():
     """An infinite Q (inf * eye puts NaN off the diagonal) has no finite step-size bound, and neither
-    has the Delassus matrix of an infinite block-form m^-1 (inf * 0 is NaN): the solve ends at once as
-    not converged, so the solver raises ConvexSolverError."""
+    has the QP of a finite problem whose regularized Delassus diagonal overflows (m^-1 = 1e308 with
+    d = 0.01 puts 100 m^-1 on it): the solve ends at once as not converged, so the solver raises
+    ConvexSolverError."""
     with np.errstate(invalid="ignore"):
         lam, residual, iters = _pyramid_qp((np.inf * np.eye(3)).tolist(), [0.0] * 3, 0.5, [0.0] * 3, 10, 1e-10)
     assert lam == [0.0] * 3 and residual == math.inf and iters == 0
-    prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
-    for i in range(3):
-        prob.inv_mass[i, i] = np.inf
+    prob, _, _ = single_contact_problem(mass=1e-308, s_minus=-1.0, depth=1e-3)
     with pytest.raises(ct.ConvexSolverError) as err:
-        ct.regularized_convex_impulse(prob, ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex"))
+        ct.regularized_convex_impulse(prob, ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex", 0.01))
     assert err.value.residual == math.inf and err.value.iterations == 0
 
 
@@ -261,20 +267,21 @@ def test_pgs_four_corner_symmetry(cube_geom, cube_inertia):
 
 
 def test_pgs_matches_enumeration_oracle():
+    """The rigid solver's sweeps at k = b = 0 on random-frame problems (see criterion 3)."""
     rng = np.random.default_rng(14)
-    params = ct.ContactParams(0.0, 0.0, 0.0, "rigid_pgs")
     for _ in range(200):
         nc = int(rng.integers(1, 5))
-        prob, _, _ = random_contact_problem(rng, nc)
-        imp = ct.rigid_pgs_impulse(prob, params, max_iters=2000, tol=1e-12)
-        assert imp.converged
-        A = prob.delassus()[0::3, 0::3]
-        q = (prob.jacobian @ prob.v_free())[0::3]
+        A_full, g = random_frame_lcp(rng, nc)
+        lam, converged, _ = _pgs(A_full.tolist(), g.tolist(), [0.0] * nc, 0.0, 0.0, [0.0] * (3 * nc), 2000, 1e-12)
+        assert converged
+        normal = np.array(lam[0::3])
+        A = A_full[0::3, 0::3]
+        q = g[0::3]
         oracle = lcp_enumerate(A, q)
         assert oracle is not None
-        assert np.max(np.abs(imp.normal - oracle)) < 1e-6
-        w = A @ imp.normal + q
-        assert np.max(np.abs(imp.normal * w)) < 1e-8
+        assert np.max(np.abs(normal - oracle)) < 1e-6
+        w = A @ normal + q
+        assert np.max(np.abs(normal * w)) < 1e-8
 
 
 def test_pgs_intermediate_iterate_is_legal():
@@ -288,7 +295,7 @@ def test_pgs_non_finite_problem_not_converged():
     prob, _, _ = single_contact_problem(mass=0.37, s_minus=-1.0, depth=1e-3)
     params = ct.ContactParams(0.3, 1800.0, 27.0, "rigid_pgs")
     assert ct.rigid_pgs_impulse(prob, params).converged
-    prob.v[0] = np.nan
+    prob = with_velocity(prob, [np.nan, *prob.v[1:].tolist()])
     imp = ct.rigid_pgs_impulse(prob, params)
     assert not np.all(np.isfinite(imp.wrench))
     assert not imp.converged

@@ -21,11 +21,14 @@ rollout at the full 1480 Hz rate:
   rollout assembles at every contact step, under the convex and PGS
   presets only.
 
-To check one model's lines while working on it, call ``digest_lines`` with
-the parameter sets and pools wanted; given in the order above, they yield the
-matching lines of the full output, in its order:
+To check one model's lines while working on it, give the parameter sets and
+pools wanted as comma lists (default: all) and, optionally, the number of
+tosses per pool. Named in the full output's order (the pools as listed
+above, the parameter sets as listed below), they print the matching lines
+of the full output, in its order:
 
-    PYTHONPATH=src python3 -c "import sys; sys.path.insert(0, 'tools'); import rollout_digest as r; print(*r.digest_lines(['cube-mujoco-style'], ['tumbling', 'box-tumbling']), sep='\\n')"
+    PYTHONPATH=src python3 tools/rollout_digest.py --params cube-mujoco-style --pools tumbling,box-tumbling
+    PYTHONPATH=src python3 tools/rollout_digest.py --params cube-bullet-style --tosses 4
 
 The cube pools print first, so the box pools left the earlier lines as they
 were. The parameter sets are the three presets, the Bullet-style preset at
@@ -35,6 +38,7 @@ cubetoss.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -117,8 +121,19 @@ def digest_lines(param_names, pool_names, tosses=None):
                     yield f"{name} {pool_name} {i} {mat} {csv}"
 
 
-def main() -> int:
-    for line in digest_lines(parameter_sets(), pools()):
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print sha256 digests of benchmark-pool rollouts.")
+    parser.add_argument("--params", default=",".join(parameter_sets()),
+                        help="comma list of parameter sets (default: all, in the output's order)")
+    parser.add_argument("--pools", default=",".join(pools()),
+                        help="comma list of toss pools (default: all, in the output's order)")
+    parser.add_argument("--tosses", type=int, default=None, help="the first N tosses of each pool (default: all)")
+    args = parser.parse_args(argv)
+    names, pool_names = args.params.split(","), args.pools.split(",")
+    unknown = sorted(set(names) - set(parameter_sets()) | set(pool_names) - set(pools()))
+    if unknown:
+        parser.error(f"unknown parameter sets or pools: {', '.join(unknown)}")
+    for line in digest_lines(names, pool_names, args.tosses):
         print(line, flush=True)
     return 0
 
