@@ -124,7 +124,7 @@ class ContactProblem:
     """One-step problem of table contacts in velocity-impulse form.
 
     rho holds the moment arms from the COM to the witness points as three
-    rows (x, y, z) of nc values, a (3, nc) array or three float lists.
+    rows (x, y, z) of nc Python floats.
     inv_mass is the inverse generalized mass diag(m^-1 I3, W) at the
     current orientation as the pair (m^-1, W) that _mass_terms returns, W
     the world inverse inertia as three float rows; f_ext is the external
@@ -146,8 +146,6 @@ class ContactProblem:
     """
 
     def __init__(self, rho, inv_mass, v, h, f_ext, depth, depth_rate):
-        if isinstance(rho, np.ndarray):
-            rho = rho.tolist()
         minv, (w0, w1, w2) = inv_mass
         # each entry of W (rho x e) is at most |W|_F |rho| in size; a NaN or inf in W or rho fails the test too
         if not (0.0 < minv < math.inf and 2.0 * math.hypot(*w0, *w1, *w2) * math.hypot(*rho[0], *rho[1], *rho[2])
@@ -246,7 +244,7 @@ def build_contact_problem(
     rho = np.array([c.point for c in contacts]).reshape(-1, 3).T - state.pos[:, None]
     depth = [float(c.depth) for c in contacts]
     depth_rate = [float(c.depth_rate) for c in contacts]
-    return ContactProblem(rho, inv_mass, state.vel.tolist() + state.ang_vel.tolist(), float(dt), f_ext, depth,
+    return ContactProblem(rho.tolist(), inv_mass, state.vel.tolist() + state.ang_vel.tolist(), float(dt), f_ext, depth,
                           depth_rate)
 
 
@@ -259,14 +257,14 @@ class ContactImpulse:
     tangent (the (t1, t2) tangential impulses, one row per contact) are views
     into impulse; flat() returns a copy of it.
 
-    impulse and wrench may be given as arrays or as float lists. The
-    result holds Python floats, keeping a list it is given (not a copy), and
-    builds the arrays when first read; the rollout loop reads the floats.
+    impulse and wrench are given as float lists. The result keeps them (not
+    copies) and builds the arrays when first read; the rollout loop reads
+    the floats.
     """
 
     def __init__(self, impulse, wrench, converged: bool, iterations: int):
-        self._impulse = impulse.tolist() if isinstance(impulse, np.ndarray) else impulse
-        self._wrench = wrench.tolist() if isinstance(wrench, np.ndarray) else wrench
+        self._impulse = impulse
+        self._wrench = wrench
         self.converged = converged
         self.iterations = iterations
 

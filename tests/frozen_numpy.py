@@ -172,7 +172,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
         else:
             inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True)
             problem = ContactProblem(
-                rho, inv_mass, np.concatenate([v, w]).tolist(), dt, f_ext, depth.tolist(), depth_rate.tolist()
+                rho.tolist(), inv_mass, np.concatenate([v, w]).tolist(), dt, f_ext, depth.tolist(), depth_rate.tolist()
             )
             corners = idx.tolist()
             if corners == warm_corners:
@@ -266,7 +266,7 @@ def fixed_impulse(J, lam, converged, iterations):
     wrench = lam[0] * J[0]
     for k in range(1, len(lam)):
         wrench = wrench + lam[k] * J[k]
-    return ContactImpulse(lam, wrench, converged, iterations)
+    return ContactImpulse(lam.tolist(), wrench.tolist(), converged, iterations)
 
 
 def convex_reference_velocity(problem, params):
@@ -416,7 +416,7 @@ def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TO
 def package(problem, lam, converged, iterations):
     nc = problem.num_contacts
     wrench = problem.jacobian.T @ lam if nc else np.zeros(6)
-    return ContactImpulse(lam.copy(), wrench, converged, iterations)
+    return ContactImpulse(lam.tolist(), wrench.tolist(), converged, iterations)
 
 
 def blas_convex_reference_velocity(problem, params):

@@ -16,8 +16,7 @@ from cubetoss import quat as cq
 from cubetoss.cli import main
 from cubetoss.geometry import NORMAL, TANGENT1, TANGENT2
 from cubetoss.synthetic import make_dataset, random_toss_states, sliding_toss_states
-from cubetoss.solvers import _pgs
-from conftest import lcp_enumerate, post_impulse_state, random_frame_lcp, random_onset_state
+from conftest import lcp_enumerate, post_impulse_state, random_contact_problem, random_onset_state
 
 DT = 1.0 / 1480.0
 
@@ -90,25 +89,30 @@ def test_criterion_2_compliant_drop_oracle():
 def test_criterion_3_lcp_oracle_equivalence():
     """PGS matches active-set enumeration on 1000 random frictionless problems.
 
-    The problems have random contact frames, whose normal blocks are
-    nonsingular, so ContactProblem, which holds table contacts only, cannot
-    state them: the rigid solver's sweeps (solvers._pgs) run on them with
-    the zero bias and cfm of k = b = 0 and a zero start, as rigid_pgs_impulse
-    runs them."""
+    The problems are table contacts of a random body at random arms, built
+    by build_contact_problem and solved by rigid_pgs_impulse at k = b = 0.
+    Their normal rows [e_z, rho x e_z] span three directions, so one to
+    three contacts at generic arms have a nonsingular normal block and a
+    unique solution, the enumeration's. Four contacts have a singular block
+    and many solutions, which slows the sweeps (one draw takes 3761); PGS
+    must reach one of them, feasible and complementary."""
     rng = np.random.default_rng(101)
+    params = ct.ContactParams(0.0, 0.0, 0.0, "rigid_pgs")
     worst_imp, worst_comp = 0.0, 0.0
     for _ in range(1000):
         nc = int(rng.integers(1, 5))
-        A_full, g = random_frame_lcp(rng, nc)
-        lam, converged, _ = _pgs(A_full.tolist(), g.tolist(), [0.0] * nc, 0.0, 0.0, [0.0] * (3 * nc), 2000, 1e-12)
-        assert converged
-        normal = np.array(lam[0::3])
-        A = A_full[0::3, 0::3]
-        q = g[0::3]
-        oracle = lcp_enumerate(A, q)
-        assert oracle is not None
-        worst_imp = max(worst_imp, float(np.max(np.abs(normal - oracle))))
-        worst_comp = max(worst_comp, float(np.max(np.abs(normal * (A @ normal + q)))))
+        prob, _, _ = random_contact_problem(rng, nc)
+        imp = ct.rigid_pgs_impulse(prob, params, max_iters=10000, tol=1e-12)
+        assert imp.converged
+        A = prob.delassus()[0::3, 0::3]
+        q = (prob.jacobian @ prob.v_free())[0::3]
+        w = A @ imp.normal + q
+        assert np.all(imp.normal >= 0.0) and np.all(w > -1e-8)
+        worst_comp = max(worst_comp, float(np.max(np.abs(imp.normal * w))))
+        if nc < 4:
+            oracle = lcp_enumerate(A, q)
+            assert oracle is not None
+            worst_imp = max(worst_imp, float(np.max(np.abs(imp.normal - oracle))))
     assert worst_imp < 1e-6
     assert worst_comp < 1e-8
     _ok(3, f"worst impulse error {worst_imp:.1e}, worst complementarity {worst_comp:.1e}")

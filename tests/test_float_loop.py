@@ -318,7 +318,7 @@ def solver_cases(draw):
         ]
     inv_mass, f_ext = _mass_terms(R, v[3:], inertia, not resting and draw(st.booleans()))
     h = draw(st.sampled_from([DT, rng.uniform(1e-4, 1e-2)]))
-    problem = ContactProblem(rho, inv_mass, v.tolist(), h, f_ext, depth.tolist(), depth_rate.tolist())
+    problem = ContactProblem(rho.tolist(), inv_mass, v.tolist(), h, f_ext, depth.tolist(), depth_rate.tolist())
     mu = draw(st.sampled_from([0.0, rng.uniform(0.0, 1.5)]))
     k = draw(st.sampled_from([0.0, 10.0 ** rng.uniform(1.0, 6.0)]))
     b = draw(st.sampled_from([0.0, rng.uniform(0.0, 100.0)]))
@@ -505,7 +505,7 @@ def test_convex_solve_restarts_from_zero_when_a_warm_start_overflows():
     from the warm start (both normals free) declines."""
     rho = np.array([[-0.05, 0.05], [-0.05, -0.05], [-0.05, -0.05]])
     inv_mass, f_ext = _mass_terms(None, None, ct.cube_inertial(), False)
-    problem = ContactProblem(rho, inv_mass, [0.0, 0.0, 0.5, 0.0, 0.0, 0.0], DT, f_ext, [0.0] * 2, [0.0] * 2)
+    problem = ContactProblem(rho.tolist(), inv_mass, [0.0, 0.0, 0.5, 0.0, 0.0, 0.0], DT, f_ext, [0.0] * 2, [0.0] * 2)
     params = ct.ContactParams(0.0, 0.0, 0.0, "regularized_convex")
     warm = np.full(6, 1e308)
     with np.errstate(all="ignore"):
@@ -519,7 +519,7 @@ def test_convex_solve_restarts_from_zero_when_a_warm_start_overflows():
     assert same_impulse(got, cold) and same_impulse(cold, fz.convex_impulse(problem, params))
     assert got.flat().tolist() == [0.0] * 6
     # not a finite problem: no rerun, the first residual is reported
-    problem = ContactProblem(rho, inv_mass, [math.nan, 0.0, 0.5, 0.0, 0.0, 0.0], DT, f_ext, [0.0] * 2, [0.0] * 2)
+    problem = ContactProblem(rho.tolist(), inv_mass, [math.nan, 0.0, 0.5, 0.0, 0.0, 0.0], DT, f_ext, [0.0] * 2, [0.0] * 2)
     with np.errstate(all="ignore"), pytest.raises(ct.ConvexSolverError) as err:
         ct.regularized_convex_impulse(problem, params, warm_start=warm)
     assert math.isnan(err.value.residual) and err.value.iterations == 1
@@ -543,7 +543,7 @@ FACE_CASES = [
 def face_case(mu, vx, vy, vz, depth):
     rho = np.array([[0.0], [0.0], [-0.05]])
     inv_mass, f_ext = _mass_terms(None, None, ct.cube_inertial(), False)
-    problem = ContactProblem(rho, inv_mass, [vx, vy, vz, 0.0, 0.0, 0.0], DT, f_ext, [depth], [0.0])
+    problem = ContactProblem(rho.tolist(), inv_mass, [vx, vy, vz, 0.0, 0.0, 0.0], DT, f_ext, [depth], [0.0])
     return problem, ct.ContactParams(mu, 3300.0, 0.0, "regularized_convex")
 
 

@@ -119,7 +119,7 @@ def test_problem_requires_finite_arms_and_inverse_mass(cube_inertia):
     def build(rho=rho, minv=minv, W=W):
         return ct.ContactProblem(rho, (minv, W), [0.0] * 6, DT, f_ext, [1e-3] * 2, [0.0] * 2)
 
-    assert build().num_contacts == build(np.array(rho)).num_contacts == 2
+    assert build().num_contacts == 2
     for bad in (math.nan, math.inf, -math.inf):
         arms = [row[:] for row in rho]
         arms[2][1] = bad

@@ -267,12 +267,39 @@ def test_pgs_four_corner_symmetry(cube_geom, cube_inertia):
 
 
 def test_pgs_matches_enumeration_oracle():
-    """The rigid solver's sweeps at k = b = 0 on random-frame problems (see criterion 3)."""
+    """rigid_pgs_impulse at k = b = 0 on table contacts at random arms, from a zero and a random warm
+    start, against active-set enumeration; its wrench is J^T lambda. One to three contacts have a unique
+    solution; four have a singular normal block and many, and must reach one (see criterion 3)."""
     rng = np.random.default_rng(14)
+    params = ct.ContactParams(0.0, 0.0, 0.0, "rigid_pgs")
+    for _ in range(200):
+        nc = int(rng.integers(1, 5))
+        prob, _, _ = random_contact_problem(rng, nc)
+        A = prob.delassus()[0::3, 0::3]
+        q = (prob.jacobian @ prob.v_free())[0::3]
+        oracle = lcp_enumerate(A, q) if nc < 4 else None
+        for warm in (None, rng.uniform(-1.0, 1.0, 3 * nc)):
+            imp = ct.rigid_pgs_impulse(prob, params, max_iters=10000, tol=1e-12, warm_start=warm)
+            assert imp.converged
+            np.testing.assert_allclose(imp.wrench, prob.jacobian.T @ imp.impulse, rtol=0.0, atol=1e-12)
+            w = A @ imp.normal + q
+            assert np.all(imp.normal >= 0.0) and np.all(w > -1e-8)
+            assert np.max(np.abs(imp.normal * w)) < 1e-8
+            if nc < 4:
+                assert oracle is not None and np.max(np.abs(imp.normal - oracle)) < 1e-6
+
+
+def test_pgs_sweeps_match_enumeration_oracle_on_random_frames():
+    """The rigid solver's sweeps (_pgs) at the bias and cfm of k = b = 0 on contacts with random frames,
+    whose normal blocks are nonsingular for four contacts too; ContactProblem holds table contacts only,
+    so the problems are stated as (A, g)."""
+    rng = np.random.default_rng(14)
+    erp, cfm = erp_cfm(DT, 0.0, 0.0)
+    assert erp == 0.0  # no bias at any depth
     for _ in range(200):
         nc = int(rng.integers(1, 5))
         A_full, g = random_frame_lcp(rng, nc)
-        lam, converged, _ = _pgs(A_full.tolist(), g.tolist(), [0.0] * nc, 0.0, 0.0, [0.0] * (3 * nc), 2000, 1e-12)
+        lam, converged, _ = _pgs(A_full.tolist(), g.tolist(), [0.0] * nc, cfm, 0.0, [0.0] * (3 * nc), 2000, 1e-12)
         assert converged
         normal = np.array(lam[0::3])
         A = A_full[0::3, 0::3]
