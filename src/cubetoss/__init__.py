@@ -31,7 +31,7 @@ from .presets import (
     cube_inertial,
     param_preset,
 )
-from .simulate import SimulationDivergence, simulate
+from .simulate import SimulationDivergence, simulate, solve_contact_impulse
 from .solvers import (
     ContactImpulse,
     ContactParams,
@@ -41,7 +41,6 @@ from .solvers import (
     hunt_crossley_impulse,
     regularized_convex_impulse,
     rigid_pgs_impulse,
-    solve_contact_impulse,
 )
 from .trajectory import Trajectory
 

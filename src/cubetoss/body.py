@@ -20,6 +20,7 @@ import numpy as np
 from . import quat
 
 DEFAULT_GRAVITY = (0.0, 0.0, -9.81)
+DEFAULT_RATE_HZ = 1480.0
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -119,7 +120,7 @@ class SimConfig:
     is the height below which a corner becomes a contact candidate.
     """
 
-    dt: float = 1.0 / 1480.0
+    dt: float = 1.0 / DEFAULT_RATE_HZ
     downsample: int = 10
     solver: Optional[str] = None
     solver_iters: Optional[int] = None
@@ -200,7 +201,7 @@ def _integrate(pos, q, vel, w, R, inertia: InertialParams, imp_lin, imp_ang, dt:
     )
 
 
-def step(state: RigidState, inertia: InertialParams, impulse=None, dt: float = 1.0 / 1480.0) -> RigidState:
+def step(state: RigidState, inertia: InertialParams, impulse=None, dt: float = SimConfig.dt) -> RigidState:
     """Advance the state by one timestep under gravity and an optional impulse.
 
     impulse is a generalized 6-vector [linear N*s, angular N*m*s] applied at

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .body import SimConfig
+from .body import DEFAULT_RATE_HZ, SimConfig
 from .identify import optimize, sweep
 from .io import ResultsDocument, TrajectoryFileError, import_cube_dataset, load_trajectory, save_trajectory
 from .metrics import dataset_loss, rollout_reports
@@ -52,10 +52,12 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rate", type=float, default=1480.0, help="integration rate in Hz (default 1480)")
-    p.add_argument("--downsample", type=int, default=10, help="keep every n-th sample (default 10)")
-    p.add_argument("--margin", type=float, default=1e-3, help="contact activation margin in m")
-    p.add_argument("--slip-tol", type=float, default=1e-3, help="friction regularization velocity in m/s")
+    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ, help="integration rate in Hz (default %(default)g)")
+    p.add_argument("--downsample", type=int, default=SimConfig.downsample,
+                   help="keep every n-th sample (default %(default)s)")
+    p.add_argument("--margin", type=float, default=SimConfig.activation_margin, help="contact activation margin in m")
+    p.add_argument("--slip-tol", type=float, default=SimConfig.slip_tolerance,
+                   help="friction regularization velocity in m/s")
     p.add_argument("--solver-iters", type=int, default=None, help="override the solver iteration cap")
 
 

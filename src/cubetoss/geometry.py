@@ -9,9 +9,12 @@ contact patch and no torsional friction.
 
 The detector works on Python floats and serves both detect_contacts and
 the rollout loop; only its two corner products stay in numpy, because
-their rounding belongs to BLAS (see _corner_contact_arrays). Every contact
-has the table's frame, so a contact is known by its moment arm from the
-COM: solvers.ContactProblem holds the arms, _table_jacobian builds the
+their rounding belongs to BLAS (see _corner_contact_arrays). It reports
+each active corner's index, depth, depth rate, moment arm and witness
+point, and nothing any one model alone needs: the compliant law forms
+the tangential velocity from the arm. Every contact has the table's
+frame, so a contact is known by its moment arm from the COM:
+solvers.ContactProblem holds the arms, _table_jacobian builds the
 Jacobian from them when it is read, and the solvers form their terms from
 the arms directly.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .body import RigidState
+from .body import RigidState, SimConfig
 
 # +z is the table normal; the tangent frame is fixed from it for reproducibility
 NORMAL = np.array([0.0, 0.0, 1.0])
@@ -82,10 +85,12 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
 
     pos, vel and ang_vel are three floats each and R is the rotation as
     nested row lists (quat._matrix_rows) or an array. Returns (indices,
-    depth, depth_rate, vt1, vt2, rho, points), one entry per active corner,
-    where points are the world witness points and rho = points - pos the
-    moment arms from the COM, both as three lists (x, y, z). Shared by
-    detect_contacts and the rollout loop.
+    depth, depth_rate, rho, points), one entry per active corner, where
+    points are the world witness points and rho = points - pos the moment
+    arms from the COM, both as three lists (x, y, z). Shared by
+    detect_contacts and the rollout loop. Only the compliant law reads a
+    contact's tangential velocity, and it forms v + w x rho from the arms
+    itself (solvers._compliant_terms).
 
     The corner products stay in numpy: OpenBLAS evaluates R[2] @ corners
     (gemv, the flight test) and R @ corners (gemm, the corners) with fused
@@ -114,9 +119,9 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
     if gap > -slack and p2 + min((np.array(r2) @ corners_body).tolist()) >= margin:
         return None
     cx, cy, cz = (np.array(R) @ corners_body).tolist()
-    v0, v1, v2 = vel
-    wx, wy, wz = ang_vel
-    idx, depth, depth_rate, vt1, vt2 = [], [], [], [], []
+    v2 = vel[2]
+    wx, wy, _ = ang_vel
+    idx, depth, depth_rate = [], [], []
     rx, ry, rz, px, py, pz = [], [], [], [], [], []
     for j in range(len(cz)):
         z = p2 + cz[j]
@@ -126,9 +131,7 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
             ax, ay, az = x - p0, y - p1, z - p2
             idx.append(j)
             depth.append(-z)
-            # velocity of the witness point: v + w x rho
-            vt1.append(v0 + wy * az - wz * ay)
-            vt2.append(v1 + wz * ax - wx * az)
+            # minus the normal velocity of the witness point, v + w x rho
             depth_rate.append(-(v2 + wx * ay - wy * ax))
             rx.append(ax)
             ry.append(ay)
@@ -138,10 +141,12 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
             pz.append(z)
     if not idx:
         return None
-    return idx, depth, depth_rate, vt1, vt2, (rx, ry, rz), (px, py, pz)
+    return idx, depth, depth_rate, (rx, ry, rz), (px, py, pz)
 
 
-def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: float = 1e-3) -> list[ContactPoint]:
+def detect_contacts(
+    state: RigidState, geom: BoxGeometry, activation_margin: float = SimConfig.activation_margin
+) -> list[ContactPoint]:
     """Contact candidates for every box vertex closer than the margin to the table.
 
     The compliant force law ignores non-penetrating candidates on its own;
@@ -159,7 +164,7 @@ def detect_contacts(state: RigidState, geom: BoxGeometry, activation_margin: flo
     )
     if found is None:
         return []
-    idx, depth, depth_rate, _, _, _, points = found
+    idx, depth, depth_rate, _, points = found
     return [
         ContactPoint(
             point=np.array(point),

@@ -9,7 +9,8 @@ the integration rate.
 The loop carries the state as Python floats, because numpy's per-call
 overhead dominates on these 3- and 4-vectors, and it uses the float helpers
 that the public per-step API uses too: quat._matrix_rows, the corner
-detector geometry._corner_contact_arrays, the compliant law's
+detector geometry._corner_contact_arrays (each active corner's index,
+depth, depth rate, arm and witness point), the compliant law's
 per-contact terms solvers._compliant_terms with their sum
 solvers._wrench_impulse, and the integrator body._integrate. Each float
 operation is the one the former array code applied elementwise, in the same
@@ -20,12 +21,17 @@ step the loop builds the ContactProblem from the detector's arms and its
 float lists, as build_contact_problem does from detect_contacts output, and
 reads the result's float lists back; such a step of a cube makes no numpy
 array outside the detector. Warm starts are remapped per corner over float
-lists when the set of active corners changes. Both iterative solvers are
-called through this module's globals rigid_pgs_impulse and
-regularized_convex_impulse, once per contact step: that seam is
-deliberate, since it is where the solver layer can be timed (the
-benchmark's tracer wraps these names) and where the per-step API meets the
-loop. Stepping detect_contacts, build_contact_problem, the solver with
+lists when the set of active corners changes.
+
+solve_contact_impulse, defined here, is the one place that picks the
+solver for params.model and the one place where an unset iteration cap
+becomes DEFAULT_QP_ITERS or DEFAULT_PGS_ITERS; the loop calls it for
+every PGS or convex contact step with cfg.solver_iters, and the per-step
+API calls it too. It calls the iterative solvers through this module's
+globals rigid_pgs_impulse and regularized_convex_impulse, once per contact
+step of either path: that seam is deliberate, since it is where the solver
+layer can be timed (the benchmark's tracer wraps these names). Stepping
+detect_contacts, build_contact_problem, solve_contact_impulse with
 per-corner warm starts, and step therefore reproduces a rollout of any of
 the three models bit for bit.
 
@@ -49,12 +55,14 @@ from .geometry import BoxGeometry, _corner_contact_arrays
 from .solvers import (
     DEFAULT_PGS_ITERS,
     DEFAULT_QP_ITERS,
+    ContactImpulse,
     ContactParams,
     ContactProblem,
     ConvexSolverError,
     _compliant_terms,
     _mass_terms,
     _wrench_impulse,
+    hunt_crossley_impulse,
     regularized_convex_impulse,
     rigid_pgs_impulse,
 )
@@ -70,6 +78,30 @@ class SimulationDivergence(RuntimeError):
     def __init__(self, step_index: int, message: str):
         super().__init__(f"simulation diverged at step {step_index}: {message}")
         self.step_index = step_index
+
+
+def solve_contact_impulse(
+    problem: ContactProblem,
+    params: ContactParams,
+    slip_tolerance: float = SimConfig.slip_tolerance,
+    max_iters: Optional[int] = None,
+    warm_start: Optional[np.ndarray] = None,
+) -> ContactImpulse:
+    """The step's contact impulse from the solver that params.model selects.
+
+    max_iters caps an iterative solver (None: DEFAULT_QP_ITERS for the
+    convex model, DEFAULT_PGS_ITERS for PGS) and slip_tolerance is the
+    compliant law's; each applies to its model only.
+    """
+    model = params.model
+    if model == "compliant":
+        return hunt_crossley_impulse(problem, params, slip_tolerance)
+    if model == "regularized_convex":
+        return regularized_convex_impulse(
+            problem, params, DEFAULT_QP_ITERS if max_iters is None else max_iters, warm_start=warm_start
+        )
+    return rigid_pgs_impulse(problem, params, DEFAULT_PGS_ITERS if max_iters is None else max_iters,
+                             warm_start=warm_start)
 
 
 def simulate(
@@ -105,9 +137,6 @@ def simulate(
     mu, k, b = params.mu, params.k, params.b
     slip = cfg.slip_tolerance
     margin = cfg.activation_margin
-    max_iters = cfg.solver_iters
-    if max_iters is None:
-        max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
     # an isotropic body's mass terms do not depend on the state
     const_mass_terms = _mass_terms(None, None, inertia, True) if inertia.isotropic else None
 
@@ -124,11 +153,11 @@ def simulate(
                 imp_lin = imp_ang = no_impulse
             elif model == "compliant":
                 # explicit law: assemble the wrench straight from the corner data
-                _, depth, depth_rate, vt1, vt2, rho, _ = found
-                terms = _compliant_terms(depth, depth_rate, vt1, vt2, rho, mu, k, b, slip)
+                _, depth, depth_rate, rho, _ = found
+                terms = _compliant_terms(depth, depth_rate, v, w, rho, mu, k, b, slip)
                 imp_lin, imp_ang = _wrench_impulse(terms, dt)
             else:
-                idx, depth, depth_rate, _, _, rho, _ = found
+                idx, depth, depth_rate, rho, _ = found
                 inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True)
                 problem = ContactProblem(rho, inv_mass, v + w, dt, f_ext, depth, depth_rate)
                 if idx == warm_corners:
@@ -140,10 +169,7 @@ def simulate(
                     for corner in idx:
                         j = at.get(corner)
                         warm += no_impulse if j is None else warm_flat[j:j + 3]
-                if model == "regularized_convex":
-                    imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
-                else:
-                    imp = rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
+                imp = solve_contact_impulse(problem, params, slip, cfg.solver_iters, warm)
                 warm_flat, wrench = imp._impulse, imp._wrench
                 warm_corners = idx
                 imp_lin, imp_ang = wrench[:3], wrench[3:]

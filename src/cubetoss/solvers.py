@@ -33,16 +33,17 @@ Jacobian's structural zeros, and M^-1 f_ext and J v_free with every
 product; the convex reference velocity and the wrench J^T lambda
 (_float_impulse) keep every product too. Each is a sum in an order the
 code fixes, and so are the PGS sweeps' row dots and the convex QP's
-matrix-vector product, step-size bound and restart sum (see _pgs and
-_pyramid_qp), so a PGS or convex result does not depend on the BLAS build.
-The QP fuses its elementwise passes: one loop per contact takes the
-gradient step, projects it onto the pyramid and measures the gradient
-mapping (_projected_step), and one loop forms the momentum difference and
-the restart sum (_uphill); each iteration makes one projected step. Each
-solver is one public function with no second kernel beside it; rollouts
-call these functions, and every result holds one flat impulse, which the
-loop hands the next step as its warm start (each solver copies its warm
-start).
+matrix-vector product (_q_times), step-size bound (_gershgorin) and
+restart sum (_uphill), so a PGS or convex result does not depend on the
+BLAS build. The QP fuses its elementwise passes: one loop per contact
+takes the gradient step, projects it onto the pyramid and measures the
+gradient mapping (_projected_step), and one loop forms the momentum
+difference and the restart sum; each iteration makes one projected step.
+Each solver is one public function with no second kernel beside it. The
+choice among them is made in one place, simulate.solve_contact_impulse,
+which the rollout loop and the per-step API both call for a PGS or convex
+step; every result holds one flat impulse, which the loop hands the next
+step as its warm start (each solver copies its warm start).
 
 Before the APG, the convex solve tries a face solve (_face_solve), the
 polishing step of OSQP and the second-order step of MuJoCo's Newton solver
@@ -52,7 +53,8 @@ QP's reduced linear system on those faces by Cholesky over Python floats,
 and keeps the result only when the APG's own stopping rule accepts it. In
 a rollout the contacts seldom change face from one step to the next, so
 most warm-started solves end there, in one iteration; the rest run the APG
-from the warm start as before.
+from the same projected warm start, with the same step-size bound, both
+formed once per solve.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import quat
-from .body import InertialParams, RigidState
+from .body import InertialParams, RigidState, SimConfig
 from .geometry import NORMAL, TANGENT1, TANGENT2, ContactPoint, _table_jacobian
 
 MODELS = ("compliant", "regularized_convex", "rigid_pgs")
@@ -73,7 +75,6 @@ DEFAULT_PGS_ITERS = 50
 DEFAULT_PGS_TOL = 1e-8
 DEFAULT_QP_ITERS = 500
 DEFAULT_QP_TOL = 1e-10
-DEFAULT_SLIP_TOLERANCE = 1e-3
 
 
 class ConvexSolverError(RuntimeError):
@@ -420,17 +421,20 @@ def _compliant_force(depth, depth_rate, vt1, vt2, mu, k, b, slip_tol):
     return fn, -mu * fn * vt1 / denom, -mu * fn * vt2 / denom
 
 
-def _compliant_terms(depth, depth_rate, vt1, vt2, rho, mu, k, b, slip_tol) -> list:
+def _compliant_terms(depth, depth_rate, vel, ang_vel, rho, mu, k, b, slip_tol) -> list:
     """The compliant law's (fx, fy, fz, mx, my, mz) per table contact: its force and its moment rho x f.
 
-    depth, depth_rate and the tangential velocities vt1 and vt2 hold one
-    Python float per contact and rho the arms as three rows; shared by
-    hunt_crossley_impulse and the rollout loop, which sum the terms with
-    _wrench_impulse.
+    depth and depth_rate hold one Python float per contact, rho the arms as
+    three rows, and vel and ang_vel the body's three floats each. A
+    contact's tangential velocity is the (x, y) part of its witness point's
+    velocity v + w x rho, formed here alone. Shared by hunt_crossley_impulse
+    and the rollout loop, which sum the terms with _wrench_impulse.
     """
+    v0, v1, _ = vel
+    wx, wy, wz = ang_vel
     terms = []
-    for d, dr, t1, t2, x, y, z in zip(depth, depth_rate, vt1, vt2, *rho):
-        fn, ft1, ft2 = _compliant_force(d, dr, t1, t2, mu, k, b, slip_tol)
+    for d, dr, x, y, z in zip(depth, depth_rate, *rho):
+        fn, ft1, ft2 = _compliant_force(d, dr, v0 + wy * z - wz * y, v1 + wz * x - wx * z, mu, k, b, slip_tol)
         terms.append((ft1, ft2, fn, y * fn - z * ft2, z * ft1 - x * fn, x * ft2 - y * ft1))
     return terms
 
@@ -463,7 +467,7 @@ def _wrench_impulse(terms, dt):
 def hunt_crossley_impulse(
     problem: ContactProblem,
     params: ContactParams,
-    slip_tolerance: float = DEFAULT_SLIP_TOLERANCE,
+    slip_tolerance: float = SimConfig.slip_tolerance,
 ) -> ContactImpulse:
     """Impulse of the explicit compliant force law over one timestep.
 
@@ -472,10 +476,9 @@ def hunt_crossley_impulse(
     surface contribute nothing. slip_tolerance must be positive and finite,
     as SimConfig requires.
 
-    Each contact's tangential velocity v + w x rho is the corner detector's
-    expression, and the wrench is summed per contact by _wrench_impulse, as
-    the rollout loop sums it, so the per-step API replays a compliant
-    rollout bit for bit.
+    The per-contact terms come from _compliant_terms and the wrench is
+    their sum by _wrench_impulse, both as in the rollout loop, so the
+    per-step API replays a compliant rollout bit for bit.
     """
     if params.model != "compliant":
         raise ValueError(f"params.model must be 'compliant', got {params.model!r}")
@@ -483,12 +486,9 @@ def hunt_crossley_impulse(
         raise ValueError(f"slip_tolerance must be positive and finite, got {slip_tolerance}")
     if problem.num_contacts == 0:
         return ContactImpulse.empty()
-    v0, v1, _, wx, wy, wz = problem._v
-    rx, ry, rz = rho = problem._rho
-    vt1 = [v0 + wy * z - wz * y for y, z in zip(ry, rz)]
-    vt2 = [v1 + wz * x - wx * z for x, z in zip(rx, rz)]
-    terms = _compliant_terms(problem._depth, problem._depth_rate, vt1, vt2, rho, params.mu, params.k, params.b,
-                             slip_tolerance)
+    v = problem._v
+    terms = _compliant_terms(problem._depth, problem._depth_rate, v[:3], v[3:], problem._rho, params.mu, params.k,
+                             params.b, slip_tolerance)
     h = problem.h
     lam = []
     for ft1, ft2, fn, _, _, _ in terms:
@@ -707,52 +707,61 @@ def _gershgorin(Q: list) -> float:
     return L
 
 
-def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
+def _q_times(Q: list, x: list) -> list:
+    """Q x as a new list, each row dot summed left to right from its first product.
+
+    Written out one contact (three terms) at a time, as _pgs's row dots
+    are, since on 3 to 24 floats the interpreter's per-call cost outweighs
+    the arithmetic. The APG's Q y and the face solve's Q lam both come
+    from here, so the face solve's stopping test sums as the APG does.
+    """
+    rest = range(3, len(x), 3)  # the row dot's contacts after the first
+    x0, x1, x2 = x[0], x[1], x[2]
+    out = []
+    for row in Q:
+        r = row[0] * x0 + row[1] * x1 + row[2] * x2
+        for j in rest:
+            r = r + row[j] * x[j] + row[j + 1] * x[j + 1] + row[j + 2] * x[j + 2]
+        out.append(r)
+    return out
+
+
+def _pyramid_qp(Q, c, mu, start, L, max_iters, tol):
     """Accelerated projected gradient on min 1/2 l'Ql + c'l over the pyramid.
 
     Q is strongly convex (Delassus plus a positive diagonal regularizer) and
     the projection is exact, so momentum with the gradient restart of
     O'Donoghue and Candes (restart when (y - lam_new) . (lam_new - lam) > 0)
-    converges linearly. Q is a list of rows, c and the start lam0 are lists,
-    all of Python floats. Returns the iterate as a new list, the residual
-    and the iteration count.
+    converges linearly. Q is a list of rows and c a list, all of Python
+    floats; start is the first iterate, a point of the pyramid (the
+    caller's projected warm start), which the solve does not modify.
+    Returns the last iterate, the residual and the iteration count.
 
-    The step size is 1/L with L the Gershgorin bound of Q's largest
-    eigenvalue (_gershgorin): the largest row sum of |Q_ij|.
-    A non-finite bound (an infinite or NaN Q) ends the solve at once with
-    residual inf, which the caller reports as not converged; L <= 0 (Q = 0)
-    returns zeros with residual 0.
+    The step size is 1/L, where the caller passes L = _gershgorin(Q), the
+    Gershgorin bound of Q's largest eigenvalue: the largest row sum of
+    |Q_ij|. A non-finite bound (an infinite or NaN Q) ends the solve at
+    once with residual inf, which the caller reports as not converged;
+    L <= 0 (Q = 0) returns zeros with residual 0.
 
     Each iteration takes one projected step lam_new = P(y - (Q y + c) / L)
     from the momentum point y and stops when the gradient mapping at y,
     L * max_i |y_i - lam_new_i|, is at most tol (Nesterov's stopping rule),
     returning lam_new; a non-finite residual stops it at once, since NaN
-    never meets the tolerance. Q y is summed left to right, written out one
-    contact (three terms) at a time as _pgs's row dots are, since on 3 to
-    24 floats the interpreter's per-call cost outweighs the arithmetic.
+    never meets the tolerance. Q y comes from _q_times.
     _projected_step takes the step, projects it and measures the residual
     in one pass per contact; _uphill forms lam_new - lam and the restart
     sum in one pass. No BLAS or LAPACK call is made.
     """
-    n = len(lam0)
-    L = _gershgorin(Q)
+    n = len(start)
     if not L < math.inf:
         return [0.0] * n, math.inf, 0
     if L <= 0.0:
         return [0.0] * n, 0.0, 0
-    rest = range(3, n, 3)  # the row dot's contacts after the first
-    lam = y = _pyramid_project_floats(lam0, mu)
+    lam = y = start
     t = 1.0
     pg_norm = math.inf
     for it in range(1, max_iters + 1):
-        y0, y1, y2 = y[0], y[1], y[2]
-        qy = []
-        for row in Q:
-            r = row[0] * y0 + row[1] * y1 + row[2] * y2
-            for j in rest:
-                r = r + row[j] * y[j] + row[j + 1] * y[j + 1] + row[j + 2] * y[j + 2]
-            qy.append(r)
-        lam_new, pg_norm = _projected_step(y, qy, c, L, mu)
+        lam_new, pg_norm = _projected_step(y, _q_times(Q, y), c, L, mu)
         if pg_norm <= tol or not math.isfinite(pg_norm):
             return lam_new, pg_norm, it
         uphill, diff = _uphill(y, lam_new, lam)
@@ -766,12 +775,13 @@ def _pyramid_qp(Q, c, mu, lam0, max_iters, tol):
     return lam, pg_norm, max_iters
 
 
-def _face_solve(Q, c, mu, lam0, tol):
+def _face_solve(Q, c, mu, p, L, tol):
     """The pyramid QP solved exactly on the faces of the projected warm start, or None.
 
-    Q, c and lam0 are _pyramid_qp's. The projection p = P(lam0) puts each
-    contact on one face of its pyramid, read from equalities that the
-    closed-form projection meets exactly: the apex (n == 0), the edge
+    Q, c, L and tol are _pyramid_qp's, and p is its start, the warm start
+    projected onto the pyramids. The projection puts each contact on one
+    face of its pyramid, read from equalities that the closed-form
+    projection meets exactly: the apex (n == 0), the edge
     |t1| == |t2| == mu n, the facet |t1| == mu n or |t2| == mu n, or the
     interior; with mu == 0, the apex or the ray t1 == t2 == 0. The face's
     free directions are the columns of a matrix B (n along the edge
@@ -781,19 +791,17 @@ def _face_solve(Q, c, mu, lam0, tol):
     QP on the face's span solves B'QB z = -B'c, by Cholesky over Python
     floats.
 
-    lam is then put to _pyramid_qp's stopping rule: Q lam summed as that
-    loop sums Q y, and the projected step from lam with the same step size
-    1/L. When its gradient mapping is at most tol, the step's projected
-    point and the gradient mapping are returned, as _pyramid_qp returns an
+    lam is then put to _pyramid_qp's stopping rule: Q lam by _q_times, and
+    the projected step from lam with the same step size 1/L. When its
+    gradient mapping is at most tol, the step's projected point and the
+    gradient mapping are returned, as _pyramid_qp returns an
     iteration that stops. Otherwise, and when every contact sits at the
     apex (lam would be zero, the point the APG's first iteration tests), the
     step-size bound is not finite and positive, a pivot is not positive or
     p holds NaN, None is returned, and nothing has been decided.
     """
-    L = _gershgorin(Q)
     if not 0.0 < L < math.inf:
         return None
-    p = _pyramid_project_floats(lam0, mu)
     cols = []  # the free directions, each as (index, coefficient) pairs
     for i in range(0, len(p), 3):
         n = p[i]
@@ -855,15 +863,7 @@ def _face_solve(Q, c, mu, lam0, tol):
         z[a] = s / G[a][a]
         for i, u in cols[a]:
             lam[i] = u * z[a]
-    rest = range(3, len(p), 3)
-    y0, y1, y2 = lam[0], lam[1], lam[2]
-    q_lam = []
-    for row in Q:
-        r = row[0] * y0 + row[1] * y1 + row[2] * y2
-        for j in rest:
-            r = r + row[j] * lam[j] + row[j + 1] * lam[j + 1] + row[j + 2] * lam[j + 2]
-        q_lam.append(r)
-    step, residual = _projected_step(lam, q_lam, c, L, mu)
+    step, residual = _projected_step(lam, _q_times(Q, lam), c, L, mu)
     if residual <= tol:
         return step, residual
     return None
@@ -913,13 +913,15 @@ def regularized_convex_impulse(
     Q, c = _convex_qp(problem, params)
     mu = params.mu
     lam0 = _warm_floats(warm_start, 3 * nc) or [0.0] * (3 * nc)
-    face = _face_solve(Q, c, mu, lam0, tol) if max_iters >= 1 else None
+    L = _gershgorin(Q)
+    start = _pyramid_project_floats(lam0, mu)
+    face = _face_solve(Q, c, mu, start, L, tol) if max_iters >= 1 else None
     if face is not None:
         return _float_impulse(problem._rho, face[0], True, 1)
-    lam, residual, iters = _pyramid_qp(Q, c, mu, lam0, max_iters, tol)
+    lam, residual, iters = _pyramid_qp(Q, c, mu, start, L, max_iters, tol)
     if iters == 1 and not residual < math.inf and any(lam0) and all(map(math.isfinite, c)):
-        # a warm start near overflow overflowed Q y: the minimizer does not depend on it
-        lam, residual, iters = _pyramid_qp(Q, c, mu, [0.0] * (3 * nc), max_iters, tol)
+        # a warm start near overflow overflowed Q y: the minimizer does not depend on it (zero is in the pyramid)
+        lam, residual, iters = _pyramid_qp(Q, c, mu, [0.0] * (3 * nc), L, max_iters, tol)
     if not residual <= tol:
         raise ConvexSolverError(residual, iters)
     return _float_impulse(problem._rho, lam, True, iters)
@@ -1060,21 +1062,3 @@ def rigid_pgs_impulse(
     lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
     return _float_impulse(problem._rho, lam, converged, sweeps)
 
-
-def solve_contact_impulse(
-    problem: ContactProblem,
-    params: ContactParams,
-    slip_tolerance: float = DEFAULT_SLIP_TOLERANCE,
-    max_iters: Optional[int] = None,
-    warm_start: Optional[np.ndarray] = None,
-) -> ContactImpulse:
-    """Dispatch to the solver selected by params.model."""
-    if params.model == "compliant":
-        return hunt_crossley_impulse(problem, params, slip_tolerance)
-    if params.model == "regularized_convex":
-        return regularized_convex_impulse(
-            problem, params, DEFAULT_QP_ITERS if max_iters is None else max_iters, warm_start=warm_start
-        )
-    return rigid_pgs_impulse(
-        problem, params, DEFAULT_PGS_ITERS if max_iters is None else max_iters, warm_start=warm_start
-    )

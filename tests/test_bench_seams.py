@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cubetoss as ct
+from cubetoss.solvers import DEFAULT_PGS_ITERS, DEFAULT_QP_ITERS
 from cubetoss.synthetic import random_toss_states
 from test_simulate import anisotropic_box
 
@@ -53,3 +54,45 @@ def test_public_api_replay_of_a_pool_toss_is_exact(preset, pool, body):
     rep = rp.replay(x0, ct.param_preset(preset), inertia, geom, ct.SimConfig(), 0.3, rp.Replay())
     assert sum(rep.contacts) > 0
     assert rep.max_final_dev_m == 0.0
+
+
+@pytest.mark.parametrize("preset, span", [
+    pytest.param("cube-bullet-style", "solvers.rigid_pgs", id="pgs"),
+    pytest.param("cube-mujoco-style", "solvers.regularized_convex", id="convex"),
+])
+def test_every_contact_solve_of_both_paths_leaves_a_solver_span(preset, span):
+    """simulate's loop and the public per-step API solve through the same seam, so the tracer sees
+    every contact solve of either: one span per contact step of the rollout, of the replay, and of
+    the simulate that the replay checks itself against."""
+    x0, params, inertia, geom = wl.pool("tumbling")[0], ct.param_preset(preset), ct.cube_inertial(), ct.cube_geometry()
+    tracer = tr.Tracer()
+    tracer.enable()
+    try:
+        ct.simulate(x0, params, inertia, geom, ct.SimConfig(), 0.3)
+        rollout_spans = len(tracer.spans)
+        rep = rp.replay(x0, params, inertia, geom, ct.SimConfig(), 0.3, rp.Replay())
+    finally:
+        tracer.disable()
+    contact_steps = sum(1 for n in rep.contacts if n)
+    assert contact_steps > 0 and rep.max_final_dev_m == 0.0
+    assert rollout_spans == contact_steps
+    assert [s[tr.NAME] for s in tracer.spans] == [span] * (3 * contact_steps)
+
+
+def test_solve_contact_impulse_hands_each_iterative_solver_its_default_cap(monkeypatch):
+    caps = {}
+
+    def recorder(name):
+        def solve(problem, params, max_iters, warm_start=None):
+            caps[name] = max_iters
+            return ct.ContactImpulse.empty()
+        return solve
+
+    for name in ("rigid_pgs_impulse", "regularized_convex_impulse"):
+        monkeypatch.setattr(tr.simulate, name, recorder(name))
+    state = ct.RigidState([0.0, 0.0, 0.0495], [1.0, 0.0, 0.0, 0.0], [0.1, 0.0, -0.2], [0.0, 0.0, 0.0])
+    contacts = ct.detect_contacts(state, ct.cube_geometry())
+    problem = ct.build_contact_problem(state, ct.cube_inertial(), contacts, ct.SimConfig().dt)
+    for preset in ("cube-bullet-style", "cube-mujoco-style"):
+        ct.solve_contact_impulse(problem, ct.param_preset(preset), max_iters=None)
+    assert caps == {"rigid_pgs_impulse": DEFAULT_PGS_ITERS, "regularized_convex_impulse": DEFAULT_QP_ITERS}

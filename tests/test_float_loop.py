@@ -31,12 +31,15 @@ from cubetoss.solvers import (
     DEFAULT_QP_TOL,
     ContactProblem,
     _compliant_force,
+    _compliant_terms,
     _convex_qp,
     _convex_reference_velocity,
     _face_solve,
     _float_impulse,
     _float_terms,
+    _gershgorin,
     _mass_terms,
+    _pyramid_project_floats,
     _pyramid_qp,
     _warm_floats,
     _wrench_impulse,
@@ -135,10 +138,19 @@ def test_corner_detection_matches_numpy_oracle(case):
     if want[0].size == 0:
         assert got is None
         return
-    idx, depth, depth_rate, vt1, vt2, rho, points = got
+    idx, depth, depth_rate, rho, points = got
+    _, want_depth, want_rate, vpx, vpy, want_rho, want_points = want
     assert idx == want[0].tolist()
-    for g, w in zip((depth, depth_rate, vt1, vt2, rho, points), want[1:]):
+    for g, w in ((depth, want_depth), (depth_rate, want_rate), (rho, want_rho), (points, want_points)):
         assert same_bits(g, w)
+    # the compliant law forms the slip velocity from the arms; the oracle's detector returns it
+    params = ct.param_preset("cube-drake")
+    slip = ct.SimConfig().slip_tolerance
+    terms = _compliant_terms(depth, depth_rate, vel.tolist(), ang_vel.tolist(), rho, params.mu, params.k, params.b,
+                             slip)
+    with np.errstate(all="ignore"):
+        fn, ft1, ft2 = fz.compliant_forces(want_depth, want_rate, vpx, vpy, params.mu, params.k, params.b, slip)
+    assert same_bits(list(zip(*terms))[:3], [ft1, ft2, fn])
 
 
 def test_flight_test_band_edges_match_numpy_oracle(cube_geom):
@@ -452,7 +464,7 @@ def test_regularized_convex_impulse_matches_numpy_oracle(case, max_iters):
         want = convex_outcome(lambda: fz.convex_impulse(problem, params, max_iters, warm_start=warm))
         Q, c = _convex_qp(problem, params)
         lam0 = _warm_floats(warm, n) or [0.0] * n
-        face = _face_solve(Q, c, mu, lam0, DEFAULT_QP_TOL)
+        face = _face_solve(Q, c, mu, _pyramid_project_floats(lam0, mu), _gershgorin(Q), DEFAULT_QP_TOL)
         if face is not None:
             lam, residual = face
             assert residual <= DEFAULT_QP_TOL
@@ -491,7 +503,8 @@ def test_regularized_convex_impulse_agrees_with_blas_solve(case):
             if isinstance(got, ct.ContactImpulse):
                 n = 3 * problem.num_contacts
                 Q, c = _convex_qp(problem, params)
-                face = _face_solve(Q, c, mu, _warm_floats(warm, n) or [0.0] * n, DEFAULT_QP_TOL)
+                face = _face_solve(Q, c, mu, _pyramid_project_floats(_warm_floats(warm, n) or [0.0] * n, mu),
+                                   _gershgorin(Q), DEFAULT_QP_TOL)
                 assert face is not None and got.iterations == 1 and same_bits(got.flat(), face[0])
             return
     assume(np.all(np.isfinite(want.flat())))  # an overflowing problem has no rounding to compare
@@ -513,7 +526,7 @@ def test_convex_solve_restarts_from_zero_when_a_warm_start_overflows():
             fz.convex_impulse(problem, params, warm_start=warm)
         assert err.value.residual == math.inf and err.value.iterations == 1
         Q, c = _convex_qp(problem, params)
-        assert _face_solve(Q, c, 0.0, warm.tolist(), DEFAULT_QP_TOL) is None
+        assert _face_solve(Q, c, 0.0, _pyramid_project_floats(warm.tolist(), 0.0), _gershgorin(Q), DEFAULT_QP_TOL) is None
         got = ct.regularized_convex_impulse(problem, params, warm_start=warm)
     cold = ct.regularized_convex_impulse(problem, params)
     assert same_impulse(got, cold) and same_impulse(cold, fz.convex_impulse(problem, params))
@@ -585,9 +598,9 @@ def test_face_solve_on_each_face_of_one_contact(face, mu, vx, vy, vz, depth, on_
     if face == "apex":
         assert same_impulse(got, fz.convex_impulse(problem, params, warm_start=on_face))
     else:
-        assert _face_solve(Q, c, mu, on_face, DEFAULT_QP_TOL) is not None
+        assert _face_solve(Q, c, mu, _pyramid_project_floats(on_face, mu), _gershgorin(Q), DEFAULT_QP_TOL) is not None
         assert fz.convex_impulse(problem, params, warm_start=on_face).iterations > 1
-    assert _face_solve(Q, c, mu, off_face, DEFAULT_QP_TOL) is None
+    assert _face_solve(Q, c, mu, _pyramid_project_floats(off_face, mu), _gershgorin(Q), DEFAULT_QP_TOL) is None
     got = ct.regularized_convex_impulse(problem, params, warm_start=off_face)
     assert same_impulse(got, fz.convex_impulse(problem, params, warm_start=off_face))
     assert np.allclose(got.flat(), want, rtol=1e-8, atol=1e-12)
@@ -619,7 +632,9 @@ def test_solver_clamps_match_numpy_ufuncs():
 
 def assert_qp_matches_oracle(Q, c, mu, lam0, max_iters, tol):
     with np.errstate(all="ignore"):
-        got = _pyramid_qp(np.asarray(Q, dtype=float).tolist(), list(c), mu, list(lam0), max_iters, tol)
+        Q_rows = np.asarray(Q, dtype=float).tolist()
+        got = _pyramid_qp(Q_rows, list(c), mu, _pyramid_project_floats(list(lam0), mu), _gershgorin(Q_rows), max_iters,
+                          tol)
         want = fz.pyramid_qp(Q, c, mu, lam0, max_iters, tol)
     assert same_bits(got[0], want[0])
     assert same_bits([got[1]], [want[1]])
@@ -685,7 +700,8 @@ def test_pyramid_qp_refuses_reuse_across_a_signed_zero(mu, max_iters):
     Q = np.diag([1.0, 5.0, 1.0])  # L = 5: the normal converges over several iterations
     c, lam0 = [-1.0, 0.0, 0.0], [0.0, -0.0, -0.0]
     assert_qp_matches_oracle(Q, c, mu, lam0, max_iters, DEFAULT_QP_TOL)
-    lam, _, _ = _pyramid_qp(Q.tolist(), c, mu, lam0, max_iters, DEFAULT_QP_TOL)
+    lam, _, _ = _pyramid_qp(Q.tolist(), c, mu, _pyramid_project_floats(lam0, mu), _gershgorin(Q.tolist()), max_iters,
+                            DEFAULT_QP_TOL)
     assert np.signbit(lam[1:]).tolist() == [max_iters == 1 and mu > 0.0] * 2
 
 
@@ -694,14 +710,16 @@ def test_pyramid_qp_without_positive_curvature_returns_zeros():
     for Q in (np.zeros((3, 3)), np.full((6, 6), -0.0)):
         n = len(Q)
         assert_qp_matches_oracle(Q, [1.0] * n, 0.5, [0.1] * n, 10, DEFAULT_QP_TOL)
-        lam, residual, iters = _pyramid_qp(Q.tolist(), [1.0] * n, 0.5, [0.1] * n, 10, DEFAULT_QP_TOL)
+        lam, residual, iters = _pyramid_qp(Q.tolist(), [1.0] * n, 0.5, _pyramid_project_floats([0.1] * n, 0.5),
+                                           _gershgorin(Q.tolist()), 10, DEFAULT_QP_TOL)
         assert lam == [0.0] * n and residual == 0.0 and iters == 0
 
 
 def test_pyramid_qp_step_size_is_the_gershgorin_bound():
     """L is the largest row sum of |Q_ij|, above the largest eigenvalue: one step from zero lands on -c / L."""
     Q = [[2.0, -1.0, 0.0], [-1.0, 4.0, 0.5], [0.0, 0.5, 1.0]]  # row sums 3, 5.5, 1.5
-    lam, residual, iters = _pyramid_qp(Q, [-5.5, 0.0, 0.0], 0.5, [0.0] * 3, 1, DEFAULT_QP_TOL)
+    lam, residual, iters = _pyramid_qp(Q, [-5.5, 0.0, 0.0], 0.5, _pyramid_project_floats([0.0] * 3, 0.5),
+                                       _gershgorin(Q), 1, DEFAULT_QP_TOL)
     assert lam == [1.0, 0.0, 0.0] and iters == 1 and residual == 5.5
     assert np.max(np.linalg.eigvalsh(np.array(Q))) < 5.5
 

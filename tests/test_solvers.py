@@ -7,8 +7,10 @@ import cubetoss as ct
 from cubetoss.solvers import (
     _convex_reference_velocity,
     _float_terms,
+    _gershgorin,
     _pgs,
     _pyramid_project,
+    _pyramid_project_floats,
     _pyramid_qp,
     erp_cfm,
 )
@@ -210,7 +212,9 @@ def test_convex_eigen_failure_raises():
     d = 0.01 puts 100 m^-1 on it): the solve ends at once as not converged, so the solver raises
     ConvexSolverError."""
     with np.errstate(invalid="ignore"):
-        lam, residual, iters = _pyramid_qp((np.inf * np.eye(3)).tolist(), [0.0] * 3, 0.5, [0.0] * 3, 10, 1e-10)
+        Q = (np.inf * np.eye(3)).tolist()
+        lam, residual, iters = _pyramid_qp(Q, [0.0] * 3, 0.5, _pyramid_project_floats([0.0] * 3, 0.5), _gershgorin(Q),
+                                           10, 1e-10)
     assert lam == [0.0] * 3 and residual == math.inf and iters == 0
     prob, _, _ = single_contact_problem(mass=1e-308, s_minus=-1.0, depth=1e-3)
     with pytest.raises(ct.ConvexSolverError) as err:
