@@ -526,7 +526,8 @@ def test_convex_solve_restarts_from_zero_when_a_warm_start_overflows():
             fz.convex_impulse(problem, params, warm_start=warm)
         assert err.value.residual == math.inf and err.value.iterations == 1
         Q, c = _convex_qp(problem, params)
-        assert _face_solve(Q, c, 0.0, _pyramid_project_floats(warm.tolist(), 0.0), _gershgorin(Q), DEFAULT_QP_TOL) is None
+        start = _pyramid_project_floats(warm.tolist(), 0.0)
+        assert _face_solve(Q, c, 0.0, start, _gershgorin(Q), DEFAULT_QP_TOL) is None
         got = ct.regularized_convex_impulse(problem, params, warm_start=warm)
     cold = ct.regularized_convex_impulse(problem, params)
     assert same_impulse(got, cold) and same_impulse(cold, fz.convex_impulse(problem, params))
