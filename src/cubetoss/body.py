@@ -209,8 +209,8 @@ def step(state: RigidState, inertia: InertialParams, impulse=None, dt: float = S
     linear velocity and orientation through the exponential map of the new
     angular velocity.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < math.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     state.require_valid()
     if impulse is None:
         imp = [0.0] * 6

@@ -21,6 +21,7 @@ the arms directly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,11 @@ def detect_contacts(
 
     The compliant force law ignores non-penetrating candidates on its own;
     the margin exists so velocity-level solvers see imminent contacts one
-    step ahead.
+    step ahead. activation_margin must be finite and nonnegative, as
+    SimConfig requires.
     """
+    if not (0.0 <= activation_margin < math.inf):
+        raise ValueError(f"activation_margin must be finite and nonnegative, got {activation_margin}")
     state.require_valid()
     found = _corner_contact_arrays(
         state.pos.tolist(),

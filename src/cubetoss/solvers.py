@@ -27,23 +27,28 @@ exceed the circular cone by up to sqrt(2).
 A ContactProblem holds table contacts (normal +z, tangents +x and +y) by
 their moment arms, as Python floats. Both iterative solvers run on those
 floats, with no BLAS or LAPACK call and no numpy array until a caller reads
-their result's arrays. One builder over the arms (_float_terms) forms the
-Delassus entries J M^-1 J^T in closed form, skipping the table-frame
-Jacobian's structural zeros, and M^-1 f_ext and J v_free with every
-product; the convex reference velocity and the wrench J^T lambda
-(_float_impulse) keep every product too. Each is a sum in an order the
-code fixes, and so are the PGS sweeps' row dots and the convex QP's
-matrix-vector product (_q_times), step-size bound (_gershgorin) and
-restart sum (_uphill), so a PGS or convex result does not depend on the
-BLAS build. The QP fuses its elementwise passes: one loop per contact
-takes the gradient step, projects it onto the pyramid and measures the
-gradient mapping (_projected_step), and one loop forms the momentum
-difference and the restart sum; each iteration makes one projected step.
-Each solver is one public function with no second kernel beside it. The
-choice among them is made in one place, simulate.solve_contact_impulse,
-which the rollout loop and the per-step API both call for a PGS or convex
-step; every result holds one flat impulse, which the loop hands the next
-step as its warm start (each solver copies its warm start).
+their result's arrays. One helper over the arms (_arm_terms) forms each
+row's W (rho x e), M^-1 f_ext and v_free for both. The PGS sweeps need no
+Delassus matrix: they run in body-velocity space (sequential impulses),
+keeping u = v_free + M^-1 J^T lambda and reading each row's residual as
+J_k . u, so a row costs the same at any contact count. The Delassus
+entries J M^-1 J^T serve the convex QP alone: _float_terms forms them in
+closed form, skipping the table-frame Jacobian's structural zeros, and
+J v_free with every product; the convex reference velocity and the wrench
+J^T lambda (_float_impulse, shared by both solvers) keep every product
+too. Each is a sum in an order the code fixes, and so are the PGS
+velocity updates and the convex QP's matrix-vector product (_q_times),
+step-size bound (_gershgorin) and restart sum (_uphill), so a PGS or
+convex result does not depend on the BLAS build. The QP fuses its
+elementwise passes: one loop per contact takes the gradient step, projects
+it onto the pyramid and measures the gradient mapping (_projected_step),
+and one loop forms the momentum difference and the restart sum; each
+iteration makes one projected step. Each solver is one public function
+with no second kernel beside it. The choice among them is made in one
+place, simulate.solve_contact_impulse, which the rollout loop and the
+per-step API both call for a PGS or convex step; every result holds one
+flat impulse, which the loop hands the next step as its warm start (each
+solver copies its warm start).
 
 Before the APG, the convex solve tries a face solve (_face_solve), the
 polishing step of OSQP and the second-order step of MuJoCo's Newton solver
@@ -140,13 +145,16 @@ class ContactProblem:
     depth_rate and accel = inv_mass @ f_ext are built when first read; they
     are copies, and editing one changes nothing that a solver reads.
 
-    m^-1 must be positive and finite, and the arms and W finite with
-    |W|_F |rho| clear of overflow, a ValueError otherwise: then the Delassus
-    entries, which skip the products of the Jacobian's structural zeros,
-    equal their 6-term sums bit for bit (see _float_terms).
+    h must be positive and finite, m^-1 positive and finite, and the arms
+    and W finite with |W|_F |rho| clear of overflow, a ValueError
+    otherwise: then the Delassus entries, which skip the products of the
+    Jacobian's structural zeros, equal their 6-term sums bit for bit (see
+    _float_terms).
     """
 
     def __init__(self, rho, inv_mass, v, h, f_ext, depth, depth_rate):
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"a contact problem needs a positive finite timestep h, got {h}")
         minv, (w0, w1, w2) = inv_mass
         # each entry of W (rho x e) is at most |W|_F |rho| in size; a NaN or inf in W or rho fails the test too
         if not (0.0 < minv < math.inf and 2.0 * math.hypot(*w0, *w1, *w2) * math.hypot(*rho[0], *rho[1], *rho[2])
@@ -309,14 +317,52 @@ def _warm_floats(warm_start, n: int) -> Optional[list]:
     return [float(x) for x in warm_start]
 
 
+def _require_iters(max_iters) -> None:
+    """Raise ValueError unless max_iters is a nonnegative integer and not a bool, as SimConfig checks solver_iters."""
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
+
+
+def _arm_terms(problem: ContactProblem) -> tuple:
+    """(arms, cols, accel, v_free) of a problem with contacts, on Python floats: what both iterative solvers build on.
+
+    Contact i's rows n, t1 and t2 are [e, rho_i x e] for e = +z, +x, +y,
+    so M^-1 r = (m^-1 e, W (rho_i x e)). arms holds (x, y, z, -x, -y, -z)
+    per contact and cols the nine floats W (rho x e) of its rows n
+    (rho x e = (y, -x, 0)), t1 ((0, z, -y)) and t2 ((-z, 0, x)), each entry
+    two products, skipping the one of the structural zero (see
+    _float_terms). accel = M^-1 f_ext has 6 entries, each of W f_ext summed
+    left to right, and v_free = v + h accel.
+    """
+    minv, ((w00, w01, w02), (w10, w11, w12), (w20, w21, w22)) = problem._mass
+    arms = []
+    cols = []
+    for x, y, z in zip(*problem._rho):
+        nx = -x
+        ny = -y
+        nz = -z
+        arms.append((x, y, z, nx, ny, nz))
+        cols.append((w00 * y + w01 * nx, w10 * y + w11 * nx, w20 * y + w21 * nx,
+                     w01 * z + w02 * ny, w11 * z + w12 * ny, w21 * z + w22 * ny,
+                     w00 * nz + w02 * x, w10 * nz + w12 * x, w20 * nz + w22 * x))
+    f0, f1, f2, f3, f4, f5 = problem._f
+    a0 = minv * f0
+    a1 = minv * f1
+    a2 = minv * f2
+    a3 = w00 * f3 + w01 * f4 + w02 * f5
+    a4 = w10 * f3 + w11 * f4 + w12 * f5
+    a5 = w20 * f3 + w21 * f4 + w22 * f5
+    h = problem.h
+    v0, v1, v2, v3, v4, v5 = problem._v
+    v_free = [v0 + h * a0, v1 + h * a1, v2 + h * a2, v3 + h * a3, v4 + h * a4, v5 + h * a5]
+    return arms, cols, [a0, a1, a2, a3, a4, a5], v_free
+
+
 def _float_terms(problem: ContactProblem) -> tuple:
-    """(A, g, accel) of a problem with contacts, on Python floats: the iterative solvers' input.
+    """(A, g, accel) of a problem with contacts, on Python floats: the convex QP's input.
 
     A = J M^-1 J^T is a list of new rows (the caller may edit them), g =
-    J v_free with v_free = v + h accel, and accel = M^-1 f_ext has 6
-    entries, each of W f_ext summed left to right. All come from the arms:
-    contact i's rows n, t1 and t2 are [e, rho_i x e] for e = +z, +x, +y, so
-    M^-1 r = (m^-1 e, W (rho_i x e)).
+    J v_free, and accel = M^-1 f_ext, all built on _arm_terms.
 
     A Delassus entry r_a . M^-1 r_b is, in closed form, its linear part
     (m^-1 when both rows have the same direction, else 0.0) plus the
@@ -336,17 +382,8 @@ def _float_terms(problem: ContactProblem) -> tuple:
     sums over those constant entries are the same for every contact and
     are formed once.
     """
-    minv, ((w00, w01, w02), (w10, w11, w12), (w20, w21, w22)) = problem._mass
-    arms = []  # (x, y, z, -x, -y, -z) per contact
-    cols = []  # W (rho x e) of its rows n (y, -x, 0), t1 (0, z, -y) and t2 (-z, 0, x)
-    for x, y, z in zip(*problem._rho):
-        nx = -x
-        ny = -y
-        nz = -z
-        arms.append((x, y, z, nx, ny, nz))
-        cols.append((w00 * y + w01 * nx, w10 * y + w11 * nx, w20 * y + w21 * nx,
-                     w01 * z + w02 * ny, w11 * z + w12 * ny, w21 * z + w22 * ny,
-                     w00 * nz + w02 * x, w10 * nz + w12 * x, w20 * nz + w22 * x))
+    minv = problem._mass[0]
+    arms, cols, accel, (u0, u1, u2, u3, u4, u5) = _arm_terms(problem)
     A = []
     for x, y, z, nx, ny, nz in arms:
         rn = []
@@ -357,21 +394,6 @@ def _float_terms(problem: ContactProblem) -> tuple:
             r1 += 0.0 + z * n1 + ny * n2, minv + z * a1 + ny * a2, 0.0 + z * b1 + ny * b2
             r2 += 0.0 + nz * n0 + x * n2, 0.0 + nz * a0 + x * a2, minv + nz * b0 + x * b2
         A += rn, r1, r2
-    f0, f1, f2, f3, f4, f5 = problem._f
-    a0 = minv * f0
-    a1 = minv * f1
-    a2 = minv * f2
-    a3 = w00 * f3 + w01 * f4 + w02 * f5
-    a4 = w10 * f3 + w11 * f4 + w12 * f5
-    a5 = w20 * f3 + w21 * f4 + w22 * f5
-    h = problem.h
-    v0, v1, v2, v3, v4, v5 = problem._v
-    u0 = v0 + h * a0
-    u1 = v1 + h * a1
-    u2 = v2 + h * a2
-    u3 = v3 + h * a3
-    u4 = v4 + h * a4
-    u5 = v5 + h * a5
     # rows n (0, 0, 1, y, -x, 0), t1 (1, 0, 0, 0, z, -y) and t2 (0, 1, 0, -z, 0, x) times v_free
     gn = 0.0 * u0 + 0.0 * u1 + 1.0 * u2
     g1 = 1.0 * u0 + 0.0 * u1 + 0.0 * u2 + 0.0 * u3
@@ -381,7 +403,7 @@ def _float_terms(problem: ContactProblem) -> tuple:
     g = []
     for x, y, z, nx, ny, nz in arms:
         g += gn + y * u3 + nx * u4 + z5, g1 + z * u4 + ny * u5, g2 + nz * u3 + z4 + x * u5
-    return A, g, [a0, a1, a2, a3, a4, a5]
+    return A, g, accel
 
 
 def _float_impulse(rho, lam: list, converged: bool, iterations: int) -> ContactImpulse:
@@ -710,8 +732,8 @@ def _gershgorin(Q: list) -> float:
 def _q_times(Q: list, x: list) -> list:
     """Q x as a new list, each row dot summed left to right from its first product.
 
-    Written out one contact (three terms) at a time, as _pgs's row dots
-    are, since on 3 to 24 floats the interpreter's per-call cost outweighs
+    Written out one contact (three terms) at a time, since on 3 to 24
+    floats the interpreter's per-call cost outweighs
     the arithmetic. The APG's Q y and the face solve's Q lam both come
     from here, so the face solve's stopping test sums as the APG does.
     """
@@ -884,7 +906,8 @@ def regularized_convex_impulse(
     so the impulse is unique regardless of the warm start. Raises
     ConvexSolverError when the iteration cap is hit above tol or the
     residual (the gradient mapping at the last momentum point, see
-    _pyramid_qp) turns non-finite (a NaN or infinite problem).
+    _pyramid_qp) turns non-finite (a NaN or infinite problem). max_iters
+    must be a nonnegative integer; 0 makes no iteration and so raises.
 
     When max_iters >= 1, a face solve runs first (_face_solve): the exact
     minimizer on the faces of the pyramid that the projected warm start
@@ -907,6 +930,7 @@ def regularized_convex_impulse(
     """
     if params.model != "regularized_convex":
         raise ValueError(f"params.model must be 'regularized_convex', got {params.model!r}")
+    _require_iters(max_iters)
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
@@ -955,64 +979,6 @@ def erp_cfm(h: float, k: float, b: float) -> tuple[float, float]:
     return h * k / denom, 1.0 / denom
 
 
-def _pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
-    """Projected Gauss-Seidel sweeps over normal and boxed tangential rows.
-
-    All arguments are Python floats: A the Delassus matrix as a list of
-    rows, g and lam flat lists [n, t1, t2, ...] and bias one entry per
-    contact. lam holds the starting iterate and is updated in place. Each
-    residual is the row dot A[k] . lam summed left to right from the first
-    product, written out one contact (three terms) at a time, then
-    ((dot + g) - bias) + cfm * old for a normal row and dot + g for a
-    tangential one. A non-finite iterate is reported as not converged,
-    since a NaN change never exceeds the sweep's largest.
-    """
-    n = len(lam)
-    rest = range(3, n, 3)  # the row dot's contacts after the first
-    # per contact: its normal row's index, row, diagonal + cfm, g and bias, then each tangent's
-    contacts = [
-        (ni, A[ni], A[ni][ni] + cfm, g[ni], bias[ni // 3],
-         ((ni + 1, A[ni + 1], A[ni + 1][ni + 1], g[ni + 1]), (ni + 2, A[ni + 2], A[ni + 2][ni + 2], g[ni + 2])))
-        for ni in range(0, n, 3)
-    ]
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, max_iters + 1):
-        delta = 0.0
-        for ni, row, dn, gn, bn, tangents in contacts:
-            r = row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
-            for j in rest:
-                r = r + row[j] * lam[j] + row[j + 1] * lam[j + 1] + row[j + 2] * lam[j + 2]
-            old = lam[ni]
-            new = old - (r + gn - bn + cfm * old) / dn
-            if new < 0.0:
-                new = 0.0
-            change = abs(new - old)
-            lam[ni] = new
-            bound = mu * new
-            for jt, row, dt, gt in tangents:
-                r = row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
-                for j in rest:
-                    r = r + row[j] * lam[j] + row[j + 1] * lam[j + 1] + row[j + 2] * lam[j + 2]
-                old = lam[jt]
-                newt = old - (r + gt) / dt
-                if newt > bound:
-                    newt = bound
-                elif newt < -bound:
-                    newt = -bound
-                cj = abs(newt - old)
-                if cj > change:
-                    change = cj
-                lam[jt] = newt
-            if change > delta:
-                delta = change
-        if delta < tol:
-            converged = True
-            break
-    converged = converged and all(map(math.isfinite, lam))
-    return lam, converged, sweeps
-
-
 def rigid_pgs_impulse(
     problem: ContactProblem,
     params: ContactParams,
@@ -1029,36 +995,120 @@ def rigid_pgs_impulse(
     stops when the largest impulse change falls below tol; if the cap is
     reached first the intermediate iterate is returned as a legal result
     with converged=False. A non-finite iterate is never reported converged.
+    max_iters must be a nonnegative integer; 0 returns the clamped warm
+    start after no sweep.
+
+    The sweeps run in body-velocity space, as sequential impulses do
+    (Catto, "Iterative Dynamics with Temporal Coherence", GDC 2005; Bullet's
+    btSequentialImpulseConstraintSolver), with no Delassus matrix: the
+    kernel keeps u = v_free + M^-1 J^T lam, reads row k's residual
+    (J M^-1 J^T lam + J v_free)_k as J_k . u, two products and two sums on
+    a table-frame row (normal u2 + y u3 - x u4, t1 u0 + z u4 - y u5, t2
+    u1 - z u3 + x u5), and after each update adds
+    M^-1 J_k^T (new - old) to u: m^-1 times the change on the row's linear
+    component and W (rho x e) times it on the three angular ones. The work
+    per row does not depend on the number of contacts. u starts from
+    v_free (_arm_terms); a warm start adds M^-1 J^T lam0 contact by
+    contact, each angular entry of a contact as one sum over its rows n,
+    t1, t2. A row's diagonal A_kk (plus cfm on a normal row) is the closed
+    form of _float_terms, bit for bit. The same sweeps over the Delassus
+    matrix differ from these by rounding only.
 
     The solve runs on Python floats alone, with no BLAS, LAPACK or numpy
-    array before its result: sums of products whose order the code fixes
-    replace the matrix products, so the result does not depend on the BLAS
-    build. The Delassus matrix and g = J v_free come from the problem's
-    arms through _float_terms, and the wrench J^T lam through
-    _float_impulse; the sweeps are those of _pgs. The bias and the warm
-    start's normal clamp keep np.maximum(0.0, x)'s semantics: NaN
-    propagates and -0.0 stays -0.0.
-    warm_start may also be the list of floats that the rollout loop passes
-    (see _warm_floats).
+    array before its result, so the result does not depend on the BLAS
+    build; the wrench J^T lam comes from _float_impulse. The bias and the
+    warm start's normal clamp keep np.maximum(0.0, x)'s semantics: NaN
+    propagates and -0.0 stays -0.0. warm_start may also be the list of
+    floats that the rollout loop passes (see _warm_floats).
     """
     if params.model != "rigid_pgs":
         raise ValueError(f"params.model must be 'rigid_pgs', got {params.model!r}")
+    _require_iters(max_iters)
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()
-    A, g, _ = _float_terms(problem)
+    minv = problem._mass[0]
+    arms, cols, _, (u0, u1, u2, u3, u4, u5) = _arm_terms(problem)
     h = problem.h
     erp, cfm = erp_cfm(h, params.k, params.b)
     gain = erp / h
-    bias = [gain * (0.0 if d < 0.0 else d) for d in problem._depth]
+    mu = params.mu
     n = 3 * nc
     lam = _warm_floats(warm_start, n)
-    if lam is None:
+    warm = lam is not None
+    if not warm:
         lam = [0.0] * n
-    else:
-        for i in range(0, n, 3):
-            if lam[i] < 0.0:
-                lam[i] = 0.0
-    lam, converged, sweeps = _pgs(A, g, bias, cfm, params.mu, lam, max_iters, tol)
+    # per contact: its rows' indices, the arm terms each row's residual reads, W (rho x e) of each row,
+    # the diagonals (cfm on the normal's) and the bias
+    rows = []
+    for ni, (x, y, z, nx, ny, nz), (n0, n1, n2, a0, a1, a2, b0, b1, b2), d in zip(
+            range(0, n, 3), arms, cols, problem._depth):
+        rows.append((ni, ni + 1, ni + 2, y, nx, z, ny, nz, x, n0, n1, n2, a0, a1, a2, b0, b1, b2,
+                     minv + y * n0 + nx * n1 + cfm, minv + z * a1 + ny * a2, minv + nz * b0 + x * b2,
+                     gain * (0.0 if d < 0.0 else d)))
+        if warm:
+            ln = lam[ni]
+            if ln < 0.0:
+                ln = lam[ni] = 0.0
+            l1 = lam[ni + 1]
+            l2 = lam[ni + 2]
+            u0 += minv * l1
+            u1 += minv * l2
+            u2 += minv * ln
+            u3 += n0 * ln + a0 * l1 + b0 * l2
+            u4 += n1 * ln + a1 * l1 + b1 * l2
+            u5 += n2 * ln + a2 * l1 + b2 * l2
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_iters + 1):
+        delta = 0.0
+        for ni, ti, si, y, nx, z, ny, nz, x, n0, n1, n2, a0, a1, a2, b0, b1, b2, dn, d1, d2, bn in rows:
+            old = lam[ni]
+            ln = old - (u2 + y * u3 + nx * u4 - bn + cfm * old) / dn
+            if ln < 0.0:
+                ln = 0.0
+            lam[ni] = ln
+            step = ln - old
+            u2 += minv * step
+            u3 += n0 * step
+            u4 += n1 * step
+            u5 += n2 * step
+            change = abs(step)
+            bound = mu * ln
+            old = lam[ti]
+            new = old - (u0 + z * u4 + ny * u5) / d1
+            if new > bound:
+                new = bound
+            elif new < -bound:
+                new = -bound
+            lam[ti] = new
+            step = new - old
+            u0 += minv * step
+            u3 += a0 * step
+            u4 += a1 * step
+            u5 += a2 * step
+            step = abs(step)
+            if step > change:
+                change = step
+            old = lam[si]
+            new = old - (u1 + nz * u3 + x * u5) / d2
+            if new > bound:
+                new = bound
+            elif new < -bound:
+                new = -bound
+            lam[si] = new
+            step = new - old
+            u1 += minv * step
+            u3 += b0 * step
+            u4 += b1 * step
+            u5 += b2 * step
+            step = abs(step)
+            if step > change:
+                change = step
+            if change > delta:
+                delta = change
+        if delta < tol:
+            converged = True
+            break
+    converged = converged and all(map(math.isfinite, lam))
     return _float_impulse(problem._rho, lam, converged, sweeps)
-

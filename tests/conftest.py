@@ -55,40 +55,6 @@ def random_contact_problem(rng, nc, dt=DT, include_gravity=True):
     return ct.build_contact_problem(st, inertia, cps, dt, include_gravity=include_gravity), inertia, st
 
 
-def random_frame_lcp(rng, nc, dt=DT):
-    """(A, g) of nc contacts with random frames and arms on a random body, beyond the table frame.
-
-    A = J M^-1 J^T and g = J v_free over the rows [e, rho x e] of each
-    contact's normal and tangents, with gravity and the gyroscopic force in
-    v_free. Unlike table contacts, whose normal rows span at most three
-    directions, random normals give the frictionless problem a nonsingular
-    normal block and so a unique solution. The draws are those of
-    random_contact_problem with a normal and a tangent direction per contact.
-    """
-    m = rng.uniform(0.1, 2.0)
-    inertia = ct.InertialParams(m, np.diag(rng.uniform(0.002, 0.05, 3)))
-    pos, q, vel, ang_vel = rng.uniform(-1, 1, 3), random_unit_quat(rng), rng.uniform(-2, 2, 3), rng.uniform(-10, 10, 3)
-    rows = []
-    for _ in range(nc):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        t1 = np.cross(n, rng.normal(size=3))
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(n, t1)
-        rho = rng.uniform(-0.1, 0.1, 3)
-        rng.uniform(-5e-4, 1e-3)  # random_contact_problem's depth draw, unread without a bias
-        rows += [np.concatenate([e, np.cross(rho, e)]) for e in (n, t1, t2)]
-    J = np.array(rows)
-    R = cq.to_matrix(q)
-    inv_mass = np.zeros((6, 6))
-    inv_mass[:3, :3] = np.eye(3) / m
-    inv_mass[3:, 3:] = R @ inertia.inertia_body_inv @ R.T
-    iw = R @ inertia.inertia_body @ R.T
-    f_ext = np.concatenate([m * inertia.gravity, -np.cross(ang_vel, iw @ ang_vel)])
-    v_free = np.concatenate([vel, ang_vel]) + dt * (inv_mass @ f_ext)
-    return J @ inv_mass @ J.T, J @ v_free
-
-
 def lcp_enumerate(A, q, tol=1e-10):
     """Brute-force LCP solution by enumerating every active set.
 

@@ -14,15 +14,18 @@ The two iterative solvers follow as oracles of the float kernels, which
 run on Python floats with no BLAS: the same fixed summation orders, written
 independently on numpy columns and plain index loops. ``fixed_terms`` and
 ``fixed_impulse`` form the Delassus matrix, M^-1 f_ext, J v_free and the
-wrench for both, as 6-term sums over the full Jacobian rows, the oracles of
-the live builder's closed form; ``pgs_impulse`` with ``pgs`` and ``convex_impulse`` with
+wrench, as 6-term sums over the full Jacobian rows, the oracles of the live
+builder's closed form; ``sequential_pgs_impulse`` (the PGS sweeps in
+body-velocity space) and ``convex_impulse`` with
 ``convex_reference_velocity`` and ``pyramid_qp`` (the one-projection APG
-with its Gershgorin step size) are the solves. ``blas_pgs_impulse`` and
-``blas_convex_impulse``, the solvers as they were with BLAS and LAPACK
-products (the convex one with eigvalsh and its two projections per
-iteration), are kept as the references that the float solvers must agree
-with to a stated tolerance. The solvers share the live, separately tested
-friction pyramid projection and erp/cfm mapping.
+with its Gershgorin step size) are the solves. ``pgs_impulse`` with
+``pgs``, the same sweeps over the Delassus matrix as the float kernel ran
+them before, ``blas_pgs_impulse`` and ``blas_convex_impulse``, the solvers
+as they were with BLAS and LAPACK products (the convex one with eigvalsh
+and its two projections per iteration), are kept as the references that
+the float solvers must agree with to a stated tolerance. The solvers share
+the live, separately tested friction pyramid projection and erp/cfm
+mapping.
 """
 from __future__ import annotations
 
@@ -186,7 +189,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
                 if model == "regularized_convex":
                     imp = regularized_convex_impulse(problem, params, max_iters, warm_start=warm)
                 else:
-                    imp = pgs_impulse(problem, params, max_iters, warm_start=warm)
+                    imp = sequential_pgs_impulse(problem, params, max_iters, warm_start=warm)
             except ConvexSolverError as err:
                 raise SimulationDivergence(step_i, str(err)) from err
             warm_corners, warm_flat = corners, imp.flat()
@@ -354,6 +357,102 @@ def convex_impulse(problem, params, max_iters=DEFAULT_QP_ITERS, tol=DEFAULT_QP_T
         raise ConvexSolverError(residual, iters)
     return fixed_impulse(J, lam, True, iters)
 
+def sequential_pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
+    """The PGS solve in body-velocity space, as plain index loops over lists.
+
+    u = v_free + M^-1 J^T lam is kept as six floats. Row k of direction e
+    (+z, +x, +y for n, t1, t2) reads its residual J_k . u as u on e's linear
+    entry plus, left to right, the products of J_k's two angular entries
+    off e's axis (rho x e has no component along e). After an update that
+    changes lam_k by step, u's linear entry along e gains m^-1 step and
+    each angular entry gains (W (rho x e)) step, each W (rho x e) entry
+    summed left to right over the same two entries. The warm start's
+    normals are clamped as np.maximum(0.0, x); before the first sweep each
+    contact adds its rows' m^-1 lam to u's linear entries and, to each
+    angular entry, the sum of its three rows' (W (rho x e)) lam, left to
+    right. The diagonals are fixed_terms's Delassus diagonal and v_free is
+    v + h accel with its accel.
+    """
+    nc = problem.num_contacts
+    if nc == 0:
+        return ContactImpulse.empty()
+    J, A, accel, _ = fixed_terms(problem)
+    diag = A.diagonal().tolist()
+    h = problem.h
+    minv = float(problem.inv_mass[0, 0])
+    W = problem.inv_mass[3:, 3:].tolist()
+    rows = J.tolist()
+    u = (problem.v + h * accel).tolist()
+    erp, cfm = erp_cfm(h, params.k, params.b)
+    bias = ((erp / h) * np.maximum(0.0, problem.depth)).tolist()
+    n = 3 * nc
+    axes = []  # per row: the axis of e and the two angular entries off it
+    cols = []  # per row: W (rho x e)
+    for k in range(n):
+        axis = (2, 0, 1)[k % 3]
+        off = [j for j in range(3) if j != axis]
+        axes.append((axis, off))
+        cols.append([W[i][off[0]] * rows[k][3 + off[0]] + W[i][off[1]] * rows[k][3 + off[1]] for i in range(3)])
+
+    def push(k, step):
+        u[axes[k][0]] = u[axes[k][0]] + minv * step
+        for i in range(3):
+            u[3 + i] = u[3 + i] + cols[k][i] * step
+
+    def residual(k):
+        axis, off = axes[k]
+        r = u[axis]
+        for j in off:
+            r = r + rows[k][3 + j] * u[3 + j]
+        return r
+
+    if warm_start is not None and np.shape(warm_start) == (n,):
+        lam = np.array(warm_start, dtype=float)
+        normal = lam[0::3]
+        np.maximum(0.0, normal, out=normal)
+        lam = lam.tolist()
+        for ni in range(0, n, 3):
+            for k in range(ni, ni + 3):
+                u[axes[k][0]] = u[axes[k][0]] + minv * lam[k]
+            for i in range(3):
+                s = cols[ni][i] * lam[ni]
+                for k in (ni + 1, ni + 2):
+                    s = s + cols[k][i] * lam[k]
+                u[3 + i] = u[3 + i] + s
+    else:
+        lam = [0.0] * n
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_iters + 1):
+        delta = 0.0
+        for ni in range(0, n, 3):
+            for k in range(ni, ni + 3):
+                old = lam[k]
+                if k == ni:
+                    new = old - ((residual(k) - bias[k // 3]) + cfm * old) / (diag[k] + cfm)
+                    if new < 0.0:
+                        new = 0.0
+                    change = abs(new - old)
+                    bound = params.mu * new
+                else:
+                    new = old - residual(k) / diag[k]
+                    if new > bound:
+                        new = bound
+                    elif new < -bound:
+                        new = -bound
+                    if abs(new - old) > change:
+                        change = abs(new - old)
+                lam[k] = new
+                push(k, new - old)
+            if change > delta:
+                delta = change
+        if delta < tol:
+            converged = True
+            break
+    converged = converged and all(math.isfinite(x) for x in lam)
+    return fixed_impulse(J, lam, converged, sweeps)
+
+
 def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
     """Gauss-Seidel sweeps with every row dot summed left to right from its first product."""
     A = np.asarray(A, dtype=float).tolist()
@@ -393,7 +492,7 @@ def pgs(A, g, bias, cfm, mu, lam, max_iters, tol):
 
 
 def pgs_impulse(problem, params, max_iters=DEFAULT_PGS_ITERS, tol=DEFAULT_PGS_TOL, warm_start=None):
-    """The PGS solve in the fixed order of the float kernel: fixed_terms, then pgs."""
+    """The PGS solve over the Delassus matrix as the float kernel ran it before: fixed_terms, then pgs."""
     nc = problem.num_contacts
     if nc == 0:
         return ContactImpulse.empty()

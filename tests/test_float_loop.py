@@ -5,7 +5,7 @@ the elementwise glue of the solvers run on Python floats. The numpy versions
 are frozen in ``frozen_numpy`` as oracles: every helper must return the same
 values, sign bits and NaNs included, and every rollout the same trajectory
 and the same divergence. The PGS and convex solvers have no BLAS product
-left; their oracles are ``frozen_numpy.pgs_impulse`` and
+left; their oracles are ``frozen_numpy.sequential_pgs_impulse`` and
 ``frozen_numpy.convex_impulse``, the same fixed summation orders written on
 numpy columns and plain index loops (the convex one is the APG alone, which
 the live solve matches bit for bit wherever its face solve declines), and
@@ -407,7 +407,7 @@ def test_rigid_pgs_impulse_matches_numpy_oracle(case, max_iters):
     problem, mu, k, b, _, warm = case
     params = ct.ContactParams(mu, k, b, "rigid_pgs")
     with np.errstate(all="ignore"):
-        want = fz.pgs_impulse(problem, params, max_iters, warm_start=warm)
+        want = fz.sequential_pgs_impulse(problem, params, max_iters, warm_start=warm)
         got = ct.rigid_pgs_impulse(problem, params, max_iters, warm_start=warm)
     assert same_impulse(got, want)
 
@@ -773,7 +773,7 @@ def test_float_built_problem_reads_as_the_array_built_one(monkeypatch, cube_geom
         return solve
 
     live = sys.modules["cubetoss.simulate"]
-    for live_name, frozen_name in (("rigid_pgs_impulse", "pgs_impulse"),
+    for live_name, frozen_name in (("rigid_pgs_impulse", "sequential_pgs_impulse"),
                                    ("regularized_convex_impulse", "regularized_convex_impulse")):
         monkeypatch.setattr(live, live_name, recorder(getattr(live, live_name), got))
         monkeypatch.setattr(fz, frozen_name, recorder(getattr(fz, frozen_name), want))

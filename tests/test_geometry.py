@@ -185,3 +185,13 @@ def test_box_geometry_validation():
     g = ct.BoxGeometry.cube(0.1)
     assert np.allclose(g.half_extents, 0.05)
     assert g.corners_body.shape == (3, 8)
+
+
+def test_detect_contacts_requires_a_finite_nonnegative_margin(cube_geom):
+    """The margin is checked as SimConfig checks it: NaN and -1 gave no contacts and inf all 8 corners."""
+    state = ct.RigidState([0, 0, 0.0505], [1, 0, 0, 0], [0, 0, -0.5], [0, 0, 0])
+    for bad in (float("nan"), -1.0, -1e-9, float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="activation_margin must be finite and nonnegative"):
+            ct.detect_contacts(state, cube_geom, bad)
+    assert ct.detect_contacts(state, cube_geom, 0.0) == []
+    assert len(ct.detect_contacts(state, cube_geom, 1e-3)) == 4

@@ -8,7 +8,6 @@ from cubetoss.solvers import (
     _convex_reference_velocity,
     _float_terms,
     _gershgorin,
-    _pgs,
     _pyramid_project,
     _pyramid_project_floats,
     _pyramid_qp,
@@ -18,7 +17,6 @@ from conftest import (
     lcp_enumerate,
     post_impulse_state,
     random_contact_problem,
-    random_frame_lcp,
     random_onset_state,
     with_velocity,
 )
@@ -293,26 +291,20 @@ def test_pgs_matches_enumeration_oracle():
                 assert oracle is not None and np.max(np.abs(imp.normal - oracle)) < 1e-6
 
 
-def test_pgs_sweeps_match_enumeration_oracle_on_random_frames():
-    """The rigid solver's sweeps (_pgs) at the bias and cfm of k = b = 0 on contacts with random frames,
-    whose normal blocks are nonsingular for four contacts too; ContactProblem holds table contacts only,
-    so the problems are stated as (A, g)."""
-    rng = np.random.default_rng(14)
-    erp, cfm = erp_cfm(DT, 0.0, 0.0)
-    assert erp == 0.0  # no bias at any depth
-    for _ in range(200):
-        nc = int(rng.integers(1, 5))
-        A_full, g = random_frame_lcp(rng, nc)
-        lam, converged, _ = _pgs(A_full.tolist(), g.tolist(), [0.0] * nc, cfm, 0.0, [0.0] * (3 * nc), 2000, 1e-12)
-        assert converged
-        normal = np.array(lam[0::3])
-        A = A_full[0::3, 0::3]
-        q = g[0::3]
-        oracle = lcp_enumerate(A, q)
-        assert oracle is not None
-        assert np.max(np.abs(normal - oracle)) < 1e-6
-        w = A @ normal + q
-        assert np.max(np.abs(normal * w)) < 1e-8
+def test_contact_problem_requires_a_positive_finite_timestep(cube_geom, cube_inertia):
+    """A zero, negative, NaN or infinite timestep is refused when the problem is built, for every solver alike
+    (PGS divided by zero at dt = 0, the convex solve returned a converged zero impulse, the compliant law
+    returned NaN impulses marked converged at dt = NaN); step refuses an infinite dt with SimConfig's wording."""
+    state = ct.RigidState([0, 0, 0.0495], [1, 0, 0, 0], [0.2, 0.0, -0.5], [0.0, 0.0, 0.0])
+    contacts = ct.detect_contacts(state, cube_geom)
+    assert len(contacts) == 4
+    assert ct.build_contact_problem(state, cube_inertia, contacts, DT).h == DT
+    for bad in (0.0, -0.0, -DT, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite timestep"):
+            ct.build_contact_problem(state, cube_inertia, contacts, bad)
+    for bad in (0.0, -DT, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ct.step(state, cube_inertia, dt=bad)
 
 
 def test_pgs_intermediate_iterate_is_legal():
