@@ -7,7 +7,9 @@ quaternion exponential map and renormalized every step, so there is no
 constraint-projection drift.
 
 _integrate is that step over Python floats, shared by step() and the
-rollout loop; only the anisotropic inertia products stay in numpy.
+rollout loop; only the anisotropic inertia products stay in numpy. It
+reads gravity and an isotropic body's inverse inertia as the floats that
+InertialParams computes once, at construction.
 """
 from __future__ import annotations
 
@@ -72,13 +74,21 @@ class RigidState:
 
 @dataclass
 class InertialParams:
-    """Mass properties of the body plus the gravity it experiences."""
+    """Mass properties of the body plus the gravity it experiences.
+
+    Construction also computes what the rollout reads every step:
+    inertia_body_inv, isotropic, gravity_floats (gravity as three Python
+    floats) and inertia_inv_scalar (1 / I as a float for an isotropic body,
+    else None). They are not recomputed if a field is edited afterwards.
+    """
 
     mass: float
     inertia_body: np.ndarray
     gravity: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_GRAVITY))
     inertia_body_inv: np.ndarray = field(init=False, repr=False)
     isotropic: bool = field(init=False, repr=False)
+    gravity_floats: tuple = field(init=False, repr=False)
+    inertia_inv_scalar: Optional[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mass = float(self.mass)
@@ -104,6 +114,8 @@ class InertialParams:
             raise ValueError("inertia_body must have a finite inverse")
         off = inertia - inertia[0, 0] * np.eye(3)
         self.isotropic = bool(np.max(np.abs(off)) == 0.0)
+        self.gravity_floats = tuple(self.gravity.tolist())
+        self.inertia_inv_scalar = float(self.inertia_body_inv[0, 0]) if self.isotropic else None
 
 
 @dataclass
@@ -155,19 +167,21 @@ def _integrate(pos, q, vel, w, R, inertia: InertialParams, imp_lin, imp_ang, dt:
     advance the state with bit-identical arithmetic. pos, vel, w and the
     impulses are three floats each, q four, and the new (pos, q, vel, w)
     come back as float lists. Each operation is the one the former array
-    code applied elementwise, in the same order. R, nested row lists or an
-    array, is read only by the anisotropic branch, which keeps that code's
-    numpy products. The quaternion exponential update is inlined in scalar
-    form; this is the hottest function of a rollout.
+    code applied elementwise, in the same order. Gravity and, for an
+    isotropic body, the inverse-inertia scalar are inertia's gravity_floats
+    and inertia_inv_scalar. R, nested row lists or an array, is read only by
+    the anisotropic branch, which keeps that code's numpy products. The
+    quaternion exponential update is inlined in scalar form; this is the
+    hottest function of a rollout.
     """
     m = inertia.mass
-    gx, gy, gz = inertia.gravity.tolist()
+    gx, gy, gz = inertia.gravity_floats
     lx, ly, lz = imp_lin
     vx, vy, vz = vel
     vx, vy, vz = vx + dt * gx + lx / m, vy + dt * gy + ly / m, vz + dt * gz + lz / m
-    if inertia.isotropic:
-        # world inertia equals the body inertia, gyroscopic torque vanishes
-        c = float(inertia.inertia_body_inv[0, 0])
+    c = inertia.inertia_inv_scalar
+    if c is not None:
+        # isotropic: world inertia equals the body inertia, gyroscopic torque vanishes
         ax, ay, az = imp_ang
         wx, wy, wz = w
         wx, wy, wz = wx + c * ax, wy + c * ay, wz + c * az

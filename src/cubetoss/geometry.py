@@ -9,14 +9,17 @@ contact patch and no torsional friction.
 
 The detector works on Python floats and serves both detect_contacts and
 the rollout loop; only its two corner products stay in numpy, because
-their rounding belongs to BLAS (see _corner_contact_arrays). It reports
-each active corner's index, depth, depth rate, moment arm and witness
-point, and nothing any one model alone needs: the compliant law forms
-the tangential velocity from the arm. Every contact has the table's
-frame, so a contact is known by its moment arm from the COM:
-solvers.ContactProblem holds the arms, _table_jacobian builds the
-Jacobian from them when it is read, and the solvers form their terms from
-the arms directly.
+their rounding belongs to BLAS (see _corner_contact_arrays), and it makes
+one BLAS call on a contact step and none on a flight step. It reports each
+active corner's index, depth, depth rate and moment arm, plus the rotated
+corner columns from which detect_contacts builds the witness points, and
+nothing any one model alone needs: the compliant law forms the tangential
+velocity from the arm. The box holds its half extents as floats from
+construction, for the flight bound that every step evaluates. Every
+contact has the table's frame, so a contact is known by its moment arm
+from the COM: solvers.ContactProblem holds the arms, _table_jacobian
+builds the Jacobian from them when it is read, and the solvers form their
+terms from the arms directly.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ class BoxGeometry:
         if np.min(he) <= 0.0:
             raise ValueError(f"half_extents must be positive, got {he}")
         self.half_extents = he
+        self.half_extent_floats = tuple(he.tolist())  # the detector's flight bound reads them every step
         self.corners_body = (CORNER_SIGNS * he).T  # (3, 8), lexicographic corner order
 
     @property
@@ -86,16 +90,22 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
 
     pos, vel and ang_vel are three floats each and R is the rotation as
     nested row lists (quat._matrix_rows) or an array. Returns (indices,
-    depth, depth_rate, rho, points), one entry per active corner, where
-    points are the world witness points and rho = points - pos the moment
-    arms from the COM, both as three lists (x, y, z). Shared by
+    depth, depth_rate, rho, corners): depth, depth_rate and rho have one
+    entry per active corner, rho = (pos + c) - pos being the moment arms
+    from the COM as three lists (x, y, z), and corners holds the rotated
+    corner offsets c = R corners_body of all eight corners as three lists
+    (x, y, z), from which detect_contacts forms the witness points pos + c
+    of the active ones; the loop needs no witness point. Shared by
     detect_contacts and the rollout loop. Only the compliant law reads a
     contact's tangential velocity, and it forms v + w x rho from the arms
     itself (solvers._compliant_terms).
 
     The corner products stay in numpy: OpenBLAS evaluates R[2] @ corners
-    (gemv, the flight test) and R @ corners (gemm, the corners) with fused
-    multiply-adds, which Python 3.11 floats cannot reproduce, and the two
+    (gemv, the flight test) and R corners (gemm, the corners, taken with
+    np.dot, which skips the matmul ufunc's dispatch and rounds the same)
+    with fused multiply-adds, which Python 3.11 floats cannot reproduce:
+    with numpy's OpenBLAS 0.3.31 on an x86-64 Xeon, each corner entry is
+    fma(R[i][2], c2, fma(R[i][1], c1, R[i][0] * c0)). The gemv and the gemm
     disagree with each other in the last bit about half the time. Before
     the gemv, a float bound settles flight steps: in exact arithmetic the
     lowest corner sits sum |R[2, i]| * half_extent[i] below the COM, and
@@ -103,14 +113,14 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
     within a few ulps of it. A gap beyond 1e-14 relative (about 90 ulps)
     therefore decides the test the way the gemv would, and only a gap inside
     that band calls the gemv. On the benchmark workloads the bound settled
-    every flight step (26-80% of all steps) without entering the band,
-    which saves an array, a gemv and a list per flight step. Everything
-    after the gemm runs on floats in the order the former array code used,
-    so all values are bit-identical to that code.
+    every flight step (26-80% of all steps) without entering the band, so
+    a flight step makes no BLAS call and a contact step one, the gemm.
+    Everything after the gemm runs on floats in the order the former array
+    code used, so all values are bit-identical to that code.
     """
     p0, p1, p2 = pos
     r2 = R[2]
-    hx, hy, hz = geom.half_extents.tolist()
+    hx, hy, hz = geom.half_extent_floats
     reach = abs(r2[0]) * hx + abs(r2[1]) * hy + abs(r2[2]) * hz
     gap = p2 - reach - margin
     slack = 1e-14 * (abs(p2) + reach + margin)
@@ -119,30 +129,25 @@ def _corner_contact_arrays(pos, R, vel, ang_vel, geom, margin):
     corners_body = geom.corners_body
     if gap > -slack and p2 + min((np.array(r2) @ corners_body).tolist()) >= margin:
         return None
-    cx, cy, cz = (np.array(R) @ corners_body).tolist()
+    cx, cy, cz = corners = np.dot(np.array(R), corners_body).tolist()
     v2 = vel[2]
     wx, wy, _ = ang_vel
-    idx, depth, depth_rate = [], [], []
-    rx, ry, rz, px, py, pz = [], [], [], [], [], []
-    for j in range(len(cz)):
-        z = p2 + cz[j]
+    idx, depth, depth_rate, rx, ry, rz = [], [], [], [], [], []
+    for j, c in enumerate(cz):
+        z = p2 + c
         if z < margin:
-            x = p0 + cx[j]
-            y = p1 + cy[j]
-            ax, ay, az = x - p0, y - p1, z - p2
+            ax = (p0 + cx[j]) - p0
+            ay = (p1 + cy[j]) - p1
             idx.append(j)
             depth.append(-z)
             # minus the normal velocity of the witness point, v + w x rho
             depth_rate.append(-(v2 + wx * ay - wy * ax))
             rx.append(ax)
             ry.append(ay)
-            rz.append(az)
-            px.append(x)
-            py.append(y)
-            pz.append(z)
+            rz.append(z - p2)
     if not idx:
         return None
-    return idx, depth, depth_rate, (rx, ry, rz), (px, py, pz)
+    return idx, depth, depth_rate, (rx, ry, rz), corners
 
 
 def detect_contacts(
@@ -168,18 +173,19 @@ def detect_contacts(
     )
     if found is None:
         return []
-    idx, depth, depth_rate, _, points = found
+    idx, depth, depth_rate, _, (cx, cy, cz) = found
+    p0, p1, p2 = state.pos.tolist()
     return [
         ContactPoint(
-            point=np.array(point),
+            point=np.array([p0 + cx[j], p1 + cy[j], p2 + cz[j]]),
             normal=NORMAL.copy(),
             depth=d,
             depth_rate=dr,
             tangent1=TANGENT1.copy(),
             tangent2=TANGENT2.copy(),
-            corner_index=corner,
+            corner_index=j,
         )
-        for corner, d, dr, point in zip(idx, depth, depth_rate, zip(*points))
+        for j, d, dr in zip(idx, depth, depth_rate)
     ]
 
 

@@ -10,12 +10,15 @@ The loop carries the state as Python floats, because numpy's per-call
 overhead dominates on these 3- and 4-vectors, and it uses the float helpers
 that the public per-step API uses too: quat._matrix_rows, the corner
 detector geometry._corner_contact_arrays (each active corner's index,
-depth, depth rate, arm and witness point), the compliant law's
-per-contact terms solvers._compliant_terms with their sum
-solvers._wrench_impulse, and the integrator body._integrate. Each float
-operation is the one the former array code applied elementwise, in the same
-order, so rollouts are bit-identical to that code. Numpy keeps the corner
-products inside the detector and, for an anisotropic body, the mass terms
+depth, depth rate and arm, and the rotated corner columns), the compliant
+law's per-contact terms solvers._compliant_terms with their sum
+solvers._wrench_impulse, and the integrator body._integrate. The per-step
+constants (gravity, a cube's inverse inertia, the half extents) are the
+floats that InertialParams and BoxGeometry hold from construction. Each
+float operation is the one the former array code applied elementwise, in
+the same order, so rollouts are bit-identical to that code. Numpy keeps
+the detector's corner product, one np.dot per contact step and none per
+flight step, and, for an anisotropic body, the mass terms
 (solvers._mass_terms) and the integrator's rotations. For a PGS or convex
 step the loop builds the ContactProblem from the detector's arms and its
 float lists, as build_contact_problem does from detect_contacts output, and

@@ -28,8 +28,10 @@ A ContactProblem holds table contacts (normal +z, tangents +x and +y) by
 their moment arms, as Python floats. Both iterative solvers run on those
 floats, with no BLAS or LAPACK call and no numpy array until a caller reads
 their result's arrays. One helper over the arms (_arm_terms) forms each
-row's W (rho x e), M^-1 f_ext and v_free for both. The PGS sweeps need no
-Delassus matrix: they run in body-velocity space (sequential impulses),
+row's W (rho x e), M^-1 f_ext and v_free for both, the row terms as one
+tuple per contact, from which each solver builds its own per-contact data
+in one pass. The PGS sweeps need no Delassus matrix: they run in
+body-velocity space (sequential impulses),
 keeping u = v_free + M^-1 J^T lambda and reading each row's residual as
 J_k . u, so a row costs the same at any contact count. The Delassus
 entries J M^-1 J^T serve the convex QP alone: _float_terms forms them in
@@ -218,16 +220,17 @@ def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool):
     isotropic body W is exactly the body diagonal and the gyroscopic torque
     vanishes, so neither depends on R or w (which may then be None).
     """
-    f_ext = (inertia.mass * inertia.gravity).tolist() if include_gravity else [0.0, 0.0, 0.0]
-    if inertia.isotropic:
-        i = float(inertia.inertia_body_inv[0, 0])
+    m = inertia.mass
+    f_ext = [m * g for g in inertia.gravity_floats] if include_gravity else [0.0, 0.0, 0.0]
+    i = inertia.inertia_inv_scalar
+    if i is not None:
         W = [[i, 0.0, 0.0], [0.0, i, 0.0], [0.0, 0.0, i]]
         f_ext += (0.0, 0.0, 0.0)
     else:
         W = (R @ inertia.inertia_body_inv @ R.T).tolist()
         iw = R @ inertia.inertia_body @ R.T
         f_ext += (-np.cross(w, iw @ w)).tolist()
-    return (1.0 / inertia.mass, W), f_ext
+    return (1.0 / m, W), f_ext
 
 
 def build_contact_problem(
@@ -314,7 +317,7 @@ def _warm_floats(warm_start, n: int) -> Optional[list]:
         warm_start = warm_start.tolist()
     if warm_start is None or len(warm_start) != n:
         return None
-    return [float(x) for x in warm_start]
+    return list(map(float, warm_start))
 
 
 def _require_iters(max_iters) -> None:
@@ -329,25 +332,26 @@ def _require_iters(max_iters) -> None:
 
 
 def _arm_terms(problem: ContactProblem) -> tuple:
-    """(arms, cols, accel, v_free) of a problem with contacts, on Python floats: what both iterative solvers build on.
+    """(arms, accel, v_free) of a problem with contacts, on Python floats: what both iterative solvers build on.
 
     Contact i's rows n, t1 and t2 are [e, rho_i x e] for e = +z, +x, +y,
-    so M^-1 r = (m^-1 e, W (rho_i x e)). arms holds (x, y, z, -x, -y, -z)
-    per contact and cols the nine floats W (rho x e) of its rows n
-    (rho x e = (y, -x, 0)), t1 ((0, z, -y)) and t2 ((-z, 0, x)), each entry
-    two products, skipping the one of the structural zero (see
-    _float_terms). accel = M^-1 f_ext has 6 entries, each of W f_ext summed
-    left to right, and v_free = v + h accel.
+    so M^-1 r = (m^-1 e, W (rho_i x e)). arms holds one tuple per contact,
+    (y, -x, z, -y, -z, x, n0, n1, n2, a0, a1, a2, b0, b1, b2): the arm
+    terms in the order the rows read them (normal y, -x; t1 z, -y; t2 -z,
+    x), then the nine floats W (rho x e) of rows n (rho x e = (y, -x, 0)),
+    t1 ((0, z, -y)) and t2 ((-z, 0, x)), each entry two products, skipping
+    the one of the structural zero (see _float_terms). Each solver reads
+    what it needs from these tuples in one pass. accel = M^-1 f_ext has 6
+    entries, each of W f_ext summed left to right, and v_free = v + h accel.
     """
     minv, ((w00, w01, w02), (w10, w11, w12), (w20, w21, w22)) = problem._mass
     arms = []
-    cols = []
     for x, y, z in zip(*problem._rho):
         nx = -x
         ny = -y
         nz = -z
-        arms.append((x, y, z, nx, ny, nz))
-        cols.append((w00 * y + w01 * nx, w10 * y + w11 * nx, w20 * y + w21 * nx,
+        arms.append((y, nx, z, ny, nz, x,
+                     w00 * y + w01 * nx, w10 * y + w11 * nx, w20 * y + w21 * nx,
                      w01 * z + w02 * ny, w11 * z + w12 * ny, w21 * z + w22 * ny,
                      w00 * nz + w02 * x, w10 * nz + w12 * x, w20 * nz + w22 * x))
     f0, f1, f2, f3, f4, f5 = problem._f
@@ -360,7 +364,7 @@ def _arm_terms(problem: ContactProblem) -> tuple:
     h = problem.h
     v0, v1, v2, v3, v4, v5 = problem._v
     v_free = [v0 + h * a0, v1 + h * a1, v2 + h * a2, v3 + h * a3, v4 + h * a4, v5 + h * a5]
-    return arms, cols, [a0, a1, a2, a3, a4, a5], v_free
+    return arms, [a0, a1, a2, a3, a4, a5], v_free
 
 
 def _float_terms(problem: ContactProblem) -> tuple:
@@ -388,25 +392,24 @@ def _float_terms(problem: ContactProblem) -> tuple:
     are formed once.
     """
     minv = problem._mass[0]
-    arms, cols, accel, (u0, u1, u2, u3, u4, u5) = _arm_terms(problem)
-    A = []
-    for x, y, z, nx, ny, nz in arms:
-        rn = []
-        r1 = []
-        r2 = []
-        for n0, n1, n2, a0, a1, a2, b0, b1, b2 in cols:
-            rn += minv + y * n0 + nx * n1, 0.0 + y * a0 + nx * a1, 0.0 + y * b0 + nx * b1
-            r1 += 0.0 + z * n1 + ny * n2, minv + z * a1 + ny * a2, 0.0 + z * b1 + ny * b2
-            r2 += 0.0 + nz * n0 + x * n2, 0.0 + nz * a0 + x * a2, minv + nz * b0 + x * b2
-        A += rn, r1, r2
+    arms, accel, (u0, u1, u2, u3, u4, u5) = _arm_terms(problem)
     # rows n (0, 0, 1, y, -x, 0), t1 (1, 0, 0, 0, z, -y) and t2 (0, 1, 0, -z, 0, x) times v_free
     gn = 0.0 * u0 + 0.0 * u1 + 1.0 * u2
     g1 = 1.0 * u0 + 0.0 * u1 + 0.0 * u2 + 0.0 * u3
     g2 = 0.0 * u0 + 1.0 * u1 + 0.0 * u2
     z4 = 0.0 * u4
     z5 = 0.0 * u5
+    A = []
     g = []
-    for x, y, z, nx, ny, nz in arms:
+    for y, nx, z, ny, nz, x, _, _, _, _, _, _, _, _, _ in arms:
+        rn = []
+        r1 = []
+        r2 = []
+        for _, _, _, _, _, _, n0, n1, n2, a0, a1, a2, b0, b1, b2 in arms:
+            rn += minv + y * n0 + nx * n1, 0.0 + y * a0 + nx * a1, 0.0 + y * b0 + nx * b1
+            r1 += 0.0 + z * n1 + ny * n2, minv + z * a1 + ny * a2, 0.0 + z * b1 + ny * b2
+            r2 += 0.0 + nz * n0 + x * n2, 0.0 + nz * a0 + x * a2, minv + nz * b0 + x * b2
+        A += rn, r1, r2
         g += gn + y * u3 + nx * u4 + z5, g1 + z * u4 + ny * u5, g2 + nz * u3 + z4 + x * u5
     return A, g, accel
 
@@ -662,11 +665,6 @@ def _pyramid_project_floats(vals: list, mu: float) -> list:
     """
     zeros = [0.0] * len(vals)
     return _projected_step(vals, zeros, zeros, 1.0, mu)[0]
-
-
-def _pyramid_project(lam: np.ndarray, mu: float) -> np.ndarray:
-    """Euclidean projection of the flat impulse vector onto the friction pyramids."""
-    return np.array(_pyramid_project_floats(lam.tolist(), mu))
 
 
 def _convex_reference_velocity(problem: ContactProblem, accel: list, params: ContactParams) -> list:
@@ -1035,7 +1033,7 @@ def rigid_pgs_impulse(
     if nc == 0:
         return ContactImpulse.empty()
     minv = problem._mass[0]
-    arms, cols, _, (u0, u1, u2, u3, u4, u5) = _arm_terms(problem)
+    arms, _, (u0, u1, u2, u3, u4, u5) = _arm_terms(problem)
     h = problem.h
     erp, cfm = erp_cfm(h, params.k, params.b)
     gain = erp / h
@@ -1048,8 +1046,8 @@ def rigid_pgs_impulse(
     # per contact: its rows' indices, the arm terms each row's residual reads, W (rho x e) of each row,
     # the diagonals (cfm on the normal's) and the bias
     rows = []
-    for ni, (x, y, z, nx, ny, nz), (n0, n1, n2, a0, a1, a2, b0, b1, b2), d in zip(
-            range(0, n, 3), arms, cols, problem._depth):
+    ni = 0
+    for (y, nx, z, ny, nz, x, n0, n1, n2, a0, a1, a2, b0, b1, b2), d in zip(arms, problem._depth):
         rows.append((ni, ni + 1, ni + 2, y, nx, z, ny, nz, x, n0, n1, n2, a0, a1, a2, b0, b1, b2,
                      minv + y * n0 + nx * n1 + cfm, minv + z * a1 + ny * a2, minv + nz * b0 + x * b2,
                      gain * (0.0 if d < 0.0 else d)))
@@ -1065,6 +1063,7 @@ def rigid_pgs_impulse(
             u3 += n0 * ln + a0 * l1 + b0 * l2
             u4 += n1 * ln + a1 * l1 + b1 * l2
             u5 += n2 * ln + a2 * l1 + b2 * l2
+        ni += 3
     sweeps = 0
     converged = False
     for sweeps in range(1, max_iters + 1):

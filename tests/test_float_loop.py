@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import cubetoss as ct
 import frozen_numpy as fz
 from test_pgs import BLAS_TOL
+from test_simulate import anisotropic_box
 from conftest import with_velocity
 from cubetoss import quat
 from cubetoss.body import _integrate
@@ -138,11 +139,17 @@ def test_corner_detection_matches_numpy_oracle(case):
     if want[0].size == 0:
         assert got is None
         return
-    idx, depth, depth_rate, rho, points = got
+    idx, depth, depth_rate, rho, corners = got
     _, want_depth, want_rate, vpx, vpy, want_rho, want_points = want
     assert idx == want[0].tolist()
-    for g, w in ((depth, want_depth), (depth_rate, want_rate), (rho, want_rho), (points, want_points)):
+    for g, w in ((depth, want_depth), (depth_rate, want_rate), (rho, want_rho),
+                 (corners, fz.to_matrix(q) @ geom.corners_body)):
         assert same_bits(g, w)
+    # detect_contacts builds each witness point p + c from the corner columns
+    state = ct.RigidState(pos, q, vel, ang_vel)
+    contacts = ct.detect_contacts(state, geom, margin)
+    assert [c.corner_index for c in contacts] == idx
+    assert same_bits(np.array([c.point for c in contacts]).T, want_points)
     # the compliant law forms the slip velocity from the arms; the oracle's detector returns it
     params = ct.param_preset("cube-drake")
     slip = ct.SimConfig().slip_tolerance
@@ -744,9 +751,17 @@ def test_matvec_on_list_matches_matmul_on_array(nc):
 
 
 def _rollout_cases(cube_geom):
+    """(x0, inertia, geometry) triples: cube tosses, an anisotropic inertia, a tilted non-default gravity with
+    a non-default isotropic inertia, and the 10 x 7 x 5 cm box, so the per-step constants that InertialParams
+    and BoxGeometry hold as floats are checked away from the cube's defaults too."""
     tosses = random_toss_states(2, cube_geom, seed=5) + sliding_toss_states(2, cube_geom, seed=5)
     anisotropic = ct.InertialParams(0.37, np.diag([0.006, 0.008, 0.0105]))
-    return [(x0, ct.cube_inertial()) for x0 in tosses] + [(tosses[0], anisotropic)]
+    tilted = ct.InertialParams(0.5, 0.006, gravity=[0.9, -0.6, -9.7])
+    box_geom, box_inertia = anisotropic_box()
+    box_tosses = random_toss_states(1, box_geom, seed=6) + sliding_toss_states(1, box_geom, seed=6)
+    return ([(x0, ct.cube_inertial(), cube_geom) for x0 in tosses]
+            + [(tosses[0], anisotropic, cube_geom), (tosses[0], tilted, cube_geom), (tosses[2], tilted, cube_geom)]
+            + [(x0, box_inertia, box_geom) for x0 in box_tosses])
 
 
 @pytest.mark.parametrize("preset", ["cube-drake", "cube-mujoco-style", "cube-bullet-style"])
@@ -754,9 +769,9 @@ def test_rollout_matches_frozen_numpy_loop(preset, cube_geom):
     """simulate() reproduces the former numpy loop bit for bit, for every model."""
     params = ct.param_preset(preset)
     cfg = ct.SimConfig(dt=DT, downsample=1)
-    for i, (x0, inertia) in enumerate(_rollout_cases(cube_geom)):
-        got = ct.simulate(x0, params, inertia, cube_geom, cfg, 0.3).as_matrix()
-        want = fz.simulate(x0, params, inertia, cube_geom, cfg, 0.3).as_matrix()
+    for i, (x0, inertia, geom) in enumerate(_rollout_cases(cube_geom)):
+        got = ct.simulate(x0, params, inertia, geom, cfg, 0.3).as_matrix()
+        want = fz.simulate(x0, params, inertia, geom, cfg, 0.3).as_matrix()
         assert same_bits(got, want), (preset, i)
 
 
@@ -779,9 +794,9 @@ def test_float_built_problem_reads_as_the_array_built_one(monkeypatch, cube_geom
         monkeypatch.setattr(fz, frozen_name, recorder(getattr(fz, frozen_name), want))
     for preset in ("cube-bullet-style", "cube-mujoco-style"):
         params = ct.param_preset(preset)
-        for x0, inertia in _rollout_cases(cube_geom):
-            ct.simulate(x0, params, inertia, cube_geom, cfg, 0.3)
-            fz.simulate(x0, params, inertia, cube_geom, cfg, 0.3)
+        for x0, inertia, geom in _rollout_cases(cube_geom):
+            ct.simulate(x0, params, inertia, geom, cfg, 0.3)
+            fz.simulate(x0, params, inertia, geom, cfg, 0.3)
     assert len(got) == len(want) > 0
     pgs = ct.ContactParams(0.3, 3300.0, 45.0, "rigid_pgs")
     convex = ct.ContactParams(0.3, 3300.0, 45.0, "regularized_convex")

@@ -11,9 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubetoss.solvers import _projected_step, _pyramid_project
+from cubetoss.solvers import _projected_step, _pyramid_project_floats
 
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def project(lam: np.ndarray, mu: float) -> np.ndarray:
+    """The live projection of a flat impulse array, as an array."""
+    return np.array(_pyramid_project_floats(lam.tolist(), mu))
 
 
 def vectorized_pyramid_project(lam: np.ndarray, mu: float, scalar_nan_rules: bool = False) -> np.ndarray:
@@ -115,7 +120,7 @@ def test_projection_matches_vectorized_oracle(inp):
     # the oracle passes n < 0 as feasible when mu * n underflows to -0.0 with
     # t = 0 (it tests 0 <= -0.0); the closed form sends that point to the apex
     expected[np.repeat(expected[0::3] < 0.0, 3)] = 0.0
-    assert np.array_equal(_pyramid_project(x.copy(), mu), expected)
+    assert np.array_equal(project(x.copy(), mu), expected)
 
 
 def test_overflowing_apex_distance_still_goes_to_apex():
@@ -123,23 +128,23 @@ def test_overflowing_apex_distance_still_goes_to_apex():
     out, norm = _projected_step([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1e-300, 5e-324)
     assert out == [0.0, 0.0, 0.0] and norm == 0.0
     step = np.array([-1e300, 0.0, 0.0])
-    assert _pyramid_project(step, 5e-324).tolist() == [0.0, 0.0, 0.0]
+    assert project(step, 5e-324).tolist() == [0.0, 0.0, 0.0]
     with np.errstate(over="ignore"):
         assert vectorized_pyramid_project(step, 5e-324).tolist() == [0.0, 0.0, 0.0]
-    assert np.isnan(_pyramid_project(np.array([-1e300, math.nan, 0.0]), 5e-324)[1])
+    assert np.isnan(project(np.array([-1e300, math.nan, 0.0]), 5e-324)[1])
 
 
 def test_projection_underflowing_cone_bound_goes_to_apex():
     x = np.array([-0.1, 0.0, 0.0, 0.2, 0.0, -0.0])
     assert vectorized_pyramid_project(x.copy(), 5e-324)[0] == -0.1
-    assert np.array_equal(_pyramid_project(x.copy(), 5e-324), [0.0, 0.0, 0.0, 0.2, 0.0, 0.0])
+    assert np.array_equal(project(x.copy(), 5e-324), [0.0, 0.0, 0.0, 0.2, 0.0, 0.0])
 
 
 @PROPERTY_SETTINGS
 @given(projection_inputs(), st.data())
 def test_projection_kkt(inp, data):
     x, mu = inp
-    p = _pyramid_project(x.copy(), mu)
+    p = project(x.copy(), mu)
     n, t1, t2 = p[0::3], p[1::3], p[2::3]
     # feasible: the candidates put the tangential magnitudes exactly on mu * n
     assert np.all(n >= 0.0)
@@ -166,7 +171,7 @@ def test_projection_propagates_nan():
         for k in ((0,) if mu == 0.0 else (0, 1, 2)):
             x = np.array([0.3, 0.1, -0.2, 1.0, 0.0, 0.0])
             x[k] = np.nan
-            p = _pyramid_project(x, mu)
+            p = project(x, mu)
             assert np.isnan(p[:3]).any(), (mu, k)
             assert np.array_equal(p[3:], vectorized_pyramid_project(x[3:].copy(), mu))
 

@@ -30,6 +30,13 @@ of the full output, in its order:
     PYTHONPATH=src python3 tools/rollout_digest.py --params cube-mujoco-style --pools tumbling,box-tumbling
     PYTHONPATH=src python3 tools/rollout_digest.py --params cube-bullet-style --tosses 4
 
+To gate a change in one command, --against SRC_DIR runs the same selection
+on another checkout's ``src/`` in a subprocess, compares it line by line
+with this process's own digest, prints only the lines that differ (the
+other checkout's with ``-``, this one's with ``+``) and exits 1 if any do:
+
+    PYTHONPATH=src python3 tools/rollout_digest.py --against ../parent/src
+
 The cube pools print first, so the box pools left the earlier lines as they
 were. The parameter sets are the three presets, the Bullet-style preset at
 (mu, k) = (0.05, 300) and (0.9, 3e4), and the benchmark's compliant truth
@@ -40,6 +47,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -128,14 +138,41 @@ def main(argv=None) -> int:
     parser.add_argument("--pools", default=",".join(pools()),
                         help="comma list of toss pools (default: all, in the output's order)")
     parser.add_argument("--tosses", type=int, default=None, help="the first N tosses of each pool (default: all)")
+    parser.add_argument("--against", metavar="SRC_DIR", default=None,
+                        help="compare with the digest of the cubetoss package under SRC_DIR, print only the lines "
+                             "that differ and exit 1 if any do")
     args = parser.parse_args(argv)
     names, pool_names = args.params.split(","), args.pools.split(",")
     unknown = sorted(set(names) - set(parameter_sets()) | set(pool_names) - set(pools()))
     if unknown:
         parser.error(f"unknown parameter sets or pools: {', '.join(unknown)}")
-    for line in digest_lines(names, pool_names, args.tosses):
-        print(line, flush=True)
-    return 0
+    if args.against is None:
+        for line in digest_lines(names, pool_names, args.tosses):
+            print(line, flush=True)
+        return 0
+    if not (Path(args.against) / "cubetoss" / "__init__.py").is_file():
+        parser.error(f"--against {args.against}: no cubetoss package there")
+    return compare_against(args.against, names, pool_names, args.tosses)
+
+
+def compare_against(src_dir, names, pool_names, tosses) -> int:
+    """Print the lines in which this process's digest and that of the cubetoss under src_dir differ; 1 if any do.
+
+    The other side runs this script in a subprocess whose PYTHONPATH is src_dir alone.
+    """
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--params", ",".join(names), "--pools", ",".join(pool_names)]
+    if tosses is not None:
+        cmd += ["--tosses", str(tosses)]
+    other = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(Path(src_dir).resolve())}, check=True,
+                           stdout=subprocess.PIPE, text=True).stdout.splitlines()
+    differ = 0
+    for theirs, ours in itertools.zip_longest(other, digest_lines(names, pool_names, tosses)):
+        if theirs != ours:
+            differ += 1
+            for sign, line in (("-", theirs), ("+", ours)):
+                if line is not None:
+                    print(f"{sign} {line}", flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
