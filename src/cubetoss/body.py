@@ -79,7 +79,8 @@ class InertialParams:
     Construction also computes what the rollout reads every step:
     inertia_body_inv, isotropic, gravity_floats (gravity as three Python
     floats) and inertia_inv_scalar (1 / I as a float for an isotropic body,
-    else None). They are not recomputed if a field is edited afterwards.
+    else None). They are not recomputed if a field is edited afterwards;
+    the gravity array is read-only, so an edit in place raises.
     """
 
     mass: float
@@ -109,6 +110,7 @@ class InertialParams:
             raise ValueError(f"inertia_body must be positive definite, eigenvalues {eig}")
         self.inertia_body = inertia
         self.gravity = _as_vec3(self.gravity, "gravity")
+        self.gravity.flags.writeable = False  # gravity_floats is its copy; an edit in place would not reach it
         self.inertia_body_inv = np.linalg.inv(inertia)
         if not np.all(np.isfinite(self.inertia_body_inv)):
             raise ValueError("inertia_body must have a finite inverse")

@@ -54,6 +54,7 @@ class BoxGeometry:
             raise ValueError(f"half_extents must be a 3-vector, got shape {he.shape}")
         if np.min(he) <= 0.0:
             raise ValueError(f"half_extents must be positive, got {he}")
+        he.flags.writeable = False  # half_extent_floats and corners_body are built from it once
         self.half_extents = he
         self.half_extent_floats = tuple(he.tolist())  # the detector's flight bound reads them every step
         self.corners_body = (CORNER_SIGNS * he).T  # (3, 8), lexicographic corner order

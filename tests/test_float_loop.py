@@ -764,6 +764,16 @@ def _rollout_cases(cube_geom):
             + [(x0, box_inertia, box_geom) for x0 in box_tosses])
 
 
+def test_arrays_behind_the_float_constants_are_read_only(cube_geom, cube_inertia):
+    """An edit in place of gravity or the half extents raises, where it would not reach the floats that the
+    rollout reads."""
+    with pytest.raises(ValueError):
+        cube_inertia.gravity[2] = -1.62
+    with pytest.raises(ValueError):
+        cube_geom.half_extents[0] = 0.1
+    assert cube_inertia.gravity_floats == (0.0, 0.0, -9.81) and cube_geom.half_extent_floats == (0.05,) * 3
+
+
 @pytest.mark.parametrize("preset", ["cube-drake", "cube-mujoco-style", "cube-bullet-style"])
 def test_rollout_matches_frozen_numpy_loop(preset, cube_geom):
     """simulate() reproduces the former numpy loop bit for bit, for every model."""

@@ -165,14 +165,14 @@ def compare_against(src_dir, names, pool_names, tosses) -> int:
         cmd += ["--tosses", str(tosses)]
     other = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(Path(src_dir).resolve())}, check=True,
                            stdout=subprocess.PIPE, text=True).stdout.splitlines()
-    differ = 0
+    differ = False
     for theirs, ours in itertools.zip_longest(other, digest_lines(names, pool_names, tosses)):
         if theirs != ours:
-            differ += 1
+            differ = True
             for sign, line in (("-", theirs), ("+", ours)):
                 if line is not None:
                     print(f"{sign} {line}", flush=True)
-    return 1 if differ else 0
+    return int(differ)
 
 
 if __name__ == "__main__":
