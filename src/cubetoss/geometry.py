@@ -1,11 +1,14 @@
-"""Box-versus-table contact detection and per-contact kinematic maps.
+"""Box-versus-table contact detection.
 
-The table is the halfspace z <= 0 with the contact normal fixed at +z
-(pointing into the body). Contacts are generated at box vertices only, one
-candidate per vertex whose height falls below the activation margin, in a
-deterministic order (lexicographic over the body-frame corner signs). Face
-contact therefore yields exactly 4 points and edge contact 2; there is no
-contact patch and no torsional friction.
+The table is the halfspace z <= 0, and every contact has the table's frame:
+normal +z (pointing into the body), tangents +x and +y. A ContactPoint
+therefore holds only what varies from contact to contact: its witness
+point, depth, depth rate and corner index; the solvers module builds the
+frame's Jacobian rows from the arms. Contacts are generated at box vertices
+only, one candidate per vertex whose height falls below the activation
+margin, in a deterministic order (lexicographic over the body-frame corner
+signs). Face contact therefore yields exactly 4 points and edge contact 2;
+there is no contact patch and no torsional friction.
 
 The detector works on Python floats and serves both detect_contacts and
 the rollout loop; only its two corner products stay in numpy, because
@@ -15,11 +18,7 @@ active corner's index, depth, depth rate and moment arm, plus the rotated
 corner columns from which detect_contacts builds the witness points, and
 nothing any one model alone needs: the compliant law forms the tangential
 velocity from the arm. The box holds its half extents as floats from
-construction, for the flight bound that every step evaluates. Every
-contact has the table's frame, so a contact is known by its moment arm
-from the COM: solvers.ContactProblem holds the arms, _table_jacobian
-builds the Jacobian from them when it is read, and the solvers form their
-terms from the arms directly.
+construction, for the flight bound that every step evaluates.
 """
 from __future__ import annotations
 
@@ -31,11 +30,6 @@ import numpy as np
 
 from . import quat
 from .body import RigidState, SimConfig
-
-# +z is the table normal; the tangent frame is fixed from it for reproducibility
-NORMAL = np.array([0.0, 0.0, 1.0])
-TANGENT1 = np.array([1.0, 0.0, 0.0])
-TANGENT2 = np.array([0.0, 1.0, 0.0])
 
 CORNER_SIGNS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
@@ -70,7 +64,7 @@ class BoxGeometry:
 
 @dataclass
 class ContactPoint:
-    """One vertex contact against the table plane.
+    """One vertex contact against the table plane, in the table's frame.
 
     depth is positive when the vertex penetrates (z < 0) and depth_rate is
     positive while penetration deepens, so depth_rate equals minus the
@@ -78,11 +72,8 @@ class ContactPoint:
     """
 
     point: np.ndarray
-    normal: np.ndarray
     depth: float
     depth_rate: float
-    tangent1: np.ndarray
-    tangent2: np.ndarray
     corner_index: int = -1
 
 
@@ -179,32 +170,10 @@ def detect_contacts(
     return [
         ContactPoint(
             point=np.array([p0 + cx[j], p1 + cy[j], p2 + cz[j]]),
-            normal=NORMAL.copy(),
             depth=d,
             depth_rate=dr,
-            tangent1=TANGENT1.copy(),
-            tangent2=TANGENT2.copy(),
             corner_index=j,
         )
         for j, d, dr in zip(idx, depth, depth_rate)
     ]
 
-
-def _table_jacobian(rho) -> np.ndarray:
-    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
-
-    rho holds the arms from the COM to the witness points as three rows
-    (x, y, z) of nc values: a (3, nc) array or three float lists. Rows
-    follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
-    normal row of J @ twist equals minus depth_rate. The entries go into one
-    flat list read by np.fromiter with a known count, which on these few
-    contacts costs less than nested lists or strided assignments.
-    """
-    flat = []
-    for x, y, z in zip(*rho):
-        flat += (
-            0.0, 0.0, 1.0, y, -x, 0.0,
-            1.0, 0.0, 0.0, 0.0, z, -y,
-            0.0, 1.0, 0.0, -z, 0.0, x,
-        )
-    return np.fromiter(flat, float, len(flat)).reshape(-1, 6)

@@ -38,23 +38,13 @@ def _angles_from_quats(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return 2.0 * np.arccos(np.minimum(dots, 1.0))
 
 
-def rotation_angle(r1, r2) -> float:
-    """Angle in [0, pi] of the relative rotation between two orientations.
-
-    Accepts unit quaternions (w, x, y, z) or 3x3 rotation matrices; the
-    arccos argument is clamped so antipodal orientations return exactly pi.
-    """
-    a = np.asarray(r1, dtype=float)
-    b = np.asarray(r2, dtype=float)
-    if a.shape == (4,) and b.shape == (4,):
-        return float(_angles_from_quats(a[None, :], b[None, :])[0])
-    if a.shape == (3, 3) and b.shape == (3, 3):
-        for m in (a, b):
-            if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-6:
-                raise ValueError("rotation matrix is not orthonormal within 1e-6")
-        c = 0.5 * (np.trace(a.T @ b) - 1.0)
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
-    raise ValueError(f"expected two quaternions or two 3x3 matrices, got shapes {a.shape}, {b.shape}")
+def rotation_angle(q1, q2) -> float:
+    """Angle in [0, pi] of the relative rotation between two unit quaternions (w, x, y, z)."""
+    a = np.asarray(q1, dtype=float)
+    b = np.asarray(q2, dtype=float)
+    if a.shape != (4,) or b.shape != (4,):
+        raise ValueError(f"expected two quaternions, got shapes {a.shape}, {b.shape}")
+    return float(_angles_from_quats(a[None, :], b[None, :])[0])
 
 
 @dataclass
@@ -73,22 +63,21 @@ class ErrorReport:
         }
 
 
-def cube_config_error(truth: Trajectory, sim: Trajectory, side: Optional[float] = None) -> ErrorReport:
+def cube_config_error(truth: Trajectory, sim: Trajectory, side: float) -> ErrorReport:
     """Configuration error between two equally sampled pose trajectories.
 
     Per sample the error is (2 / side) * |dp|^2 + angle^2, averaged over the
     trajectory; the 2 / side scaling puts position and orientation terms on
-    comparable magnitudes. Also reports the mean position error as a
-    fraction of the cube width and the mean rotation error in degrees.
+    comparable magnitudes, and side (m) must be positive. Also reports the
+    mean position error as a fraction of the cube width and the mean
+    rotation error in degrees.
     """
     if len(truth) != len(sim):
         raise ValueError(f"trajectory lengths differ: {len(truth)} vs {len(sim)}")
     if abs(truth.rate_hz - sim.rate_hz) > 1e-9 * max(truth.rate_hz, sim.rate_hz):
         raise ValueError(f"sample rates differ: {truth.rate_hz} vs {sim.rate_hz}")
-    if side is None:
-        side = truth.meta.get("side_m")
-    if side is None or not (side > 0.0):
-        raise ValueError("cube side length required (pass side or set meta['side_m'])")
+    if not side > 0.0:
+        raise ValueError(f"cube side length must be positive, got {side}")
     dists = np.linalg.norm(truth.pos - sim.pos, axis=1)
     angles = _angles_from_quats(truth.quat, sim.quat)
     e = float(np.mean((2.0 / side) * dists**2 + angles**2))

@@ -20,8 +20,9 @@ the same order, so rollouts are bit-identical to that code. Numpy keeps
 the detector's corner product, one np.dot per contact step and none per
 flight step, and, for an anisotropic body, the mass terms
 (solvers._mass_terms) and the integrator's rotations. For a PGS or convex
-step the loop builds the ContactProblem from the detector's arms and its
-float lists, as build_contact_problem does from detect_contacts output, and
+step the loop builds the ContactProblem from the detector's arms, its float
+lists and the body's own gravity, as build_contact_problem does from
+detect_contacts output (a ContactPoint's witness point gives its arm), and
 reads the result's float lists back; such a step of a cube makes no numpy
 array outside the detector. Warm starts are remapped per corner over float
 lists when the set of active corners changes.
@@ -141,7 +142,7 @@ def simulate(
     slip = cfg.slip_tolerance
     margin = cfg.activation_margin
     # an isotropic body's mass terms do not depend on the state
-    const_mass_terms = _mass_terms(None, None, inertia, True) if inertia.isotropic else None
+    const_mass_terms = _mass_terms(None, None, inertia) if inertia.isotropic else None
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
     warm_corners = []
@@ -161,7 +162,7 @@ def simulate(
                 imp_lin, imp_ang = _wrench_impulse(terms, dt)
             else:
                 idx, depth, depth_rate, rho, _ = found
-                inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia, True)
+                inv_mass, f_ext = const_mass_terms or _mass_terms(np.array(R), np.array(w), inertia)
                 problem = ContactProblem(rho, inv_mass, v + w, dt, f_ext, depth, depth_rate)
                 if idx == warm_corners:
                     warm = warm_flat

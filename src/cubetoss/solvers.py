@@ -25,13 +25,15 @@ tangential impulses respect |t_i| <= mu * n while a pyramid corner may
 exceed the circular cone by up to sqrt(2).
 
 A ContactProblem holds table contacts (normal +z, tangents +x and +y) by
-their moment arms, as Python floats. Both iterative solvers run on those
-floats, with no BLAS or LAPACK call and no numpy array until a caller reads
-their result's arrays. One helper over the arms (_arm_terms) forms each
-row's W (rho x e), M^-1 f_ext and v_free for both, the row terms as one
-tuple per contact, from which each solver builds its own per-contact data
-in one pass. The PGS sweeps need no Delassus matrix: they run in
-body-velocity space (sequential impulses),
+their moment arms, as Python floats, and the body's own gravity as its
+external force. This module alone knows the frame's row layout [e, rho x
+e]; _table_jacobian builds ContactProblem.jacobian from it. Both iterative
+solvers run on those floats, with no BLAS or LAPACK call and no numpy
+array until a caller reads their result's arrays. One helper over the arms
+(_arm_terms) forms each row's W (rho x e), M^-1 f_ext and v_free for both,
+the row terms as one tuple per contact, from which each solver builds its
+own per-contact data in one pass. The PGS sweeps need no Delassus matrix:
+they run in body-velocity space (sequential impulses),
 keeping u = v_free + M^-1 J^T lambda and reading each row's residual as
 J_k . u, so a row costs the same at any contact count. The Delassus
 entries J M^-1 J^T serve the convex QP alone: _float_terms forms them in
@@ -73,8 +75,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import quat
-from .body import InertialParams, RigidState, SimConfig
-from .geometry import NORMAL, TANGENT1, TANGENT2, ContactPoint, _table_jacobian
+from .body import InertialParams, RigidState, SimConfig, _as_vec3
+from .geometry import ContactPoint
 
 MODELS = ("compliant", "regularized_convex", "rigid_pgs")
 
@@ -128,6 +130,26 @@ class ContactParams:
             raise ValueError(f"d_interp must lie strictly between 0 and 1, got {self.d_interp}")
 
 
+def _table_jacobian(rho) -> np.ndarray:
+    """Stacked 3nc x 6 contact Jacobian in the table frame (normal +z, tangents +x, +y).
+
+    rho holds the arms from the COM to the witness points as three rows
+    (x, y, z) of nc values: a (3, nc) array or three float lists. Rows
+    follow [e, rho x e] for e = normal, t1, t2 of each contact, so the
+    normal row of J @ twist equals minus depth_rate. The entries go into one
+    flat list read by np.fromiter with a known count, which on these few
+    contacts costs less than nested lists or strided assignments.
+    """
+    flat = []
+    for x, y, z in zip(*rho):
+        flat += (
+            0.0, 0.0, 1.0, y, -x, 0.0,
+            1.0, 0.0, 0.0, 0.0, z, -y,
+            0.0, 1.0, 0.0, -z, 0.0, x,
+        )
+    return np.fromiter(flat, float, len(flat)).reshape(-1, 6)
+
+
 class ContactProblem:
     """One-step problem of table contacts in velocity-impulse form.
 
@@ -143,7 +165,7 @@ class ContactProblem:
 
     Every contact has the table's frame (normal +z, tangents +x and +y), so
     its Jacobian rows [e, rho x e] follow from its arm alone. The arrays
-    jacobian (geometry._table_jacobian), inv_mass, f_ext, v, depth,
+    jacobian (_table_jacobian), inv_mass, f_ext, v, depth,
     depth_rate and accel = inv_mass @ f_ext are built when first read; they
     are copies, and editing one changes nothing that a solver reads.
 
@@ -213,15 +235,16 @@ class ContactProblem:
         return self.v + self.h * self.accel
 
 
-def _mass_terms(R, w, inertia: InertialParams, include_gravity: bool):
+def _mass_terms(R, w, inertia: InertialParams):
     """((m^-1, W), f_ext) at orientation R: the inverse generalized mass diag(m^-1 I3, W) and the external force.
 
-    Python floats, W as three rows and f_ext as six values. For an
+    Python floats, W as three rows and f_ext as six values: the body's
+    weight m g, then the gyroscopic torque -w x (I w). For an
     isotropic body W is exactly the body diagonal and the gyroscopic torque
     vanishes, so neither depends on R or w (which may then be None).
     """
     m = inertia.mass
-    f_ext = [m * g for g in inertia.gravity_floats] if include_gravity else [0.0, 0.0, 0.0]
+    f_ext = [m * g for g in inertia.gravity_floats]
     i = inertia.inertia_inv_scalar
     if i is not None:
         W = [[i, 0.0, 0.0], [0.0, i, 0.0], [0.0, 0.0, i]]
@@ -238,22 +261,18 @@ def build_contact_problem(
     inertia: InertialParams,
     contacts: Sequence[ContactPoint],
     dt: float,
-    include_gravity: bool = True,
 ) -> ContactProblem:
     """Assemble the velocity-level problem for the detected contacts.
 
     Uses the arms and mass terms of the rollout loop, so stepping
-    detect_contacts output through this problem reproduces simulate. Every
-    contact must have the table frame that detect_contacts gives it, a
-    ValueError otherwise.
+    detect_contacts output through this problem reproduces simulate; a
+    gravity-free problem takes a body whose gravity is zero. Each contact's
+    point must be a 3-vector, a ValueError otherwise.
     """
-    for c in contacts:
-        if not (np.array_equal(c.normal, NORMAL) and np.array_equal(c.tangent1, TANGENT1)
-                and np.array_equal(c.tangent2, TANGENT2)):
-            raise ValueError("build_contact_problem takes contacts in the table frame (normal +z, tangents +x, +y)")
+    points = [_as_vec3(c.point, f"contact {i} point") for i, c in enumerate(contacts)]
     R = quat.to_matrix(state.quat)
-    inv_mass, f_ext = _mass_terms(R, state.ang_vel, inertia, include_gravity)
-    rho = np.array([c.point for c in contacts]).reshape(-1, 3).T - state.pos[:, None]
+    inv_mass, f_ext = _mass_terms(R, state.ang_vel, inertia)
+    rho = np.array(points).reshape(-1, 3).T - state.pos[:, None]
     depth = [float(c.depth) for c in contacts]
     depth_rate = [float(c.depth_rate) for c in contacts]
     return ContactProblem(rho.tolist(), inv_mass, state.vel.tolist() + state.ang_vel.tolist(), float(dt), f_ext, depth,
@@ -514,8 +533,6 @@ def hunt_crossley_impulse(
         raise ValueError(f"params.model must be 'compliant', got {params.model!r}")
     if not (0.0 < slip_tolerance < math.inf):
         raise ValueError(f"slip_tolerance must be positive and finite, got {slip_tolerance}")
-    if problem.num_contacts == 0:
-        return ContactImpulse.empty()
     v = problem._v
     terms = _compliant_terms(problem._depth, problem._depth_rate, v[:3], v[3:], problem._rho, params.mu, params.k,
                              params.b, slip_tolerance)

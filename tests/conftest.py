@@ -6,7 +6,6 @@ import pytest
 
 import cubetoss as ct
 from cubetoss import quat as cq
-from cubetoss.geometry import NORMAL, TANGENT1, TANGENT2
 
 DT = 1.0 / 1480.0
 
@@ -36,7 +35,7 @@ def random_onset_state(rng, geom):
     return ct.RigidState([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), z0], q, vel, w)
 
 
-def random_contact_problem(rng, nc, dt=DT, include_gravity=True):
+def random_contact_problem(rng, nc, dt=DT):
     """Table contacts of a random body at random arms, beyond the box-corner scenario."""
     m = rng.uniform(0.1, 2.0)
     inertia = ct.InertialParams(m, np.diag(rng.uniform(0.002, 0.05, 3)))
@@ -50,9 +49,8 @@ def random_contact_problem(rng, nc, dt=DT, include_gravity=True):
     for _ in range(nc):
         r = st.pos + rng.uniform(-0.1, 0.1, 3)
         vp = st.vel + np.cross(st.ang_vel, r - st.pos)
-        cps.append(ct.ContactPoint(r, NORMAL.copy(), rng.uniform(-5e-4, 1e-3), float(-vp[2]), TANGENT1.copy(),
-                                   TANGENT2.copy()))
-    return ct.build_contact_problem(st, inertia, cps, dt, include_gravity=include_gravity), inertia, st
+        cps.append(ct.ContactPoint(r, rng.uniform(-5e-4, 1e-3), float(-vp[2])))
+    return ct.build_contact_problem(st, inertia, cps, dt), inertia, st
 
 
 def lcp_enumerate(A, q, tol=1e-10):

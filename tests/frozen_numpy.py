@@ -149,7 +149,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
     max_iters = cfg.solver_iters
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
-    const_mass_terms = _mass_terms(None, None, inertia, True) if inertia.isotropic else None
+    const_mass_terms = _mass_terms(None, None, inertia) if inertia.isotropic else None
 
     warm_corners = []
     warm_flat = None
@@ -173,7 +173,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
                 (rho[0] * ft2 - rho[1] * ft1).sum(),
             ])
         else:
-            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia, True)
+            inv_mass, f_ext = const_mass_terms or _mass_terms(R, w, inertia)
             problem = ContactProblem(
                 rho.tolist(), inv_mass, np.concatenate([v, w]).tolist(), dt, f_ext, depth.tolist(), depth_rate.tolist()
             )

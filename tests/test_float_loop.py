@@ -27,7 +27,7 @@ from test_simulate import anisotropic_box
 from conftest import with_velocity
 from cubetoss import quat
 from cubetoss.body import _integrate
-from cubetoss.geometry import _corner_contact_arrays, _table_jacobian
+from cubetoss.geometry import _corner_contact_arrays
 from cubetoss.solvers import (
     DEFAULT_QP_TOL,
     ContactProblem,
@@ -42,6 +42,7 @@ from cubetoss.solvers import (
     _mass_terms,
     _pyramid_project_floats,
     _pyramid_qp,
+    _table_jacobian,
     _warm_floats,
     _wrench_impulse,
 )
@@ -49,6 +50,7 @@ from cubetoss.synthetic import random_toss_states, sliding_toss_states
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 DT = 1.0 / 1480.0
+NO_GRAVITY = (0.0, 0.0, 0.0)
 
 SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308)
 # agreement of the float convex solve with the BLAS one, absolute and relative to the largest impulse.
@@ -335,7 +337,9 @@ def solver_cases(draw):
             mixed(draw, rng, nc, lo, hi, draw(st.sampled_from([(), (0.0, -0.0), SPECIAL])))
             for lo, hi in ((-1e-3, 5e-3), (-3.0, 3.0))
         ]
-    inv_mass, f_ext = _mass_terms(R, v[3:], inertia, not resting and draw(st.booleans()))
+    if resting or not draw(st.booleans()):
+        inertia = ct.InertialParams(inertia.mass, inertia.inertia_body, NO_GRAVITY)
+    inv_mass, f_ext = _mass_terms(R, v[3:], inertia)
     h = draw(st.sampled_from([DT, rng.uniform(1e-4, 1e-2)]))
     problem = ContactProblem(rho.tolist(), inv_mass, v.tolist(), h, f_ext, depth.tolist(), depth_rate.tolist())
     mu = draw(st.sampled_from([0.0, rng.uniform(0.0, 1.5)]))
@@ -358,7 +362,7 @@ def solver_cases(draw):
 
 def cube_inv_mass():
     """The cube's 6x6 inverse generalized mass diag(m^-1 I3, W), as ContactProblem.inv_mass builds it."""
-    (minv, W), _ = _mass_terms(None, None, ct.cube_inertial(), True)
+    (minv, W), _ = _mass_terms(None, None, ct.cube_inertial())
     return np.diag([minv] * 3 + [W[0][0], W[1][1], W[2][2]])
 
 
@@ -524,7 +528,7 @@ def test_convex_solve_restarts_from_zero_when_a_warm_start_overflows():
     warm start. Two contacts, mu = 0, k = b = 0, separating: the minimizer is zero, so the face solve
     from the warm start (both normals free) declines."""
     rho = np.array([[-0.05, 0.05], [-0.05, -0.05], [-0.05, -0.05]])
-    inv_mass, f_ext = _mass_terms(None, None, ct.cube_inertial(), False)
+    inv_mass, f_ext = _mass_terms(None, None, ct.cube_inertial(NO_GRAVITY))
     problem = ContactProblem(rho.tolist(), inv_mass, [0.0, 0.0, 0.5, 0.0, 0.0, 0.0], DT, f_ext, [0.0] * 2, [0.0] * 2)
     params = ct.ContactParams(0.0, 0.0, 0.0, "regularized_convex")
     warm = np.full(6, 1e308)
@@ -563,7 +567,7 @@ FACE_CASES = [
 
 def face_case(mu, vx, vy, vz, depth):
     rho = np.array([[0.0], [0.0], [-0.05]])
-    inv_mass, f_ext = _mass_terms(None, None, ct.cube_inertial(), False)
+    inv_mass, f_ext = _mass_terms(None, None, ct.cube_inertial(NO_GRAVITY))
     problem = ContactProblem(rho.tolist(), inv_mass, [vx, vy, vz, 0.0, 0.0, 0.0], DT, f_ext, [depth], [0.0])
     return problem, ct.ContactParams(mu, 3300.0, 0.0, "regularized_convex")
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,6 @@ def test_face_contact_four_corners(cube_geom):
     for cp in cps:
         assert cp.depth == pytest.approx(1e-4, abs=1e-12)
         assert cp.depth_rate == 0.0
-        assert np.array_equal(cp.normal, [0, 0, 1])
     # exact face contact (corners at z = 0) also yields exactly 4 points
     exact = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
     assert len(ct.detect_contacts(exact, cube_geom)) == 4
@@ -59,7 +56,7 @@ def test_depth_rate_matches_witness_velocity(cube_geom):
         )
         for cp in ct.detect_contacts(s, cube_geom):
             v_pt = s.vel + np.cross(s.ang_vel, cp.point - s.pos)
-            assert abs(cp.depth_rate + cp.normal @ v_pt) < 1e-12
+            assert abs(cp.depth_rate + v_pt[2]) < 1e-12
 
 
 def test_contact_count_bounds(cube_geom):
@@ -69,15 +66,6 @@ def test_contact_count_bounds(cube_geom):
             [0, 0, rng.uniform(-0.02, 0.2)], random_unit_quat(rng), np.zeros(3), np.zeros(3)
         )
         assert 0 <= len(ct.detect_contacts(s, cube_geom)) <= 8
-
-
-def test_tangent_frame_orthonormal(cube_geom):
-    s = ct.RigidState([0, 0, 0.049], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
-    for cp in ct.detect_contacts(s, cube_geom):
-        for a, b in ((cp.normal, cp.tangent1), (cp.normal, cp.tangent2), (cp.tangent1, cp.tangent2)):
-            assert abs(a @ b) < 1e-12
-        for v in (cp.normal, cp.tangent1, cp.tangent2):
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_z_rotation_equivariance(cube_geom):
@@ -104,25 +92,25 @@ def test_z_rotation_equivariance(cube_geom):
             assert abs(ca.depth_rate - cb.depth_rate) < 1e-12
 
 
-def test_build_contact_problem_requires_the_table_frame(cube_inertia):
-    """A problem holds table contacts only (normal +z, tangents +x and +y): a contact in any other
-    frame, a proper one included, is refused rather than solved in the table frame."""
+def test_build_contact_problem_requires_3_vector_points(cube_inertia):
+    """A witness point that is not a 3-vector is refused, naming the contact, rather than reshaped into
+    arms that mix the contacts' components (a 2-vector point among three made 2 arms for 3 depths)."""
     s = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, -0.1], [0, 0, 0])
-    table = ct.ContactPoint(s.pos + [0.05, 0.05, -0.05], np.array([0.0, 0, 1]), 1e-4, 0.1,
-                            np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    assert ct.build_contact_problem(s, cube_inertia, [table], DT).num_contacts == 1
-    c, d = np.cos(0.3), np.sin(0.3)
-    for field, direction in (("normal", [0.0, 0, -1]), ("normal", [0.0, d, c]), ("tangent1", [c, d, 0]),
-                             ("tangent1", [0.0, 1, 0]), ("tangent2", [1.0, 0, 0])):
-        other = dataclasses.replace(table, **{field: np.array(direction)})
-        with pytest.raises(ValueError, match="table frame"):
-            ct.build_contact_problem(s, cube_inertia, [table, other], DT)
+    corner = s.pos + [0.05, 0.05, -0.05]
+    table = ct.ContactPoint(corner, 1e-4, 0.1)
+    assert ct.build_contact_problem(s, cube_inertia, [table, table, table], DT).num_contacts == 3
+    for bad in (corner[:2], np.append(corner, 0.0)):
+        other = ct.ContactPoint(bad, 1e-4, 0.1)
+        with pytest.raises(ValueError, match=r"contact 1 point must be a 3-vector"):
+            ct.build_contact_problem(s, cube_inertia, [table, other, table], DT)
+        # three such points reshape without error into 2 or 4 arms
+        with pytest.raises(ValueError, match=r"contact 0 point must be a 3-vector"):
+            ct.build_contact_problem(s, cube_inertia, [other] * 3, DT)
 
 
 def test_jacobian_com_witness(cube_inertia):
     s = ct.RigidState([0, 0, 0.02], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
-    cp = ct.ContactPoint(s.pos.copy(), np.array([0.0, 0, 1]), 0.0, 0.0,
-                         np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+    cp = ct.ContactPoint(s.pos.copy(), 0.0, 0.0)
     J = ct.build_contact_problem(s, cube_inertia, [cp], DT).jacobian
     assert np.allclose(J[:, :3], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     assert np.allclose(J[:, 3:], 0.0)
@@ -131,8 +119,7 @@ def test_jacobian_com_witness(cube_inertia):
 def test_jacobian_pure_rotation_tangential(cube_inertia):
     s = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, 0], [0, 0, 1.0])
     r = np.array([0.05, 0.05, -0.05])
-    cp = ct.ContactPoint(s.pos + r, np.array([0.0, 0, 1]), 0.0, 0.0,
-                         np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+    cp = ct.ContactPoint(s.pos + r, 0.0, 0.0)
     J = ct.build_contact_problem(s, cube_inertia, [cp], DT).jacobian
     twist = np.concatenate([s.vel, s.ang_vel])
     v_contact = J @ twist
@@ -173,7 +160,7 @@ def test_table_jacobian_matches_strided_builder():
         want[2::3, 1] = 1.0
         want[2::3, 3] = -rz
         want[2::3, 5] = rx
-        got = ct.geometry._table_jacobian(rho)
+        got = ct.solvers._table_jacobian(rho)
         assert got.shape == (3 * nc, 6) and got.dtype == np.float64
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -21,15 +21,15 @@ from conftest import (
 )
 
 DT = 1.0 / 1480.0
+NO_GRAVITY = (0.0, 0.0, 0.0)
 
 
-def single_contact_problem(mass=0.5, s_minus=-0.3, depth=0.002, include_gravity=False):
+def single_contact_problem(mass=0.5, s_minus=-0.3, depth=0.002, gravity=NO_GRAVITY):
     """One contact at the COM: scalar Delassus A = 1/mass, normal velocity s_minus."""
-    inertia = ct.InertialParams(mass, 1e-3 * np.eye(3))
+    inertia = ct.InertialParams(mass, 1e-3 * np.eye(3), gravity)
     st = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, s_minus], [0, 0, 0])
-    cp = ct.ContactPoint(st.pos.copy(), np.array([0.0, 0, 1]), depth, -s_minus,
-                         np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    return ct.build_contact_problem(st, inertia, [cp], DT, include_gravity=include_gravity), inertia, st
+    cp = ct.ContactPoint(st.pos.copy(), depth, -s_minus)
+    return ct.build_contact_problem(st, inertia, [cp], DT), inertia, st
 
 
 # --- compliant law -------------------------------------------------------------
@@ -60,11 +60,10 @@ def test_compliant_force_continuous_across_clamps():
     params = ct.ContactParams(0.5, 10800.0, 0.4, "compliant")
 
     def fn(depth, rate):
-        inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3))
+        inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3), NO_GRAVITY)
         st = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0.2, 0, -rate], [0, 0, 0])
-        cp = ct.ContactPoint(st.pos.copy(), np.array([0.0, 0, 1]), depth, rate,
-                             np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-        prob = ct.build_contact_problem(st, inertia, [cp], DT, include_gravity=False)
+        cp = ct.ContactPoint(st.pos.copy(), depth, rate)
+        prob = ct.build_contact_problem(st, inertia, [cp], DT)
         return ct.hunt_crossley_impulse(prob, params).normal[0] / DT
 
     for scan, fixed in (("depth", 0.0), ("rate", -1.0 / 0.4)):
@@ -92,14 +91,13 @@ def test_compliant_friction_inside_cone():
 
 def test_compliant_friction_regularization_below_slip_tolerance():
     # below the slip tolerance the tangential force is linear in slip velocity
-    inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3))
+    inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3), NO_GRAVITY)
     params = ct.ContactParams(0.5, 1e4, 0.0, "compliant")
     vals = []
     for vt in (1e-4, 2e-4):
         st = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [vt, 0, 0], [0, 0, 0])
-        cp = ct.ContactPoint(st.pos.copy(), np.array([0.0, 0, 1]), 1e-3, 0.0,
-                             np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-        prob = ct.build_contact_problem(st, inertia, [cp], DT, include_gravity=False)
+        cp = ct.ContactPoint(st.pos.copy(), 1e-3, 0.0)
+        prob = ct.build_contact_problem(st, inertia, [cp], DT)
         imp = ct.hunt_crossley_impulse(prob, params, slip_tolerance=1e-3)
         vals.append(imp.tangent[0, 0])
     assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-9)
@@ -108,12 +106,11 @@ def test_compliant_friction_regularization_below_slip_tolerance():
 
 def test_compliant_slip_tolerance_must_be_positive_and_finite():
     """A zero tolerance would divide by zero at a sticking contact; it is a configuration error."""
-    inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3))
+    inertia = ct.InertialParams(0.37, 1e-3 * np.eye(3), NO_GRAVITY)
     params = ct.ContactParams(0.5, 1e4, 0.0, "compliant")
     st = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
-    cp = ct.ContactPoint(st.pos.copy(), np.array([0.0, 0, 1]), 1e-3, 0.0,
-                         np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    prob = ct.build_contact_problem(st, inertia, [cp], DT, include_gravity=False)
+    cp = ct.ContactPoint(st.pos.copy(), 1e-3, 0.0)
+    prob = ct.build_contact_problem(st, inertia, [cp], DT)
     for bad in (0.0, -1e-3, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="slip_tolerance"):
             ct.hunt_crossley_impulse(prob, params, slip_tolerance=bad)
@@ -124,10 +121,14 @@ def test_compliant_slip_tolerance_must_be_positive_and_finite():
 
 
 def test_convex_no_contacts_zero_impulse(cube_inertia):
+    """Without contacts every model returns the empty result: no impulse, a +0.0 wrench, converged."""
     st = ct.RigidState([0, 0, 1.0], [1, 0, 0, 0], [0, 0, 0], [0, 0, 0])
     prob = ct.build_contact_problem(st, cube_inertia, [], DT)
-    imp = ct.regularized_convex_impulse(prob, ct.ContactParams(0.2, 3300, 45, "regularized_convex"))
-    assert np.array_equal(imp.wrench, np.zeros(6))
+    for model in ("compliant", "regularized_convex", "rigid_pgs"):
+        imp = ct.solve_contact_impulse(prob, ct.ContactParams(0.2, 3300, 45, model))
+        assert imp.flat().shape == (0,), model
+        assert np.array_equal(imp.wrench, np.zeros(6)) and not np.any(np.signbit(imp.wrench)), model
+        assert imp.converged and imp.iterations == 0, model
 
 
 def reference_velocity(prob, params):
@@ -142,7 +143,7 @@ def test_convex_reference_velocity_frozen_values():
     prob2, _, _ = single_contact_problem(mass=0.5, s_minus=0.5, depth=-0.0005)
     assert reference_velocity(prob2, params)[0] == pytest.approx(-0.0010033783783783786, rel=1e-12)
     # gravity contributes its unconstrained velocity change, weighted by 1 - d
-    prob3, _, _ = single_contact_problem(mass=0.5, s_minus=0.5, depth=0.0, include_gravity=True)
+    prob3, _, _ = single_contact_problem(mass=0.5, s_minus=0.5, depth=0.0, gravity=(0.0, 0.0, -9.81))
     assert reference_velocity(prob3, params)[0] == pytest.approx(-0.0006628378378378377, rel=1e-12)
 
 
@@ -257,7 +258,7 @@ def test_pgs_single_contact_full_arrest():
 def test_pgs_four_corner_symmetry(cube_geom, cube_inertia):
     st = ct.RigidState([0, 0, 0.05], [1, 0, 0, 0], [0, 0, -1.0], [0, 0, 0])
     cps = ct.detect_contacts(st, cube_geom, 1e-3)
-    prob = ct.build_contact_problem(st, cube_inertia, cps, DT, include_gravity=False)
+    prob = ct.build_contact_problem(st, ct.cube_inertial(NO_GRAVITY), cps, DT)
     imp = ct.rigid_pgs_impulse(prob, ct.ContactParams(0.0, 0.0, 0.0, "rigid_pgs"),
                                max_iters=500, tol=1e-12)
     assert imp.converged
@@ -388,7 +389,7 @@ def test_randomized_dissipation(cube_geom, cube_inertia):
         if not cps:
             continue
         checked += 1
-        prob = ct.build_contact_problem(st, cube_inertia, cps, DT, include_gravity=False)
+        prob = ct.build_contact_problem(st, ct.cube_inertial(NO_GRAVITY), cps, DT)
         ke0 = ct.kinetic_energy(st, cube_inertia)
         mu = float(rng.uniform(0, 1))
         for imp in (
