@@ -6,10 +6,10 @@ are advanced with the new velocities. Orientation is advanced through the
 quaternion exponential map and renormalized every step, so there is no
 constraint-projection drift.
 
-_integrate is that step over Python floats, shared by step() and the
-rollout loop; only the anisotropic inertia products stay in numpy. It
-reads gravity and an isotropic body's inverse inertia as the floats that
-InertialParams computes once, at construction.
+_integrate (that step over Python floats, shared by step() and the rollout
+loop) and _mass_terms (the contact problem's mass terms) are the per-step
+inertia math; only their anisotropic products stay in numpy. Both read
+gravity and an isotropic body's inverse inertia as InertialParams' floats.
 """
 from __future__ import annotations
 
@@ -77,17 +77,16 @@ class InertialParams:
     """Mass properties of the body plus the gravity it experiences.
 
     Construction also computes what the rollout reads every step:
-    inertia_body_inv, isotropic, gravity_floats (gravity as three Python
-    floats) and inertia_inv_scalar (1 / I as a float for an isotropic body,
-    else None). They are not recomputed if a field is edited afterwards;
-    the gravity array is read-only, so an edit in place raises.
+    inertia_body_inv, gravity_floats (gravity as three Python floats) and
+    inertia_inv_scalar (1 / I as a float for an isotropic body, else None,
+    the one test of isotropy). They are not recomputed if a field is edited
+    afterwards; the gravity array is read-only, so an edit in place raises.
     """
 
     mass: float
     inertia_body: np.ndarray
     gravity: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_GRAVITY))
     inertia_body_inv: np.ndarray = field(init=False, repr=False)
-    isotropic: bool = field(init=False, repr=False)
     gravity_floats: tuple = field(init=False, repr=False)
     inertia_inv_scalar: Optional[float] = field(init=False, repr=False)
 
@@ -114,10 +113,9 @@ class InertialParams:
         self.inertia_body_inv = np.linalg.inv(inertia)
         if not np.all(np.isfinite(self.inertia_body_inv)):
             raise ValueError("inertia_body must have a finite inverse")
-        off = inertia - inertia[0, 0] * np.eye(3)
-        self.isotropic = bool(np.max(np.abs(off)) == 0.0)
+        isotropic = np.max(np.abs(inertia - inertia[0, 0] * np.eye(3))) == 0.0
         self.gravity_floats = tuple(self.gravity.tolist())
-        self.inertia_inv_scalar = float(self.inertia_body_inv[0, 0]) if self.isotropic else None
+        self.inertia_inv_scalar = float(self.inertia_body_inv[0, 0]) if isotropic else None
 
 
 @dataclass
@@ -162,6 +160,35 @@ class SimConfig:
         return 1.0 / (self.dt * self.downsample)
 
 
+def _world_inertia(R, inertia: InertialParams) -> np.ndarray:
+    return R @ inertia.inertia_body @ R.T
+
+
+def _gyroscopic_torque(R, w, inertia: InertialParams) -> np.ndarray:
+    """-w x (R I R^T w): an anisotropic body's gyroscopic torque at orientation R and angular velocity w (arrays)."""
+    return -np.cross(w, _world_inertia(R, inertia) @ w)
+
+
+def _mass_terms(R, w, inertia: InertialParams):
+    """((m^-1, W), f_ext) at orientation R: the inverse generalized mass diag(m^-1 I3, W) and the external force.
+
+    Python floats, W as three rows and f_ext as six values: the body's
+    weight m g, then the gyroscopic torque -w x (I w). For an
+    isotropic body W is exactly the body diagonal and the gyroscopic torque
+    vanishes, so neither depends on R or w (which may then be None).
+    """
+    m = inertia.mass
+    f_ext = [m * g for g in inertia.gravity_floats]
+    i = inertia.inertia_inv_scalar
+    if i is not None:
+        W = [[i, 0.0, 0.0], [0.0, i, 0.0], [0.0, 0.0, i]]
+        f_ext += (0.0, 0.0, 0.0)
+    else:
+        W = (R @ inertia.inertia_body_inv @ R.T).tolist()
+        f_ext += _gyroscopic_torque(R, w, inertia).tolist()
+    return (1.0 / m, W), f_ext
+
+
 def _integrate(pos, q, vel, w, R, inertia: InertialParams, imp_lin, imp_ang, dt: float):
     """One semi-implicit Euler step given an impulse applied at the COM.
 
@@ -190,8 +217,7 @@ def _integrate(pos, q, vel, w, R, inertia: InertialParams, imp_lin, imp_ang, dt:
     else:
         R = np.array(R)
         w = np.array(w)
-        iw = R @ inertia.inertia_body @ R.T
-        tau_gyro = -np.cross(w, iw @ w)
+        tau_gyro = _gyroscopic_torque(R, w, inertia)
         w1 = w + R @ (inertia.inertia_body_inv @ (R.T @ (dt * tau_gyro + np.array(imp_ang))))
         wx, wy, wz = w1.tolist()
     # orientation advance: normalize(exp(dt w1 / 2) * q)
@@ -246,8 +272,7 @@ def step(state: RigidState, inertia: InertialParams, impulse=None, dt: float = S
 
 
 def world_inertia(state: RigidState, inertia: InertialParams) -> np.ndarray:
-    R = quat.to_matrix(state.quat)
-    return R @ inertia.inertia_body @ R.T
+    return _world_inertia(quat.to_matrix(state.quat), inertia)
 
 
 def kinetic_energy(state: RigidState, inertia: InertialParams) -> float:

@@ -25,7 +25,7 @@ from ._version import __version__
 from .body import DEFAULT_RATE_HZ, SimConfig
 from .identify import optimize, sweep
 from .io import ResultsDocument, TrajectoryFileError, import_cube_dataset, load_trajectory, save_trajectory
-from .metrics import dataset_loss, rollout_reports
+from .metrics import _body_header, dataset_loss, rollout_reports
 from .presets import PARAM_PRESETS, cube_domain, cube_geometry, cube_inertial, param_preset
 from .simulate import SimulationDivergence, simulate
 from .solvers import ContactParams, MODELS
@@ -56,8 +56,8 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--downsample", type=int, default=SimConfig.downsample,
                    help="keep every n-th sample (default %(default)s)")
     p.add_argument("--margin", type=float, default=SimConfig.activation_margin, help="contact activation margin in m")
-    p.add_argument("--slip-tol", type=float, default=SimConfig.slip_tolerance,
-                   help="friction regularization velocity in m/s")
+    p.add_argument("--slip-tol", type=float, default=None,
+                   help=f"compliant friction regularization velocity in m/s (default {SimConfig.slip_tolerance:g})")
     p.add_argument("--solver-iters", type=int, default=None, help="override the solver iteration cap")
 
 
@@ -121,12 +121,14 @@ def _sim_config(args, model: str) -> SimConfig:
         raise CliError(f"--rate must be a positive finite number of Hz, got {args.rate}")
     if args.solver_iters is not None and model == "compliant":
         raise CliError("--solver-iters has no effect with model compliant, which does not iterate")
+    if args.slip_tol is not None and model != "compliant":
+        raise CliError(f"--slip-tol has no effect with model {model}; only compliant uses it")
     return SimConfig(
         dt=1.0 / args.rate,
         downsample=args.downsample,
         solver=model,
         solver_iters=args.solver_iters,
-        slip_tolerance=args.slip_tol,
+        slip_tolerance=SimConfig.slip_tolerance if args.slip_tol is None else args.slip_tol,
         activation_margin=args.margin,
     )
 
@@ -149,8 +151,8 @@ def _workers(args) -> int:
 
 @contextlib.contextmanager
 def _executor(args):
-    """The rollout process pool for --workers or CUBETOSS_WORKERS, or None for one worker; shut down on exit."""
-    n = _workers(args)
+    """The rollout process pool for args.workers (resolved by main), or None for one worker; shut down on exit."""
+    n = args.workers
     if n <= 1:
         yield None
         return
@@ -158,9 +160,9 @@ def _executor(args):
         yield ex
 
 
-def _sim_dict(args) -> dict:
+def _sim_dict(args, cfg: SimConfig) -> dict:
     return {"rate_hz": args.rate, "downsample": args.downsample, "margin_m": args.margin,
-            "slip_tolerance": args.slip_tol, "solver_iters": args.solver_iters}
+            "slip_tolerance": cfg.slip_tolerance, "solver_iters": args.solver_iters}
 
 
 def _population_stats(values) -> dict:
@@ -201,7 +203,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {err} (marker written to {marker})", file=sys.stderr)
         return EXIT_DIVERGENCE
     out = full.downsampled(cfg.downsample)
-    out.meta.update({"body": "cube", "side_m": 2.0 * float(geom.half_extents[0])})
+    out.meta.update(_body_header(geom))
     save_trajectory(out, args.out)
     if args.full_out:
         full.meta.update(out.meta)
@@ -225,7 +227,8 @@ def _cmd_evaluate(args) -> int:
             scored.append(rep)
         per_traj.append(entry)
     if not scored:
-        raise CliError("every rollout diverged; nothing to report")
+        print("error: every rollout diverged; nothing to report", file=sys.stderr)
+        return EXIT_DIVERGENCE
     results = {
         "n_trajectories": len(trajs),
         "n_diverged": sum(1 for _, d in reports if d),
@@ -236,7 +239,7 @@ def _cmd_evaluate(args) -> int:
     }
     doc = ResultsDocument(
         command="evaluate",
-        config={"dataset": args.dataset, "params": dataclasses.asdict(params), "sim": _sim_dict(args)},
+        config={"dataset": args.dataset, "params": dataclasses.asdict(params), "sim": _sim_dict(args, cfg)},
         results=results,
     )
     doc.save(args.out)
@@ -249,8 +252,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    if args.model is None:
-        raise CliError("--model is required for identify")
     domain = cube_domain(args.model)
     cfg = _sim_config(args, args.model)
     trajs = _load_dataset(args.dataset)
@@ -296,7 +297,7 @@ def _cmd_identify(args) -> int:
             "budget": args.budget,
             "seed": args.seed,
             "train": args.train,
-            "sim": _sim_dict(args),
+            "sim": _sim_dict(args, cfg),
         },
         results=results,
     )
@@ -343,7 +344,7 @@ def _cmd_sweep(args) -> int:
             "axes": axis_names,
             "log": sorted(log_axes),
             "grid": args.grid,
-            "sim": _sim_dict(args),
+            "sim": _sim_dict(args, cfg),
         },
         results=grid.to_dict(),
     )
@@ -404,6 +405,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.workers = _workers(args)
         return args.fn(args)
     except (CliError, TrajectoryFileError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -164,11 +164,16 @@ def _rollout_report(args):
         return None, True
 
 
+def _body_header(geom: BoxGeometry) -> dict:
+    """The trajectory header naming the scored body and its score length side_m, 2 x the x half extent (m)."""
+    return {"body": "cube", "side_m": 2.0 * float(geom.half_extents[0])}
+
+
 def _resolve_side(truths: Sequence[Trajectory], geom: BoxGeometry) -> float:
     for t in truths:
         if "side_m" in t.meta:
             return float(t.meta["side_m"])
-    return float(2.0 * geom.half_extents[0])
+    return _body_header(geom)["side_m"]
 
 
 def rollout_reports(

@@ -19,7 +19,7 @@ float operation is the one the former array code applied elementwise, in
 the same order, so rollouts are bit-identical to that code. Numpy keeps
 the detector's corner product, one np.dot per contact step and none per
 flight step, and, for an anisotropic body, the mass terms
-(solvers._mass_terms) and the integrator's rotations. For a PGS or convex
+(body._mass_terms) and the integrator's rotations. For a PGS or convex
 step the loop builds the ContactProblem from the detector's arms, its float
 lists and the body's own gravity, as build_contact_problem does from
 detect_contacts output (a ContactPoint's witness point gives its arm), and
@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import quat
-from .body import InertialParams, RigidState, SimConfig, _integrate
+from .body import InertialParams, RigidState, SimConfig, _integrate, _mass_terms
 from .geometry import BoxGeometry, _corner_contact_arrays
 from .solvers import (
     DEFAULT_PGS_ITERS,
@@ -64,7 +64,6 @@ from .solvers import (
     ContactProblem,
     ConvexSolverError,
     _compliant_terms,
-    _mass_terms,
     _wrench_impulse,
     hunt_crossley_impulse,
     regularized_convex_impulse,
@@ -142,7 +141,7 @@ def simulate(
     slip = cfg.slip_tolerance
     margin = cfg.activation_margin
     # an isotropic body's mass terms do not depend on the state
-    const_mass_terms = _mass_terms(None, None, inertia) if inertia.isotropic else None
+    const_mass_terms = _mass_terms(None, None, inertia) if inertia.inertia_inv_scalar is not None else None
 
     # warm start: the corners and flat impulse of this rollout's last contact solve
     warm_corners = []

@@ -25,12 +25,12 @@ tangential impulses respect |t_i| <= mu * n while a pyramid corner may
 exceed the circular cone by up to sqrt(2).
 
 A ContactProblem holds table contacts (normal +z, tangents +x and +y) by
-their moment arms, as Python floats, and the body's own gravity as its
-external force. This module alone knows the frame's row layout [e, rho x
-e]; _table_jacobian builds ContactProblem.jacobian from it. Both iterative
-solvers run on those floats, with no BLAS or LAPACK call and no numpy
-array until a caller reads their result's arrays. One helper over the arms
-(_arm_terms) forms each row's W (rho x e), M^-1 f_ext and v_free for both,
+their moment arms and body._mass_terms' inverse mass and external force,
+all as Python floats. This module alone knows the frame's row layout [e,
+rho x e]; _table_jacobian builds ContactProblem.jacobian from it. Both
+iterative solvers run on those floats, with no BLAS or LAPACK call and no
+numpy array until a caller reads their result's arrays. One helper over
+the arms (_arm_terms) forms each row's W (rho x e), M^-1 f_ext and v_free for both,
 the row terms as one tuple per contact, from which each solver builds its
 own per-contact data in one pass. The PGS sweeps need no Delassus matrix:
 they run in body-velocity space (sequential impulses),
@@ -75,7 +75,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import quat
-from .body import InertialParams, RigidState, SimConfig, _as_vec3
+from .body import InertialParams, RigidState, SimConfig, _as_vec3, _mass_terms
 from .geometry import ContactPoint
 
 MODELS = ("compliant", "regularized_convex", "rigid_pgs")
@@ -156,8 +156,8 @@ class ContactProblem:
     rho holds the moment arms from the COM to the witness points as three
     rows (x, y, z) of nc Python floats.
     inv_mass is the inverse generalized mass diag(m^-1 I3, W) at the
-    current orientation as the pair (m^-1, W) that _mass_terms returns, W
-    the world inverse inertia as three float rows; f_ext is the external
+    current orientation as the pair (m^-1, W) that body._mass_terms returns,
+    W the world inverse inertia as three float rows; f_ext is the external
     generalized force (gravity and gyroscopic pseudo-force), v the pre-step
     generalized velocity [v, w], h the timestep, and depth and depth_rate
     have one entry per contact, all Python floats and float lists. The
@@ -233,27 +233,6 @@ class ContactProblem:
     def v_free(self) -> np.ndarray:
         """Post-step generalized velocity if no contact impulse acted."""
         return self.v + self.h * self.accel
-
-
-def _mass_terms(R, w, inertia: InertialParams):
-    """((m^-1, W), f_ext) at orientation R: the inverse generalized mass diag(m^-1 I3, W) and the external force.
-
-    Python floats, W as three rows and f_ext as six values: the body's
-    weight m g, then the gyroscopic torque -w x (I w). For an
-    isotropic body W is exactly the body diagonal and the gyroscopic torque
-    vanishes, so neither depends on R or w (which may then be None).
-    """
-    m = inertia.mass
-    f_ext = [m * g for g in inertia.gravity_floats]
-    i = inertia.inertia_inv_scalar
-    if i is not None:
-        W = [[i, 0.0, 0.0], [0.0, i, 0.0], [0.0, 0.0, i]]
-        f_ext += (0.0, 0.0, 0.0)
-    else:
-        W = (R @ inertia.inertia_body_inv @ R.T).tolist()
-        iw = R @ inertia.inertia_body @ R.T
-        f_ext += (-np.cross(w, iw @ w)).tolist()
-    return (1.0 / m, W), f_ext
 
 
 def build_contact_problem(

@@ -8,6 +8,7 @@ import numpy as np
 from . import quat
 from .body import InertialParams, RigidState, SimConfig
 from .geometry import BoxGeometry
+from .metrics import _body_header
 from .simulate import simulate
 from .solvers import ContactParams
 from .trajectory import Trajectory
@@ -55,7 +56,6 @@ def make_dataset(
     out = []
     for x0 in states:
         traj = simulate(x0, params, inertia, geom, cfg, duration)
-        traj.meta["body"] = "cube"
-        traj.meta["side_m"] = float(2.0 * geom.half_extents[0])
+        traj.meta.update(_body_header(geom))
         out.append(traj)
     return out

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cubetoss.body import SimConfig
+from cubetoss.body import SimConfig, _mass_terms
 from cubetoss.io import COLUMNS, FORMAT_TAG
 from cubetoss.simulate import SimulationDivergence
 from cubetoss.solvers import (
@@ -45,7 +45,6 @@ from cubetoss.solvers import (
     ContactImpulse,
     ContactProblem,
     ConvexSolverError,
-    _mass_terms,
     _pyramid_project_floats,
     erp_cfm,
     regularized_convex_impulse,
@@ -99,7 +98,7 @@ def compliant_forces(depth, depth_rate, vt1, vt2, mu, k, b, slip_tol):
 
 def integrate(pos, q, vel, w, R, inertia, imp_lin, imp_ang, dt):
     v1 = vel + dt * inertia.gravity + imp_lin / inertia.mass
-    if inertia.isotropic:
+    if inertia.inertia_inv_scalar is not None:
         w1 = w + inertia.inertia_body_inv[0, 0] * imp_ang
     else:
         iw = R @ inertia.inertia_body @ R.T
@@ -149,7 +148,7 @@ def simulate(x0, params, inertia, geom, cfg=None, duration=1.0):
     max_iters = cfg.solver_iters
     if max_iters is None:
         max_iters = DEFAULT_QP_ITERS if model == "regularized_convex" else DEFAULT_PGS_ITERS
-    const_mass_terms = _mass_terms(None, None, inertia) if inertia.isotropic else None
+    const_mass_terms = _mass_terms(None, None, inertia) if inertia.inertia_inv_scalar is not None else None
 
     warm_corners = []
     warm_flat = None

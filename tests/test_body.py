@@ -121,8 +121,8 @@ def test_inertial_params_validation():
                           (0.37, np.diag([1e-320] * 3)), (0.37, np.diag([np.inf] * 3)), (0.37, np.diag([np.nan] * 3))):
         with np.errstate(all="ignore"), pytest.raises(ValueError):
             ct.InertialParams(mass, inertia)
-    assert ct.InertialParams(1.0, 0.0081 * np.eye(3)).isotropic
-    assert not ct.InertialParams(1.0, np.diag([0.01, 0.02, 0.04])).isotropic
+    assert ct.InertialParams(1.0, 0.0081 * np.eye(3)).inertia_inv_scalar is not None
+    assert ct.InertialParams(1.0, np.diag([0.01, 0.02, 0.04])).inertia_inv_scalar is None
 
 
 def test_sim_config_validation():

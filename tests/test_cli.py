@@ -67,6 +67,18 @@ def test_simulate_divergence_exit_code(tmp_path):
     assert "step_index" in json.loads(marker.read_text())
 
 
+def test_evaluate_every_rollout_diverged_exit_code(tmp_path, capsys):
+    """When no rollout survives, evaluate reports a divergence (exit 3), as simulate does, and writes nothing."""
+    d, _ = write_dataset(tmp_path, n=2, sliding=True)
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["evaluate", "--model", "compliant", "--mu", "0.1", "--k", "1e200", "--b", "1e200",
+                   "--dataset", str(d), "--out", str(out)])
+    assert rc == EXIT_DIVERGENCE
+    assert "every rollout diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_convex_iteration_cap_exit_code(tmp_path, capsys):
     """A convex solve that hits its iteration cap is a divergence: exit 3 and a marker."""
     d, _ = write_dataset(tmp_path, n=1)
@@ -239,6 +251,11 @@ def test_flags_without_effect_on_the_model_exit_2(tmp_path, capsys):
          "--solver-iters", "compliant"),
         (["identify", "--model", "compliant", "--solver-iters", "50", "--budget", "2", "--dataset", str(d)],
          "--solver-iters", "compliant"),
+        (["simulate", "--preset", "cube-bullet-style", "--slip-tol", "5", "--x0", x0], "--slip-tol", "rigid_pgs"),
+        (["evaluate", "--preset", "cube-mujoco-style", "--slip-tol", "5", "--dataset", str(d)],
+         "--slip-tol", "regularized_convex"),
+        (["identify", "--model", "rigid_pgs", "--slip-tol", "5", "--budget", "2", "--dataset", str(d)],
+         "--slip-tol", "rigid_pgs"),
     ]
     for argv, flag, model in cases:
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG, argv
@@ -249,6 +266,10 @@ def test_flags_without_effect_on_the_model_exit_2(tmp_path, capsys):
                  ["evaluate", "--preset", "cube-mujoco-style", "--solver-iters", "50", "--d-interp", "0.8",
                   "--dataset", str(d)]):
         assert main([*argv, "--out", str(out)]) == 0, argv
+    # the compliant law reads --slip-tol; the document echoes the tolerance in effect, flag given or not
+    for extra, slip in ((["--slip-tol", "5"], 5.0), ([], ct.SimConfig.slip_tolerance)):
+        assert main(["evaluate", "--preset", "cube-drake", "--dataset", str(d), *extra, "--out", str(out)]) == 0
+        assert ct.ResultsDocument.load(out).config["sim"]["slip_tolerance"] == slip
 
 
 def test_params_file_d_interp_without_effect_exits_2(tmp_path, capsys):
@@ -432,18 +453,20 @@ def test_simulate_duration_must_be_positive_and_finite(tmp_path, capsys):
 
 
 def test_workers_must_be_positive(tmp_path, monkeypatch, capsys):
+    """Every command checks the worker count, simulate too, though it runs a single rollout."""
     d, _ = write_dataset(tmp_path, n=1, duration=0.05)
-    out = tmp_path / "r.json"
-    args = ["evaluate", "--preset", "cube-drake", "--dataset", str(d), "--out", str(out)]
-    for workers in ("0", "-2"):
-        assert main(args + ["--workers", workers]) == EXIT_CONFIG
-        assert "--workers" in capsys.readouterr().err
-    for env in ("0", "two"):
-        monkeypatch.setenv("CUBETOSS_WORKERS", env)
-        assert main(args) == EXIT_CONFIG
-        assert "CUBETOSS_WORKERS" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(args + ["--workers", "1"]) == 0  # the flag wins over the environment
+    for argv, out in ((["evaluate", "--preset", "cube-drake", "--dataset", str(d)], tmp_path / "r.json"),
+                      (["simulate", "--preset", "cube-drake", "--x0", str(d / "toss_000.csv")], tmp_path / "s.csv")):
+        args = argv + ["--out", str(out)]
+        for workers in ("0", "-2"):
+            assert main(args + ["--workers", workers]) == EXIT_CONFIG
+            assert "--workers" in capsys.readouterr().err
+        for env in ("0", "two"):
+            monkeypatch.setenv("CUBETOSS_WORKERS", env)
+            assert main(args) == EXIT_CONFIG
+            assert "CUBETOSS_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--workers", "1"]) == 0  # the flag wins over the environment
 
 
 def test_sweep_rejects_bad_grid_and_axes(tmp_path, capsys):

@@ -26,7 +26,7 @@ from test_pgs import BLAS_TOL
 from test_simulate import anisotropic_box
 from conftest import with_velocity
 from cubetoss import quat
-from cubetoss.body import _integrate
+from cubetoss.body import _integrate, _mass_terms
 from cubetoss.geometry import _corner_contact_arrays
 from cubetoss.solvers import (
     DEFAULT_QP_TOL,
@@ -39,7 +39,6 @@ from cubetoss.solvers import (
     _float_impulse,
     _float_terms,
     _gershgorin,
-    _mass_terms,
     _pyramid_project_floats,
     _pyramid_qp,
     _table_jacobian,

@@ -246,6 +246,26 @@ def test_dataset_loss_mean_property(cube_geom, cube_inertia):
     assert grown == pytest.approx(base * 3 / 4, rel=1e-6)
 
 
+def test_score_length_falls_back_to_the_geometry(cube_inertia):
+    """Truths without a side_m header score exactly as the same truths with side_m = 2 x the x half extent."""
+    from cubetoss.synthetic import random_toss_states
+
+    geom = ct.BoxGeometry([0.06, 0.04, 0.03])
+    params = ct.param_preset("cube-drake")
+    off = ct.ContactParams(0.5, params.k, params.b, "compliant")
+    sims = [ct.simulate(x0, params, cube_inertia, geom, ct.SimConfig(), 0.3)
+            for x0 in random_toss_states(2, geom, seed=37)]
+
+    def reports(meta):
+        truths = [ct.Trajectory(t.rate_hz, t.pos, t.quat, t.vel, t.ang_vel, dict(meta)) for t in sims]
+        return ct.rollout_reports(truths, off, cube_inertia, geom, ct.SimConfig())
+
+    bare = reports({})
+    assert bare == reports({"side_m": 2 * 0.06})
+    assert bare != reports({"side_m": 0.1})
+    assert all(rep.config_error > 0.0 for rep, _ in bare)
+
+
 def test_dataset_loss_empty_rejected(cube_geom, cube_inertia):
     with pytest.raises(ValueError, match="empty"):
         ct.dataset_loss([], ct.param_preset("cube-drake"), cube_inertia, cube_geom)

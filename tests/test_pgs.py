@@ -165,7 +165,7 @@ def test_pool_solves_sweep_as_the_delassus_sweeps(monkeypatch, cube_geom, cube_i
                                            (ct.regularized_convex_impulse, "regularized_convex")])
 def test_iterative_solvers_require_a_nonnegative_integer_cap(solver, model, cube_inertia):
     """max_iters is checked as SimConfig checks solver_iters, with 0 (no iteration) allowed."""
-    (minv, W), f_ext = ct.solvers._mass_terms(None, None, cube_inertia)
+    (minv, W), f_ext = ct.body._mass_terms(None, None, cube_inertia)
     problem = ct.ContactProblem([[0.05], [0.05], [-0.05]], (minv, W), [0.0, 0.0, -1.0, 0.0, 0.0, 0.0], DT, f_ext,
                                 [1e-3], [1.0])
     params = ct.ContactParams(0.3, 1800.0, 27.0, model)
@@ -185,7 +185,7 @@ def test_problem_requires_finite_arms_and_inverse_mass(cube_inertia):
     exact only for a positive finite m^-1 and finite arms and W whose products cannot overflow: any other
     problem is refused when it is built, for every solver alike."""
     rho = [[0.05, -0.05], [0.05, 0.05], [-0.05, -0.05]]
-    (minv, W), f_ext = ct.solvers._mass_terms(None, None, cube_inertia)
+    (minv, W), f_ext = ct.body._mass_terms(None, None, cube_inertia)
 
     def build(rho=rho, minv=minv, W=W):
         return ct.ContactProblem(rho, (minv, W), [0.0] * 6, DT, f_ext, [1e-3] * 2, [0.0] * 2)

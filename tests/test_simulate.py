@@ -151,7 +151,7 @@ def test_public_api_replays_convex_and_pgs_paths(preset, solver_iters, body, cub
     """Bit for bit also where the rollout assembles per-step mass terms (an
     anisotropic body) and where PGS stops at its cap (converged=False)."""
     geom, inertia = anisotropic_box() if body == "anisotropic box" else (cube_geom, cube_inertia)
-    assert inertia.isotropic == (body == "cube")
+    assert (inertia.inertia_inv_scalar is not None) == (body == "cube")
     cfg = ct.SimConfig(dt=DT, downsample=1, solver_iters=solver_iters)
     params = ct.param_preset(preset)
     n_steps = 370  # 0.25 s
