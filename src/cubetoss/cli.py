@@ -3,9 +3,10 @@
 Every command echoes its full semantic configuration into the result
 document so a run can be reproduced exactly. Outputs are data files (CSV
 trajectories and grids, JSON documents); plotting stays outside the tool.
-Exit codes: 0 success, 2 configuration or parse error, 3 simulation
-divergence (including a convex solve that hits its iteration cap or meets a
-non-finite contact problem).
+Every input is checked before the first rollout. Exit codes: 0 success,
+1 a bug (an uncaught exception, with a traceback), 2 configuration or parse
+error, 3 simulation divergence (including a convex solve that hits its
+iteration cap or meets a non-finite contact problem).
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ import numpy as np
 
 from ._version import __version__
 from .body import DEFAULT_RATE_HZ, SimConfig
-from .identify import optimize, sweep
-from .io import ResultsDocument, TrajectoryFileError, import_cube_dataset, load_trajectory, save_trajectory
-from .metrics import _body_header, dataset_loss, rollout_reports
+from .identify import AxisSpec, _check_budget, _check_sweep_axes, optimize, sweep
+from .io import ResultsDocument, import_cube_dataset, load_trajectory, save_trajectory
+from .metrics import _body_header, _check_truths, dataset_loss, rollout_reports
 from .presets import PARAM_PRESETS, cube_domain, cube_geometry, cube_inertial, param_preset
 from .simulate import SimulationDivergence, simulate
 from .solvers import ContactParams, MODELS
@@ -59,9 +60,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slip-tol", type=float, default=None,
                    help=f"compliant friction regularization velocity in m/s (default {SimConfig.slip_tolerance:g})")
     p.add_argument("--solver-iters", type=int, default=None, help="override the solver iteration cap")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help=f"parallel rollout workers (env {WORKERS_ENV}; results do not depend on this)")
 
@@ -126,7 +124,6 @@ def _sim_config(args, model: str) -> SimConfig:
     return SimConfig(
         dt=1.0 / args.rate,
         downsample=args.downsample,
-        solver=model,
         solver_iters=args.solver_iters,
         slip_tolerance=SimConfig.slip_tolerance if args.slip_tol is None else args.slip_tol,
         activation_margin=args.margin,
@@ -160,9 +157,40 @@ def _executor(args):
         yield ex
 
 
-def _sim_dict(args, cfg: SimConfig) -> dict:
-    return {"rate_hz": args.rate, "downsample": args.downsample, "margin_m": args.margin,
-            "slip_tolerance": cfg.slip_tolerance, "solver_iters": args.solver_iters}
+@contextlib.contextmanager
+def _input_phase():
+    """Wraps a command's input phase, which ends before its first rollout.
+
+    A ValueError or KeyError raised in it is a configuration error (exit 2);
+    raised later, either is a bug and propagates.
+    """
+    try:
+        yield
+    except (ValueError, KeyError) as err:
+        raise CliError(str(err)) from err
+
+
+def _dataset_inputs(args) -> tuple[ContactParams | None, SimConfig, list]:
+    """The input phase that evaluate, identify and sweep share: params, SimConfig and a scorable dataset.
+
+    params is None for identify, which takes no parameter flags and searches
+    its --model's domain instead.
+    """
+    params = _resolve_params(args) if "preset" in args else None
+    cfg = _sim_config(args, params.model if params else args.model)
+    trajs = import_cube_dataset(args.dataset)
+    if not trajs:
+        raise CliError(f"{args.dataset}: dataset is empty")
+    _check_truths(trajs, cfg)
+    return params, cfg, trajs
+
+
+def _save_results(args, cfg: SimConfig, config: dict, results: dict) -> None:
+    """Write the command's result document to --out, its config echoing the dataset and the sim settings too."""
+    sim = {"rate_hz": args.rate, "downsample": args.downsample, "margin_m": args.margin,
+           "slip_tolerance": cfg.slip_tolerance, "solver_iters": args.solver_iters}
+    config = {"dataset": args.dataset, **config, "sim": sim}
+    ResultsDocument(command=args.command, config=config, results=results).save(args.out)
 
 
 def _population_stats(values) -> dict:
@@ -170,29 +198,23 @@ def _population_stats(values) -> dict:
     return {"mean": float(np.mean(arr)), "std": float(np.std(arr))}
 
 
-def _load_dataset(path: str):
-    trajs = import_cube_dataset(path)
-    if not trajs:
-        raise CliError(f"{path}: dataset is empty")
-    return trajs
-
-
 # --- commands ------------------------------------------------------------------
 
 
 def _cmd_simulate(args) -> int:
-    params = _resolve_params(args)
-    cfg = _sim_config(args, params.model)
-    x0_traj = load_trajectory(args.x0)
-    x0 = x0_traj.initial_state
-    if args.duration is None:
-        duration = x0_traj.duration
-        if duration <= 0.0:
-            raise CliError("x0 file has a single row; give --duration")
-    elif 0.0 < args.duration < math.inf:
-        duration = args.duration
-    else:
-        raise CliError(f"--duration must be a positive finite number of seconds, got {args.duration}")
+    with _input_phase():
+        params = _resolve_params(args)
+        cfg = _sim_config(args, params.model)
+        x0_traj = load_trajectory(args.x0)
+        x0 = x0_traj.initial_state
+        if args.duration is None:
+            duration = x0_traj.duration
+            if duration <= 0.0:
+                raise CliError("x0 file has a single row; give --duration")
+        elif 0.0 < args.duration < math.inf:
+            duration = args.duration
+        else:
+            raise CliError(f"--duration must be a positive finite number of seconds, got {args.duration}")
     geom, inertia = cube_geometry(), cube_inertial()
     full_cfg = dataclasses.replace(cfg, downsample=1)
     try:
@@ -213,9 +235,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    params = _resolve_params(args)
-    cfg = _sim_config(args, params.model)
-    trajs = _load_dataset(args.dataset)
+    with _input_phase():
+        params, cfg, trajs = _dataset_inputs(args)
     with _executor(args) as ex:
         reports = rollout_reports(trajs, params, cube_inertial(), cube_geometry(), cfg, executor=ex)
     per_traj = []
@@ -237,12 +258,7 @@ def _cmd_evaluate(args) -> int:
         "config_error": _population_stats([r.config_error for r in scored]),
         "per_trajectory": per_traj,
     }
-    doc = ResultsDocument(
-        command="evaluate",
-        config={"dataset": args.dataset, "params": dataclasses.asdict(params), "sim": _sim_dict(args, cfg)},
-        results=results,
-    )
-    doc.save(args.out)
+    _save_results(args, cfg, {"params": dataclasses.asdict(params)}, results)
     pe, re_, eq = results["position_error_pct"], results["rotation_error_deg"], results["config_error"]
     print(f"position err {pe['mean']:.1f} +- {pe['std']:.1f} % width | "
           f"rotation err {re_['mean']:.1f} +- {re_['std']:.1f} deg | "
@@ -252,16 +268,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    domain = cube_domain(args.model)
-    cfg = _sim_config(args, args.model)
-    trajs = _load_dataset(args.dataset)
+    with _input_phase():
+        _, cfg, trajs = _dataset_inputs(args)
+        domain = cube_domain(args.model)
+        _check_budget(args.budget)
+        if args.train is not None and not (0 < args.train <= len(trajs)):
+            raise CliError(f"--train must be in 1..{len(trajs)}")
     geom, inertia = cube_geometry(), cube_inertial()
 
-    train = trajs
-    holdout = []
+    train, holdout = trajs, []
     if args.train is not None:
-        if not (0 < args.train <= len(trajs)):
-            raise CliError(f"--train must be in 1..{len(trajs)}")
         order = np.random.default_rng(args.seed).permutation(len(trajs))
         train = [trajs[i] for i in order[: args.train]]
         holdout = [trajs[i] for i in order[args.train :]]
@@ -288,20 +304,9 @@ def _cmd_identify(args) -> int:
             for i, (p, l) in enumerate(zip(result.history_params, result.history_loss))
         ],
     }
-    doc = ResultsDocument(
-        command="identify",
-        config={
-            "dataset": args.dataset,
-            "model": args.model,
-            "domain": domain.to_dict(),
-            "budget": args.budget,
-            "seed": args.seed,
-            "train": args.train,
-            "sim": _sim_dict(args, cfg),
-        },
-        results=results,
-    )
-    doc.save(args.out)
+    config = {"model": args.model, "domain": domain.to_dict(), "budget": args.budget, "seed": args.seed,
+              "train": args.train}
+    _save_results(args, cfg, config, results)
     print(f"best loss {result.loss:.6g} at mu={best.mu:.4f} k={best.k:.6g} b={best.b:.6g} "
           f"({result.n_evaluations} evaluations)")
     print(f"wrote {args.out}")
@@ -309,46 +314,29 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.grid < 1:
-        raise CliError(f"--grid must be at least 1, got {args.grid}")
-    params = _resolve_params(args)
-    cfg = _sim_config(args, params.model)
-    trajs = _load_dataset(args.dataset)
-    axis_names = [a.strip() for a in args.axes.split(",") if a.strip()]
-    log_axes = {a.strip() for a in (args.log or "").split(",") if a.strip()}
-    domain = cube_domain(params.model)
-    axes = []
-    for name in axis_names:
-        spec = next((a for a in domain.axes if a.name == name), None)
-        if spec is None:
-            raise CliError(f"cannot sweep {name!r}")
-        if spec.log:
-            log_axes.add(name)
-        if args.grid == 1:
-            values = np.array([getattr(params, name)])  # single point sits at the baseline
-        elif name in log_axes:
-            values = np.logspace(np.log10(max(spec.lower, 1e-12)), np.log10(spec.upper), args.grid)
-        else:
-            values = np.linspace(spec.lower, spec.upper, args.grid)
-        axes.append((name, values))
+    with _input_phase():
+        if args.grid < 1:
+            raise CliError(f"--grid must be at least 1, got {args.grid}")
+        params, cfg, trajs = _dataset_inputs(args)
+        axis_names = tuple(a.strip() for a in args.axes.split(",") if a.strip())
+        log_axes = {a.strip() for a in (args.log or "").split(",") if a.strip()}
+        _check_sweep_axes(axis_names, log_axes)
+        specs = {a.name: a for a in cube_domain(params.model).axes}
+        log_axes |= {name for name in axis_names if specs[name].log}
+        axes = []
+        for name in axis_names:
+            spec = specs[name]
+            if name in log_axes and not spec.log:
+                spec = AxisSpec(name, max(spec.lower, 1e-12), spec.upper, log=True)
+            # a single point sits at the baseline
+            axes.append((name, spec.grid(args.grid) if args.grid > 1 else np.array([getattr(params, name)])))
     with _executor(args) as ex:
         grid = sweep(params, axes, trajs, cube_inertial(), cube_geometry(), cfg,
                      log_axes=log_axes, executor=ex)
     csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
     grid.to_csv(csv_path)
-    doc = ResultsDocument(
-        command="sweep",
-        config={
-            "dataset": args.dataset,
-            "params": dataclasses.asdict(params),
-            "axes": axis_names,
-            "log": sorted(log_axes),
-            "grid": args.grid,
-            "sim": _sim_dict(args, cfg),
-        },
-        results=grid.to_dict(),
-    )
-    doc.save(args.out)
+    config = {"params": dataclasses.asdict(params), "axes": axis_names, "log": sorted(log_axes), "grid": args.grid}
+    _save_results(args, cfg, config, grid.to_dict())
     print(f"swept {grid.losses.size} grid points; wrote {args.out} and {csv_path}")
     return EXIT_OK
 
@@ -357,28 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubetoss", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cubetoss {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    param_flags, sim_flags = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    _add_param_flags(param_flags)
+    _add_sim_flags(sim_flags)
 
-    p = sub.add_parser("simulate", help="roll one trajectory and write it as CSV")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    _add_common_flags(p)
+    p = sub.add_parser("simulate", parents=[param_flags, sim_flags], help="roll one trajectory and write it as CSV")
     p.add_argument("--x0", required=True, help="trajectory file whose first row is the initial state")
     p.add_argument("--duration", type=float, default=None, help="seconds to simulate (default: span of --x0)")
     p.add_argument("--out", required=True, help="output trajectory CSV (downsampled rate)")
     p.add_argument("--full-out", default=None, help="also write the full-rate trajectory here")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("evaluate", help="score a dataset against rollouts at fixed parameters")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    _add_common_flags(p)
+    p = sub.add_parser("evaluate", parents=[param_flags, sim_flags],
+                       help="score a dataset against rollouts at fixed parameters")
     p.add_argument("--dataset", required=True, help="directory of canonical trajectory CSVs")
     p.add_argument("--out", required=True, help="results JSON path")
     p.set_defaults(fn=_cmd_evaluate)
 
-    p = sub.add_parser("identify", help="identify mu, k, b by differential evolution")
-    _add_sim_flags(p)
-    _add_common_flags(p)
+    p = sub.add_parser("identify", parents=[sim_flags], help="identify mu, k, b by differential evolution")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--budget", type=int, default=2000, help="loss evaluations (default 2000)")
@@ -387,10 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_identify)
 
-    p = sub.add_parser("sweep", help="dataset loss over a parameter grid at a fixed baseline")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    _add_common_flags(p)
+    p = sub.add_parser("sweep", parents=[param_flags, sim_flags],
+                       help="dataset loss over a parameter grid at a fixed baseline")
     p.add_argument("--dataset", required=True)
     p.add_argument("--axes", required=True, help="one or two of mu,k,b (comma separated)")
     p.add_argument("--log", default="", help="more axes to grid logarithmically (k always is)")
@@ -407,7 +389,7 @@ def main(argv=None) -> int:
     try:
         args.workers = _workers(args)
         return args.fn(args)
-    except (CliError, TrajectoryFileError, ValueError, KeyError, OSError) as err:
+    except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationDivergence as err:

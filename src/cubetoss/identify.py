@@ -100,6 +100,11 @@ class OptimizeResult:
         return len(self.history_loss)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+
+
 def optimize(
     loss_fn: Callable[[dict], float],
     domain: ParamDomain,
@@ -116,8 +121,7 @@ def optimize(
     population to the budget, which is then spent on it alone; this keeps
     degenerate budgets (down to a single evaluation) well defined.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    _check_budget(budget)
     rng = np.random.default_rng(seed)
     lo, hi = domain.search_bounds()
     dim = len(domain.axes)
@@ -211,6 +215,20 @@ class SweepGrid:
 SWEEPABLE = ("mu", "k", "b")
 
 
+def _check_sweep_axes(names: tuple[str, ...], log_axes: Sequence[str]) -> None:
+    """Refuse axes that sweep cannot grid: not one or two, not in SWEEPABLE, repeated, or log axes not swept."""
+    if not names or len(names) > 2:
+        raise ValueError("sweep takes one or two axes")
+    for name in names:
+        if name not in SWEEPABLE:
+            raise ValueError(f"cannot sweep {name!r}, expected one of {SWEEPABLE}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"sweep axes must be distinct, got {names}")
+    unswept = sorted(set(log_axes) - set(names))
+    if unswept:
+        raise ValueError(f"log axes {unswept} are not among the swept axes {names}")
+
+
 def sweep(
     baseline: ContactParams,
     axes: Sequence[tuple[str, Sequence[float]]],
@@ -227,17 +245,8 @@ def sweep(
     two entries drawn from mu, k, b. Grid points are independent; rollouts
     inside each evaluation may run concurrently through the executor.
     """
-    if not axes or len(axes) > 2:
-        raise ValueError("sweep takes one or two axes")
     names = tuple(name for name, _ in axes)
-    for name in names:
-        if name not in SWEEPABLE:
-            raise ValueError(f"cannot sweep {name!r}, expected one of {SWEEPABLE}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"sweep axes must be distinct, got {names}")
-    unswept = sorted(set(log_axes) - set(names))
-    if unswept:
-        raise ValueError(f"log axes {unswept} are not among the swept axes {names}")
+    _check_sweep_axes(names, log_axes)
     values = tuple(np.asarray(vals, dtype=float) for _, vals in axes)
     shape = tuple(len(v) for v in values)
     losses = np.empty(shape)

@@ -176,6 +176,20 @@ def _resolve_side(truths: Sequence[Trajectory], geom: BoxGeometry) -> float:
     return _body_header(geom)["side_m"]
 
 
+def _check_truths(truths: Sequence[Trajectory], cfg: SimConfig) -> None:
+    """Refuse a dataset that rollout_reports cannot score: an empty one, or a truth off cfg's output rate or with
+    a single sample (a rollout needs a positive duration); a truth is named by its index in truths."""
+    if len(truths) == 0:
+        raise ValueError("dataset is empty")
+    for i, t in enumerate(truths):
+        if abs(t.rate_hz - cfg.output_rate_hz) > 1e-6 * t.rate_hz:
+            raise ValueError(
+                f"trajectory rate {t.rate_hz} Hz does not match simulator output rate {cfg.output_rate_hz} Hz"
+            )
+        if len(t) < 2:
+            raise ValueError(f"trajectory {i} has a single sample; scoring needs at least two")
+
+
 def rollout_reports(
     truths: Sequence[Trajectory],
     params: ContactParams,
@@ -192,15 +206,9 @@ def rollout_reports(
     (None, True) instead of aborting the whole dataset. The cube side comes
     from the first trajectory whose meta carries side_m, else from geom.
     """
-    if len(truths) == 0:
-        raise ValueError("dataset is empty")
     cfg = cfg or SimConfig()
+    _check_truths(truths, cfg)
     side = _resolve_side(truths, geom)
-    for t in truths:
-        if abs(t.rate_hz - cfg.output_rate_hz) > 1e-6 * t.rate_hz:
-            raise ValueError(
-                f"trajectory rate {t.rate_hz} Hz does not match simulator output rate {cfg.output_rate_hz} Hz"
-            )
     jobs = [(t, params, inertia, geom, cfg, side) for t in truths]
     if executor is None:
         return [_rollout_report(j) for j in jobs]

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -498,3 +499,67 @@ def test_simulate_arithmetic_divergence_exit_code(tmp_path, capsys):
     assert marker == {"error": "simulation diverged at step 1: math domain error", "step_index": 1}
     assert "math domain error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_log_axis_linear_in_the_domain(tmp_path):
+    """--log on an axis that is linear in the domain grids it logarithmically from max(lower, 1e-12)."""
+    d, _ = write_dataset(tmp_path, n=1, seed=73, duration=0.05)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--preset", "cube-drake", "--dataset", str(d), "--axes", "b", "--log", "b",
+                 "--grid", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["log"] == ["b"]
+    assert doc["results"]["axes"] == [{"name": "b", "log": True, "values": [1e-12, 1.4142135623730952e-06, 2.0]}]
+
+
+def test_budget_and_rate_mismatch_exit_2(tmp_path, capsys):
+    d, _ = write_dataset(tmp_path, n=1, duration=0.05)
+    out = tmp_path / "r.json"
+    assert main(["identify", "--model", "compliant", "--budget", "0", "--dataset", str(d),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "budget must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["evaluate", "--preset", "cube-drake", "--downsample", "5", "--dataset", str(d),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "does not match simulator output rate 296.0 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_single_sample_recording_refused_before_first_rollout(tmp_path, monkeypatch, capsys):
+    """A one-row recording is refused by index, before any rollout, by every command that scores a dataset."""
+    d, truths = write_dataset(tmp_path, n=2, duration=0.05)
+    t = truths[0]
+    ct.save_trajectory(ct.Trajectory(t.rate_hz, t.pos[:1], t.quat[:1], t.vel[:1], t.ang_vel[:1], t.meta),
+                       d / "toss_002.csv")
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("a rollout ran")
+
+    monkeypatch.setattr(sys.modules["cubetoss.metrics"], "simulate", no_rollout)
+    out = tmp_path / "r.json"
+    for argv in (["evaluate", "--preset", "cube-drake"],
+                 ["sweep", "--preset", "cube-drake", "--axes", "mu", "--grid", "2"],
+                 ["identify", "--model", "compliant", "--budget", "2"]):
+        assert main([*argv, "--dataset", str(d), "--out", str(out)]) == EXIT_CONFIG, argv
+        assert "trajectory 2 has a single sample" in capsys.readouterr().err, argv
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("solver, error, argv", [
+    ("regularized_convex_impulse", ValueError("internal bug in solver"),
+     ["evaluate", "--preset", "cube-mujoco-style"]),
+    ("rigid_pgs_impulse", KeyError("missing"), ["sweep", "--preset", "cube-bullet-style", "--axes", "mu", "--grid", "2"]),
+    ("rigid_pgs_impulse", KeyError("missing"), ["simulate", "--preset", "cube-bullet-style"]),
+    ("regularized_convex_impulse", ValueError("internal bug in solver"),
+     ["identify", "--model", "regularized_convex", "--budget", "2"]),
+])
+def test_error_after_the_input_phase_is_not_a_configuration_error(tmp_path, monkeypatch, solver, error, argv):
+    """Only input errors exit 2: a ValueError or KeyError raised inside a rollout propagates (exit 1)."""
+    d, _ = write_dataset(tmp_path, n=1)
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sys.modules["cubetoss.simulate"], solver, broken)
+    source = ["--x0", str(d / "toss_000.csv")] if argv[0] == "simulate" else ["--dataset", str(d)]
+    with pytest.raises(type(error)):
+        main([*argv, *source, "--out", str(tmp_path / "out.json")])

@@ -277,3 +277,11 @@ def test_dataset_loss_rate_mismatch_rejected(cube_geom, cube_inertia):
     cfg = ct.SimConfig(dt=1 / 1000, downsample=10)
     with pytest.raises(ValueError, match="rate"):
         ct.dataset_loss(truths, params, cube_inertia, cube_geom, cfg)
+
+
+def test_rollout_reports_refuses_a_single_sample_truth():
+    """A one-sample truth has no duration to roll out; it is refused by index before any rollout."""
+    long = ct.Trajectory(148.0, [[0.0, 0.0, 0.5]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 2, [[0.0] * 3] * 2, [[0.0] * 3] * 2)
+    short = ct.Trajectory(148.0, [[0.0, 0.0, 0.5]], [[1.0, 0.0, 0.0, 0.0]], [[0.0] * 3], [[0.0] * 3])
+    with pytest.raises(ValueError, match="trajectory 1 has a single sample"):
+        ct.rollout_reports([long, short], ct.param_preset("cube-drake"), ct.cube_inertial(), ct.cube_geometry())
